@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .grid import BorderPolicy, as_grid, pad_mode
+
+BLOCK_BYTES = 1 << 20  # patch matrix per GEMM: fits in L2, where a whole im2col takes 100s of MB
 
 
 def conv2d(
@@ -31,22 +34,19 @@ def conv2d(
     if kh % 2 == 0:
         raise ShapeError(f"kernel extent must be odd, got {kh}")
     if image.shape[0] != in_ch:
-        raise ShapeError(
-            f"channel mismatch: input has {image.shape[0]} channels, "
-            f"kernels expect {in_ch}"
-        )
-    border = BorderPolicy.coerce(border)
-    half = kh // 2
-    padded = pad2d(image, half, border)
-    h, w = image.shape[1], image.shape[2]
-    out = np.zeros((out_ch, h, w))
-    # One [O,C] x [C,H*W] contraction per kernel offset keeps memory flat and
-    # fixes the accumulation order independently of caller-side threading.
-    for i in range(kh):
-        for j in range(kw):
-            out += np.tensordot(
-                kernels[:, :, i, j], padded[:, i : i + h, j : j + w], axes=(1, 0)
-            )
+        raise ShapeError(f"channel mismatch: input has {image.shape[0]} channels, kernels expect {in_ch}")
+    _, h, w = image.shape
+    padded = pad2d(image, kh // 2, BorderPolicy.coerce(border))
+    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
+    weights = kernels.reshape(out_ch, -1)
+    out = np.empty((out_ch, h, w))
+    # A row block of the [C, k, k, H, W] windows, copied, is the [C*k*k, rows*W] patch matrix.
+    # Each output is one (c, i, j) dot product in an order independent of its position, so
+    # circular shifts commute bit-exactly and the thread count cannot matter.
+    rows = max(1, BLOCK_BYTES // (weights.nbytes // out_ch * w))
+    for r0 in range(0, h, rows):
+        patches = windows[..., r0 : r0 + rows, :].reshape(weights.shape[1], -1)
+        out[:, r0 : r0 + rows] = (weights @ patches).reshape(out_ch, -1, w)
     return out
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of config specs."""
+
+import numbers
 
 
 class SeslabError(Exception):
@@ -19,3 +21,10 @@ class DegenerateGeometryError(SeslabError, ValueError):
 
 class ConfigError(SeslabError, ValueError):
     """An experiment or CLI configuration is invalid."""
+
+
+def require_ints(owner: str, **fields) -> None:
+    """Raise ConfigError unless every field is an integer (bools are not)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{owner} {name} must be an integer, got {value!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SeslabError
+from .errors import ConfigError, SeslabError, require_ints
 from .fileio import read_pgm
 from .grid import BorderPolicy, as_grid
 from .resample import scale_transform, scale_transform_stack
@@ -50,6 +50,9 @@ class CorpusSpec:
     image_dir: str | None = None
 
     def __post_init__(self):
+        require_ints("corpus", count=self.count, height=self.height, width=self.width, seed=self.seed)
+        if self.image_dir is not None and not isinstance(self.image_dir, str):
+            raise ConfigError(f"corpus image_dir must be a string, got {self.image_dir!r}")
         if self.image_dir is None and self.count < 1:
             raise ConfigError(f"corpus count must be >= 1, got {self.count}")
 
@@ -89,6 +92,7 @@ class EquivConfig:
         if any(not 0.0 < s <= 1.0 for s in factors):
             raise ConfigError(f"scale factors must lie in (0, 1], got {factors}")
         object.__setattr__(self, "scale_factors", factors)
+        require_ints("equiv config", **{f"blocks[{i}]": b for i, b in enumerate(self.blocks)})
         blocks = tuple(int(b) for b in self.blocks)
         if not blocks:
             raise ConfigError("at least one block index is required")
@@ -111,20 +115,25 @@ class EquivConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "EquivConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"equiv config must be a JSON object, got {type(data).__name__}")
         known = {"stack", "corpus", "scale_factors", "blocks", "crop_margin"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown equiv config fields: {sorted(unknown)}")
         kwargs = dict(data)
-        if "stack" in kwargs:
-            kwargs["stack"] = StackSpec.from_dict(kwargs["stack"])
-        if "corpus" in kwargs:
-            kwargs["corpus"] = CorpusSpec(**kwargs["corpus"])
-        if "scale_factors" in kwargs:
-            kwargs["scale_factors"] = tuple(kwargs["scale_factors"])
-        if "blocks" in kwargs:
-            kwargs["blocks"] = tuple(kwargs["blocks"])
-        return EquivConfig(**kwargs)
+        try:
+            if "stack" in kwargs:
+                kwargs["stack"] = StackSpec.from_dict(kwargs["stack"])
+            if "corpus" in kwargs:
+                kwargs["corpus"] = CorpusSpec(**kwargs["corpus"])
+            if "scale_factors" in kwargs:
+                kwargs["scale_factors"] = tuple(kwargs["scale_factors"])
+            if "blocks" in kwargs:
+                kwargs["blocks"] = tuple(kwargs["blocks"])
+            return EquivConfig(**kwargs)
+        except TypeError as exc:  # a JSON value of the wrong shape, e.g. a number for a list
+            raise ConfigError(f"malformed equiv config: {exc}") from None
 
     @staticmethod
     def from_json(text: str) -> "EquivConfig":
@@ -230,6 +239,8 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
 
 def _image_cells(stack: Stack, image, scale_factors, blocks, margin) -> dict:
     image = as_grid(image, rank=2, name="corpus image")
+    if not np.isfinite(image).all():
+        raise SeslabError("corpus image has non-finite pixels; its equivariance error is undefined")
     base = stack.forward(image)
     cells = {}
     for s in scale_factors:
@@ -242,12 +253,13 @@ def _image_cells(stack: Stack, image, scale_factors, blocks, margin) -> dict:
 def run_experiment(config: EquivConfig) -> EquivReport:
     """Evaluate both stack kinds over the corpus; deterministic per config.
 
-    Corpus items may be evaluated on SESLAB_THREADS worker threads; the
-    reduction into per-cell means runs in image order either way, so the
-    report is byte-identical across thread counts.
+    Corpus items may be evaluated on up to SESLAB_THREADS worker threads, but
+    on no more threads than there are images or CPUs; the reduction into
+    per-cell means runs in image order either way, so the report is
+    byte-identical across thread counts.
     """
     images = config.corpus.load()
-    workers = thread_count()
+    workers = min(thread_count(), len(images), os.cpu_count() or 1)
     rows = []
     for kind in REPORT_KINDS:
         stack = build_stack(replace(config.stack, kind=kind))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import ScaleSet, SteerableBasis, build_basis, scale_set_from_alpha
 from .conv import conv2d
-from .errors import ConfigError, SeslabError, ShapeError
+from .errors import ConfigError, SeslabError, ShapeError, require_ints
 from .grid import BorderPolicy, as_grid
 from .resample import scale_transform, scale_transform_stack
 
@@ -195,6 +195,7 @@ class LayerSpec:
     nonlinearity: str = "relu"
 
     def __post_init__(self):
+        require_ints("layer", out_channels=self.out_channels, k=self.k)
         if self.out_channels < 1:
             raise ConfigError(f"out_channels must be >= 1, got {self.out_channels}")
         if self.k < 1 or self.k % 2 == 0:
@@ -229,6 +230,7 @@ class StackSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"stack kind must be one of {KINDS}, got {self.kind!r}")
+        require_ints("stack", num_scales=self.num_scales, seed=self.seed, max_order=self.max_order)
         layers = tuple(
             layer if isinstance(layer, LayerSpec) else LayerSpec(**layer)
             for layer in self.layers

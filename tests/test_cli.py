@@ -253,6 +253,28 @@ class TestEquivCommand:
         assert main(["equiv", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
 
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"corpus": {"count": "3"}},
+            {"corpus": {"seed": "x"}},
+            {"stack": {"seed": "x"}},
+            {"corpus": {"height": 24.5}},
+            {"corpus": {"image_dir": 5}},
+            {"corpus": {"colour": "red"}},
+            {"stack": {"layers": 4}},
+            {"blocks": 2},
+            [1, 2],
+            3,
+        ],
+        ids=json.dumps,
+    )
+    def test_wrong_typed_config_is_usage_error(self, tmp_path, capsys, payload):
+        config = write_json(tmp_path / "config.json", payload)
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+
 class TestCrossProcessDeterminism:
     def test_equiv_csv_identical_across_processes(self, tmp_path, monkeypatch):
         import subprocess

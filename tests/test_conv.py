@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from seslab import BorderPolicy, ShapeError, conv2d
+from seslab import BorderPolicy, ShapeError, conv, conv2d
 
 from oracles import conv2d_loops
 
@@ -78,3 +80,49 @@ def test_rank_errors(rng):
 def test_nonsquare_kernel_rejected(rng):
     with pytest.raises(ShapeError, match="square"):
         conv2d(rng.uniform(size=(1, 5, 5)), rng.uniform(size=(1, 1, 3, 5)))
+
+
+@pytest.mark.parametrize(
+    "shape, budget, border",
+    [
+        ((2, 3, 3, 11, 7), 8 * 27 * 7 * 3, "zero-fill"),  # 3-row blocks, a ragged last one
+        ((3, 2, 5, 9, 8), 8 * 50 * 8 * 2, "circular"),  # 2-row blocks
+        ((1, 2, 7, 6, 5), 8 * 98 * 5 * 4 - 1, "clamp"),  # 3-row blocks
+        ((1, 16, 5, 3, 640), conv.BLOCK_BYTES, "zero-fill"),  # one row exceeds the budget
+    ],
+)
+def test_row_blocks_match_oracle(rng, monkeypatch, shape, budget, border):
+    out_ch, in_ch, k, h, w = shape
+    monkeypatch.setattr(conv, "BLOCK_BYTES", budget)
+    image = rng.standard_normal((in_ch, h, w))
+    kernels = rng.standard_normal((out_ch, in_ch, k, k))
+    out = conv2d(image, kernels, BorderPolicy.coerce(border))
+    ref = conv2d_loops(image, kernels, border)
+    assert np.abs(out - ref).max() <= 1e-10
+
+
+def test_circular_shift_bit_exact_across_row_blocks(rng):
+    image = rng.standard_normal((4, 96, 320))
+    kernels = rng.standard_normal((4, 4, 11, 11))
+    assert conv.BLOCK_BYTES // (8 * 4 * 11 * 11 * 320) < 96  # several row blocks
+    base = conv2d(image, kernels, BorderPolicy.CIRCULAR)
+    for shift in [(1, 0), (37, 101), (95, 319)]:
+        rolled = np.roll(image, shift, axis=(1, 2))
+        lhs = conv2d(rolled, kernels, BorderPolicy.CIRCULAR)
+        assert np.array_equal(lhs, np.roll(base, shift, axis=(1, 2)))
+
+
+def test_working_memory_is_bounded_by_the_block_budget(rng):
+    in_ch, k, h, w = 16, 5, 192, 640
+    image = rng.standard_normal((in_ch, h, w))
+    kernels = rng.standard_normal((16, in_ch, k, k))
+    padded_bytes = 8 * in_ch * (h + k - 1) * (w + k - 1)
+    tracemalloc.start()
+    try:
+        out = conv2d(image, kernels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One row's patch matrix here is 2 MB, two of them live at once; an unblocked
+    # im2col would take 8 * 16 * 25 * 192 * 640 B = 393 MB.
+    assert peak <= out.nbytes + padded_bytes + 8 * conv.BLOCK_BYTES

@@ -23,6 +23,7 @@ from seslab import (
 )
 from dataclasses import replace
 
+from seslab import harness
 from oracles import delta_formula
 
 TINY_STACK = StackSpec(layers=(LayerSpec(2, 7), LayerSpec(2, 7)), max_order=2)
@@ -125,6 +126,28 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="SESLAB_THREADS"):
             run_experiment(TINY_CONFIG)
 
+    def test_workers_capped_by_image_count(self, monkeypatch):
+        recorded = []
+
+        class RecordingPool(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("SESLAB_THREADS", "64")
+        run_experiment(TINY_CONFIG)
+        assert TINY_CONFIG.corpus.count == 2
+        assert recorded == [2, 2]
+
+    def test_non_finite_image_rejected(self, monkeypatch, tiny_images):
+        image = tiny_images[0].copy()
+        image[5, 7] = np.nan
+        monkeypatch.setattr(CorpusSpec, "load", lambda self: [tiny_images[1], image])
+        with pytest.raises(SeslabError, match="non-finite"):
+            run_experiment(TINY_CONFIG)
+
     def test_csv_structure(self):
         text = run_experiment(TINY_CONFIG).to_csv_text()
         lines = text.strip().split("\n")
@@ -166,6 +189,25 @@ class TestRunExperiment:
             EquivConfig(stack=TINY_STACK, scale_factors=(0.8,), blocks=(5,))
         with pytest.raises(ConfigError, match="unknown"):
             EquivConfig.from_dict({"stack": TINY_STACK.to_dict(), "gpus": 4})
+        with pytest.raises(ConfigError, match="JSON object"):
+            EquivConfig.from_dict([1, 2])
+        with pytest.raises(ConfigError, match="integer"):
+            EquivConfig(stack=TINY_STACK, scale_factors=(0.8,), blocks=(1.5,))
+
+    @pytest.mark.parametrize(
+        "spec, fields",
+        [
+            (CorpusSpec, {"count": "3"}),
+            (CorpusSpec, {"height": 24.5}),
+            (CorpusSpec, {"seed": True}),
+            (StackSpec, {"seed": "x"}),
+            (StackSpec, {"max_order": 2.0}),
+            (LayerSpec, {"out_channels": 4, "k": 5.0}),
+        ],
+    )
+    def test_spec_integer_fields_typed(self, spec, fields):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            spec(**fields)
 
 
 class TestErrorMap:
