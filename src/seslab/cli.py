@@ -9,11 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from pathlib import Path
 
 from .basis import build_basis, save_basis, scale_set_from_alpha
-from .errors import ConfigError, DegenerateGeometryError, FormatError, SeslabError
+from .errors import ConfigError, DegenerateGeometryError, FormatError, SeslabError, require_ints
 from .fileio import read_pgm, write_pgm
 from .geometry import (
     CameraIntrinsics,
@@ -28,7 +29,7 @@ from .geometry import (
     scale_factor,
     scale_mapping,
 )
-from .harness import EquivConfig, error_map, run_experiment
+from .harness import EquivConfig, run_experiment
 from .resample import warp
 from .synth import synth_corpus
 
@@ -51,6 +52,8 @@ def _merge(defaults: dict, config_path, cli_values: dict) -> dict:
     merged = dict(defaults)
     if config_path:
         file_values = _load_json(config_path)
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"{config_path}: config must be a JSON object")
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys {sorted(unknown)}")
@@ -170,6 +173,21 @@ def cmd_warp(args) -> int:
     return 0
 
 
+def _check_sweep_types(cfg: dict) -> None:
+    for key in ("heights", "up_factors"):
+        if not isinstance(cfg[key], list):
+            raise ConfigError(f"ssim-sweep {key} must be a list, got {cfg[key]!r}")
+    heights = {f"heights[{i}]": h for i, h in enumerate(cfg["heights"])}
+    require_ints("ssim-sweep", count=cfg["count"], seed=cfg["seed"], **heights)
+    for up in cfg["up_factors"]:
+        if isinstance(up, bool) or not isinstance(up, numbers.Real):
+            raise ConfigError(f"ssim-sweep up_factors must be numbers, got {up!r}")
+    if not isinstance(cfg["kind"], str):
+        raise ConfigError(f"ssim-sweep kind must be a string, got {cfg['kind']!r}")
+    if cfg["width"] is not None:
+        require_ints("ssim-sweep", width=cfg["width"])
+
+
 def cmd_ssim_sweep(args) -> int:
     defaults = {
         "heights": [96, 384],
@@ -191,20 +209,21 @@ def cmd_ssim_sweep(args) -> int:
             "width": args.width,
         },
     )
-    if int(cfg["count"]) < 1:
+    _check_sweep_types(cfg)
+    if cfg["count"] < 1:
         raise ConfigError(f"corpus count must be >= 1, got {cfg['count']}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["height,up_factor,mean_ssim,n"]
     rows = []
     for height in cfg["heights"]:
-        width = int(cfg["width"]) if cfg["width"] else int(height)
-        corpus = synth_corpus(cfg["kind"], int(cfg["count"]), int(height), width, int(cfg["seed"]))
+        width = cfg["width"] or height
+        corpus = synth_corpus(cfg["kind"], cfg["count"], height, width, cfg["seed"])
         for up in cfg["up_factors"]:
             values = [log_polar_roundtrip_ssim(img, float(up)) for img in corpus]
             mean = math.fsum(values) / len(values)
-            rows.append({"height": int(height), "up_factor": float(up), "mean_ssim": mean, "n": len(values)})
-            lines.append(f"{int(height)},{format(float(up), '.12g')},{format(mean, '.17g')},{len(values)}")
+            rows.append({"height": height, "up_factor": float(up), "mean_ssim": mean, "n": len(values)})
+            lines.append(f"{height},{format(float(up), '.12g')},{format(mean, '.17g')},{len(values)}")
     csv_text = "\n".join(lines) + "\n"
     (out_dir / "ssim_sweep.csv").write_text(csv_text)
     if args.format == "json":
@@ -227,19 +246,10 @@ def cmd_equiv(args) -> int:
         report.write_json(out_dir / "equiv_report.json")
     _echo_config(out_dir, "equiv", config.to_dict())
     if args.maps:
-        from dataclasses import replace
-
-        from .sesconv import build_stack
-
         maps_dir = out_dir / "maps"
         maps_dir.mkdir(exist_ok=True)
-        images = config.corpus.load()
-        s = config.scale_factors[0]
-        for kind in ("ses", "vanilla"):
-            stack = build_stack(replace(config.stack, kind=kind))
-            for block in config.blocks:
-                grid = error_map(stack, images[0], s, block)
-                write_pgm(maps_dir / f"error_{kind}_block{block}.pgm", grid)
+        for (kind, block), grid in report.maps.items():
+            write_pgm(maps_dir / f"error_{kind}_block{block}.pgm", grid)
     print(f"equivariance report: {len(report.rows)} rows -> {out_dir / 'equiv_report.csv'}")
     return 0
 

@@ -39,6 +39,14 @@ def pad_mode(border: BorderPolicy) -> str:
     return _PAD_MODES[BorderPolicy.coerce(border)]
 
 
+def crop(arr: np.ndarray, margin: float) -> np.ndarray:
+    """View of ``arr`` without a border of ``margin`` x extent on each side of its last two axes."""
+    h, w = arr.shape[-2:]
+    my = int(round(h * margin))
+    mx = int(round(w * margin))
+    return arr[..., my : h - my, mx : w - mx]
+
+
 def as_grid(data, rank: int | None = None, name: str = "grid") -> np.ndarray:
     """Return ``data`` as a float64 array with validated rank and extents."""
     arr = np.asarray(data, dtype=np.float64)

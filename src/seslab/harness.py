@@ -12,14 +12,14 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, SeslabError, require_ints
 from .fileio import read_pgm
-from .grid import BorderPolicy, as_grid
+from .grid import BorderPolicy, as_grid, crop
 from .resample import scale_transform, scale_transform_stack
 from .sesconv import Stack, StackSpec, build_stack
 from .synth import synth_corpus
@@ -154,6 +154,9 @@ class ReportRow:
 class EquivReport:
     rows: tuple
     metadata: dict
+    # Error maps {(kind, block): grid} of the first image at the first scale
+    # factor; not part of the CSV or JSON report.
+    maps: dict = field(default_factory=dict, compare=False)
 
     def to_csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -197,23 +200,48 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _crop(arr: np.ndarray, margin: float):
-    h, w = arr.shape[-2:]
-    my = int(round(h * margin))
-    mx = int(round(w * margin))
-    return arr[..., my : h - my, mx : w - mx]
-
-
-def _delta_ratio(feats: np.ndarray, feats_of_scaled: np.ndarray, s: float, margin: float) -> float:
+def _delta_ratio(feats, feats_of_scaled, s: float, margin: float, with_map: bool) -> tuple:
+    """One cell's ratio ||T_s F - F(T_s h)||^2 / ||T_s F||^2 over the cropped
+    interior and, ``with_map``, the peak-normalized per-pixel error (else None)."""
     scaled_feats = scale_transform_stack(feats, s, border=BorderPolicy.ZERO)
-    num = _crop(scaled_feats - feats_of_scaled, margin)
-    den = _crop(scaled_feats, margin)
+    diff = scaled_feats - feats_of_scaled
+    num = crop(diff, margin)
+    den = crop(scaled_feats, margin)
     den_sq = float(np.sum(den * den))
     if den_sq == 0.0:
         raise SeslabError(
             "equivariance error undefined: scaled feature map is identically zero"
         )
-    return float(np.sum(num * num)) / den_sq
+    ratio = float(np.sum(num * num)) / den_sq
+    if not with_map:
+        return ratio, None
+    err = np.sum(diff * diff, axis=0)
+    peak = err.max()
+    return ratio, (err / peak if peak > 0 else err)
+
+
+def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None) -> tuple:
+    """Delta cells {(block, s): ratio} of one image, and error maps
+    {block: grid} at the scale factor ``map_scale`` (none if it is None)."""
+    image = as_grid(image, rank=2, name="image")
+    if not np.isfinite(image).all():
+        raise SeslabError("image has non-finite pixels; its equivariance error is undefined")
+    base = stack.forward(image)
+    cells, maps = {}, {}
+    for s in scale_factors:
+        scaled = stack.forward(scale_transform(image, s, border=BorderPolicy.ZERO))
+        for b in blocks:
+            cells[(b, s)], grid = _delta_ratio(base[b - 1], scaled[b - 1], s, margin, s == map_scale)
+            if grid is not None:
+                maps[b] = grid
+    return cells, maps
+
+
+def _check_cell(stack: Stack, s: float, block: int) -> None:
+    if not 0.0 < s <= 1.0:
+        raise ConfigError(f"scale factor must lie in (0, 1], got {s}")
+    if not 1 <= block <= stack.num_blocks:
+        raise ConfigError(f"block must lie in 1..{stack.num_blocks}, got {block}")
 
 
 def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: float = 0.1) -> float:
@@ -221,33 +249,16 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
 
         (1/N) sum_i ||T_s F(h_i) - F(T_s h_i)||^2 / ||T_s F(h_i)||^2
 
-    where F is the block's activation map, scale-projected for ses stacks,
-    and T_s acts channel-wise about the feature-map center. A margin of
-    ``crop_margin`` per side is excluded to keep padding artifacts out.
+    where F is the block's scale-projected activation map and T_s acts
+    channel-wise about the feature-map center. A margin of ``crop_margin``
+    per side is excluded to keep padding artifacts out.
     """
-    if not 0.0 < s <= 1.0:
-        raise ConfigError(f"scale factor must lie in (0, 1], got {s}")
-    if not 1 <= block <= stack.num_blocks:
-        raise ConfigError(f"block must lie in 1..{stack.num_blocks}, got {block}")
-    ratios = []
-    for image in images:
-        feats = stack.forward(image)[block - 1]
-        g = stack.forward(scale_transform(image, s, border=BorderPolicy.ZERO))[block - 1]
-        ratios.append(_delta_ratio(feats, g, s, crop_margin))
+    _check_cell(stack, s, block)
+    ratios = [
+        _image_cells(stack, image, (s,), (block,), crop_margin)[0][(block, s)]
+        for image in images
+    ]
     return math.fsum(ratios) / len(ratios)
-
-
-def _image_cells(stack: Stack, image, scale_factors, blocks, margin) -> dict:
-    image = as_grid(image, rank=2, name="corpus image")
-    if not np.isfinite(image).all():
-        raise SeslabError("corpus image has non-finite pixels; its equivariance error is undefined")
-    base = stack.forward(image)
-    cells = {}
-    for s in scale_factors:
-        scaled = stack.forward(scale_transform(image, s, border=BorderPolicy.ZERO))
-        for b in blocks:
-            cells[(b, s)] = _delta_ratio(base[b - 1], scaled[b - 1], s, margin)
-    return cells
 
 
 def run_experiment(config: EquivConfig) -> EquivReport:
@@ -260,44 +271,38 @@ def run_experiment(config: EquivConfig) -> EquivReport:
     """
     images = config.corpus.load()
     workers = min(thread_count(), len(images), os.cpu_count() or 1)
-    rows = []
+    map_scales = [config.scale_factors[0]] + [None] * (len(images) - 1)
+    rows, maps = [], {}
     for kind in REPORT_KINDS:
         stack = build_stack(replace(config.stack, kind=kind))
 
-        def job(image, _stack=stack):
+        def job(image, map_scale, _stack=stack):
             return _image_cells(
-                _stack, image, config.scale_factors, config.blocks, config.crop_margin
+                _stack, image, config.scale_factors, config.blocks, config.crop_margin, map_scale
             )
 
         if workers <= 1:
-            cells = [job(image) for image in images]
+            results = list(map(job, images, map_scales))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                cells = list(pool.map(job, images))
+                results = list(pool.map(job, images, map_scales))
+        maps.update({(kind, block): grid for block, grid in results[0][1].items()})
         for block in config.blocks:
             for s in config.scale_factors:
-                values = [c[(block, s)] for c in cells]
+                values = [cells[(block, s)] for cells, _ in results]
                 delta = math.fsum(values) / len(values)
                 log10 = math.log10(delta) if delta > 0.0 else float("-inf")
                 rows.append(ReportRow(kind, block, float(s), delta, log10, len(values)))
     metadata = {"config": config.to_dict(), "kinds": list(REPORT_KINDS)}
-    return EquivReport(rows=tuple(rows), metadata=metadata)
+    return EquivReport(rows=tuple(rows), metadata=metadata, maps=maps)
 
 
 def error_map(stack: Stack, image, s: float, block: int) -> np.ndarray:
     """Per-pixel squared feature error summed over channels, peak-normalized.
 
     Returns an [H, W] grid scaled so its maximum is 1 (all-zero maps stay
-    all zero, which is the s = 1 case).
+    all zero, which is the s = 1 case). Like :func:`equivariance_error`, it
+    raises SeslabError when the scaled feature map is identically zero.
     """
-    if not 0.0 < s <= 1.0:
-        raise ConfigError(f"scale factor must lie in (0, 1], got {s}")
-    if not 1 <= block <= stack.num_blocks:
-        raise ConfigError(f"block must lie in 1..{stack.num_blocks}, got {block}")
-    image = as_grid(image, rank=2, name="image")
-    feats = stack.forward(image)[block - 1]
-    g = stack.forward(scale_transform(image, s, border=BorderPolicy.ZERO))[block - 1]
-    diff = scale_transform_stack(feats, s, border=BorderPolicy.ZERO) - g
-    err = np.sum(diff * diff, axis=0)
-    peak = err.max()
-    return err / peak if peak > 0 else err
+    _check_cell(stack, s, block)
+    return _image_cells(stack, image, (s,), (block,), 0.0, map_scale=s)[1][block]

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import ScaleSet, SteerableBasis, build_basis, scale_set_from_alpha
 from .conv import conv2d
 from .errors import ConfigError, SeslabError, ShapeError, require_ints
-from .grid import BorderPolicy, as_grid
+from .grid import BorderPolicy, as_grid, crop
 from .resample import scale_transform, scale_transform_stack
+from .synth import synth_image
 
 KINDS = ("ses", "vanilla")
 NONLINEARITIES = ("relu", "none")
@@ -165,23 +166,13 @@ def se_norm(x, epsilon: float = 1e-5) -> np.ndarray:
     x = as_grid(x, rank=4, name="features")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    out = np.empty_like(x)
-    for c in range(x.shape[1]):
-        mean, var = _exact_mean_var(x[:, c])
-        out[:, c] = (x[:, c] - mean) / math.sqrt(var + epsilon)
-    return out
+    return _affine_norm(x, _channel_stats(x), epsilon)
 
 
 def norm2d(x, epsilon: float = 1e-5) -> np.ndarray:
     """Vanilla counterpart of :func:`se_norm`: per channel across (H, W)."""
     x = as_grid(x, rank=3, name="features")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    out = np.empty_like(x)
-    for c in range(x.shape[0]):
-        mean, var = _exact_mean_var(x[c])
-        out[c] = (x[c] - mean) / math.sqrt(var + epsilon)
-    return out
+    return se_norm(x[np.newaxis], epsilon)[0]
 
 
 def relu(x) -> np.ndarray:
@@ -211,12 +202,12 @@ class StackSpec:
     """Description of a small comparison stack.
 
     Both kinds draw identical seed-derived coefficients; the vanilla variant
-    runs plain 2D convolutions with the largest-scale kernels, so any
+    is a single-scale SES stack on the largest-scale kernels, so any
     equivariance gap between the two is architectural rather than an
     initialization artifact. The first layer consumes the raw image; each
     later layer applies normalization, its own nonlinearity, then its
-    convolution. Reported block outputs are the per-layer convolution
-    results (scale-projected for the ses kind).
+    convolution. Reported block outputs are the scale-projected per-layer
+    convolution results.
     """
 
     kind: str = "ses"
@@ -317,80 +308,41 @@ class Stack:
     def forward(self, image) -> list:
         """Per-block [C, H, W] activations for a rank-2 image."""
         image = as_grid(image, rank=2, name="image")
-        blocks = []
-        if self.spec.kind == "ses":
-            x = ses_conv_input(image[np.newaxis], self.banks[0], self.border)
-            blocks.append(scale_projection(x))
-            for bank, layer, stats in zip(
-                self.banks[1:], self.spec.layers[1:], self.norm_stats
-            ):
-                x = _affine_norm(x, stats, channel_axis=1)
-                if layer.nonlinearity == "relu":
-                    x = relu(x)
-                x = ses_conv_scalewise(x, bank, self.border)
-                blocks.append(scale_projection(x))
-        else:
-            x = conv2d(image[np.newaxis], self.banks[0].kernels[-1], self.border)
-            blocks.append(x)
-            for bank, layer, stats in zip(
-                self.banks[1:], self.spec.layers[1:], self.norm_stats
-            ):
-                x = _affine_norm(x, stats, channel_axis=0)
-                if layer.nonlinearity == "relu":
-                    x = relu(x)
-                x = conv2d(x, bank.kernels[-1], self.border)
-                blocks.append(x)
-        return blocks
+        return _propagate(self.spec, self.banks, self.border, image, self.norm_stats)[0]
 
 
-def _affine_norm(x, stats, channel_axis, epsilon=1e-5):
+def _affine_norm(x, stats, epsilon=1e-5):
     mean, var = stats
-    shape = [1] * x.ndim
-    shape[channel_axis] = x.shape[channel_axis]
+    shape = (1, -1, 1, 1)
     return (x - mean.reshape(shape)) / np.sqrt(var + epsilon).reshape(shape)
 
 
-def _channel_stats(x, channel_axis):
-    channels = x.shape[channel_axis]
-    mean = np.empty(channels)
-    var = np.empty(channels)
-    for c in range(channels):
-        sl = np.take(x, c, axis=channel_axis)
-        mean[c], var[c] = _exact_mean_var(sl)
-    return mean, var
+def _channel_stats(x):
+    """Per-channel (mean[C], var[C]) of a [S, C, H, W] map across (scale, H, W)."""
+    mean, var = zip(*(_exact_mean_var(x[:, c]) for c in range(x.shape[1])))
+    return np.array(mean), np.array(var)
 
 
-def _calibrate_norm_stats(spec: StackSpec, banks, border) -> tuple:
-    """Frozen normalization statistics from one probe forward pass.
+def _propagate(spec: StackSpec, banks, border, image, norm_stats=None) -> tuple:
+    """Per-block scale-projected activations and the norm statistics used.
 
-    The probe is derived from the stack seed, so both kinds of a shared
-    spec see the same probe and stay comparable.
+    Every feature map is [S, C, H, W]. A vanilla stack is a single-scale SES
+    stack on the largest-scale kernels. With ``norm_stats=None`` each norm
+    uses its own input's statistics, which is the calibration pass.
     """
-    if len(banks) == 1:
-        return ()
-    from .synth import synth_image
-
-    probe = synth_image(
-        "gaussian-blobs", CALIBRATION_SIZE, CALIBRATION_SIZE, seed=spec.seed
-    )
+    scales = slice(None) if spec.kind == "ses" else slice(-1, None)
+    banks = [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
+    x = ses_conv_input(image[np.newaxis], banks[0], border)
+    blocks = [scale_projection(x)]
     stats = []
-    if spec.kind == "ses":
-        x = ses_conv_input(probe[np.newaxis], banks[0], border)
-        for bank, layer in zip(banks[1:], spec.layers[1:]):
-            stats.append(_channel_stats(x, channel_axis=1))
-            x = _affine_norm(x, stats[-1], channel_axis=1)
-            if layer.nonlinearity == "relu":
-                x = relu(x)
-            x = ses_conv_scalewise(x, bank, border)
-    else:
-        x = conv2d(probe[np.newaxis], banks[0].kernels[-1], border)
-        for bank, layer in zip(banks[1:], spec.layers[1:]):
-            stats.append(_channel_stats(x, channel_axis=0))
-            x = _affine_norm(x, stats[-1], channel_axis=0)
-            if layer.nonlinearity == "relu":
-                x = relu(x)
-            x = conv2d(x, bank.kernels[-1], border)
-    return tuple(stats)
+    for i, (bank, layer) in enumerate(zip(banks[1:], spec.layers[1:])):
+        stats.append(_channel_stats(x) if norm_stats is None else norm_stats[i])
+        x = _affine_norm(x, stats[-1])
+        if layer.nonlinearity == "relu":
+            x = relu(x)
+        x = ses_conv_scalewise(x, bank, border)
+        blocks.append(scale_projection(x))
+    return blocks, tuple(stats)
 
 
 def build_stack(spec: StackSpec, border: BorderPolicy = BorderPolicy.ZERO) -> Stack:
@@ -412,20 +364,19 @@ def build_stack(spec: StackSpec, border: BorderPolicy = BorderPolicy.ZERO) -> St
         banks.append(combine(weights, basis, scale_gains=paper_scale_gains(sigmas)))
         in_channels = layer.out_channels
     border = BorderPolicy.coerce(border)
-    norm_stats = _calibrate_norm_stats(spec, tuple(banks), border)
+    # The probe is derived from the stack seed, so both kinds of a shared
+    # spec see the same probe and stay comparable.
+    probe = synth_image("gaussian-blobs", CALIBRATION_SIZE, CALIBRATION_SIZE, seed=spec.seed)
+    _, norm_stats = _propagate(spec, banks, border, probe)
     return Stack(spec=spec, banks=tuple(banks), norm_stats=norm_stats, border=border)
 
 
 def _relative_l2(lhs: np.ndarray, rhs: np.ndarray, crop_margin: float) -> float:
-    h, w = lhs.shape[-2:]
-    my = int(round(h * crop_margin))
-    mx = int(round(w * crop_margin))
-    sl = (Ellipsis, slice(my, h - my), slice(mx, w - mx))
-    diff = lhs[sl] - rhs[sl]
-    denom = float(np.linalg.norm(rhs[sl]))
+    lhs, rhs = crop(lhs, crop_margin), crop(rhs, crop_margin)
+    denom = float(np.linalg.norm(rhs))
     if denom == 0.0:
         raise SeslabError("relative residue undefined: reference signal is zero")
-    return float(np.linalg.norm(diff)) / denom
+    return float(np.linalg.norm(lhs - rhs)) / denom
 
 
 def scale_matched_residue(

@@ -1,9 +1,21 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seslab import read_pgm, read_tensor, synth_image, write_pgm
+from seslab import (
+    CorpusSpec,
+    EquivConfig,
+    error_map,
+    harness,
+    read_pgm,
+    read_tensor,
+    sesconv,
+    synth_image,
+    write_pgm,
+)
 from seslab.cli import main
 
 KITTI_INTRINSICS = {"f": 707.0, "u0": 63.5, "v0": 47.5, "width": 128, "height": 96}
@@ -200,6 +212,31 @@ class TestSsimSweepCommand:
     def test_empty_corpus_rejected(self, tmp_path):
         assert main(["ssim-sweep", "--count", "0", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"heights": 5},
+            {"heights": [48, "64"]},
+            {"heights": [24.5]},
+            {"up_factors": "2"},
+            {"up_factors": [1, None]},
+            {"up_factors": [True]},
+            {"count": "3"},
+            {"count": 2.0},
+            {"seed": "x"},
+            {"kind": 3},
+            {"width": "wide"},
+            {"width": 40.5},
+            [1, 2],
+            3,
+        ],
+        ids=json.dumps,
+    )
+    def test_wrong_typed_config_is_usage_error(self, tmp_path, capsys, payload):
+        config = write_json(tmp_path / "config.json", payload)
+        assert main(["ssim-sweep", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
 
 class TestEquivCommand:
     @pytest.fixture
@@ -246,6 +283,35 @@ class TestEquivCommand:
         assert len(maps) == 4  # 2 kinds x 2 blocks
         grid = read_pgm(maps[0])
         assert grid.shape == (32, 40)
+
+    def test_maps_reuse_report_forwards(self, tmp_path, tiny_config, monkeypatch):
+        builds, loads = [], []
+        real_build, real_load = sesconv.build_stack, CorpusSpec.load
+
+        def counting_build(*args, **kwargs):
+            builds.append(1)
+            return real_build(*args, **kwargs)
+
+        def counting_load(self):
+            loads.append(1)
+            return real_load(self)
+
+        for module in (harness, sesconv):
+            monkeypatch.setattr(module, "build_stack", counting_build)
+        monkeypatch.setattr(CorpusSpec, "load", counting_load)
+        assert main(["equiv", "--config", tiny_config, "--out-dir", str(tmp_path), "--maps"]) == 0
+        assert (len(builds), len(loads)) == (2, 1)
+
+        config = EquivConfig.from_json(Path(tiny_config).read_text())
+        image = real_load(config.corpus)[0]
+        s = config.scale_factors[0]
+        for kind in ("ses", "vanilla"):
+            stack = real_build(replace(config.stack, kind=kind))
+            for block in config.blocks:
+                expected = tmp_path / "expected.pgm"
+                write_pgm(expected, error_map(stack, image, s, block))
+                written = tmp_path / "maps" / f"error_{kind}_block{block}.pgm"
+                assert written.read_bytes() == expected.read_bytes()
 
     def test_malformed_config_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -102,6 +102,21 @@ class TestEquivarianceError:
             equivariance_error(stack, tiny_images, 0.8, 3)
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda stack, image: equivariance_error(stack, [image], 0.8, 2),
+        lambda stack, image: error_map(stack, image, 0.8, 2),
+    ],
+    ids=["equivariance_error", "error_map"],
+)
+def test_non_finite_image_rejected_by_measurements(measure, tiny_images):
+    image = tiny_images[0].copy()
+    image[5, 7] = np.nan
+    with pytest.raises(SeslabError, match="non-finite"):
+        measure(build_stack(TINY_STACK), image)
+
+
 class TestRunExperiment:
     def test_row_count_covers_cross_product(self):
         report = run_experiment(TINY_CONFIG)
@@ -224,6 +239,18 @@ class TestErrorMap:
         grid = error_map(stack, image, 0.8, 2)
         assert grid.max() == 1.0
         assert grid.min() >= 0.0
+
+    def test_zero_features_raise(self):
+        stack = build_stack(TINY_STACK)
+        zero_bank = combine(
+            np.zeros_like(stack.banks[-1].weights),
+            stack.banks[-1].basis,
+            scale_gains=stack.banks[-1].scale_gains,
+        )
+        dead = replace(stack, banks=(stack.banks[0], zero_bank))
+        image = synth_image("gaussian-blobs", 32, 40, seed=0)
+        with pytest.raises(SeslabError, match="zero"):
+            error_map(dead, image, 0.8, 2)
 
     def test_ses_maps_dimmer_than_vanilla_on_average(self):
         images = synth_corpus("gaussian-blobs", 3, 48, 64, 0)
