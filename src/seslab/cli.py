@@ -9,12 +9,18 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 from pathlib import Path
 
 from .basis import build_basis, save_basis, scale_set_from_alpha
-from .errors import ConfigError, DegenerateGeometryError, FormatError, SeslabError, require_ints
+from .errors import (
+    ConfigError,
+    DegenerateGeometryError,
+    FormatError,
+    SeslabError,
+    require_ints,
+    require_reals,
+)
 from .fileio import read_pgm, write_pgm
 from .geometry import (
     CameraIntrinsics,
@@ -83,10 +89,12 @@ def cmd_basis(args) -> int:
             "sigma_base": args.sigma_base,
         },
     )
-    scale_set = scale_set_from_alpha(float(cfg["alpha"]), int(cfg["scales"]))
+    require_ints("basis", scales=cfg["scales"], order=cfg["order"], k=cfg["k"])
+    require_reals("basis", alpha=cfg["alpha"], sigma_base=cfg["sigma_base"])
+    scale_set = scale_set_from_alpha(float(cfg["alpha"]), cfg["scales"])
     if cfg["sigma_base"] != 1.0:
         scale_set = scale_set.scaled(float(cfg["sigma_base"]))
-    basis = build_basis(scale_set, max_order=int(cfg["order"]), k=int(cfg["k"]))
+    basis = build_basis(scale_set, max_order=cfg["order"], k=cfg["k"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_basis(out, basis)
@@ -179,9 +187,7 @@ def _check_sweep_types(cfg: dict) -> None:
             raise ConfigError(f"ssim-sweep {key} must be a list, got {cfg[key]!r}")
     heights = {f"heights[{i}]": h for i, h in enumerate(cfg["heights"])}
     require_ints("ssim-sweep", count=cfg["count"], seed=cfg["seed"], **heights)
-    for up in cfg["up_factors"]:
-        if isinstance(up, bool) or not isinstance(up, numbers.Real):
-            raise ConfigError(f"ssim-sweep up_factors must be numbers, got {up!r}")
+    require_reals("ssim-sweep", **{f"up_factors[{i}]": up for i, up in enumerate(cfg["up_factors"])})
     if not isinstance(cfg["kind"], str):
         raise ConfigError(f"ssim-sweep kind must be a string, got {cfg['kind']!r}")
     if cfg["width"] is not None:

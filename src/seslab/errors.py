@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of config specs."""
+"""Exception types shared across the package, and the type checks of config specs."""
 
 import numbers
 
@@ -28,3 +28,10 @@ def require_ints(owner: str, **fields) -> None:
     for name, value in fields.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{owner} {name} must be an integer, got {value!r}")
+
+
+def require_reals(owner: str, **fields) -> None:
+    """Raise ConfigError unless every field is a real number (bools are not)."""
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{owner} {name} must be a number, got {value!r}")

@@ -296,9 +296,8 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     if not 0 < r_min < r_max:
         raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
     dlnr = (math.log(r_max) - math.log(r_min)) / (n_r - 1)
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
-    dy = ys - cy
-    dx = xs - cx
+    dy = np.arange(h, dtype=np.float64)[:, np.newaxis] - cy
+    dx = np.arange(w, dtype=np.float64)[np.newaxis, :] - cx
     radii = np.hypot(dy, dx)
     thetas = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
     cols = (np.log(np.maximum(radii, r_min)) - math.log(r_min)) / dlnr

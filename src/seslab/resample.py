@@ -1,7 +1,9 @@
-"""Bilinear sampling, warping, scale transforms, and resizing of rank-2 grids."""
+"""Bilinear sampling, warping, scale transforms, and resizing of [..., H, W] grids."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,38 +43,69 @@ class PixelMapping:
         return PixelMapping(lambda xs, ys: (cx + (xs - cx) / s, cy + (ys - cy) / s))
 
 
-def sample_at(image, xs, ys, border: BorderPolicy = BorderPolicy.CLAMP) -> np.ndarray:
-    """Bilinearly sample ``image`` at real-valued (x=col, y=row) coordinate arrays."""
-    image = as_grid(image, rank=2, name="image")
+# Output values per block of ``sample_at``. A block's temporaries are about
+# twenty arrays of at most BLOCK_POINTS 8-byte values (about 2.5 MiB), so
+# they stay in cache and peak memory does not grow with the point count.
+BLOCK_POINTS = 1 << 14
+
+
+def sample_at(grid, xs, ys, border: BorderPolicy = BorderPolicy.CLAMP) -> np.ndarray:
+    """Bilinearly sample an ``[..., H, W]`` grid at real-valued (x=col, y=row) coordinates.
+
+    ``xs`` and ``ys`` broadcast against each other to the point shape P;
+    the result has shape ``[..., *P]``, every leading slice sampled at the
+    same points. Points are walked in blocks of about ``BLOCK_POINTS``
+    output values. Per block, floor, fraction and corner indices are worked
+    out once per axis and shared by all slices, and the four corners are
+    gathered by flat index. For ZERO the grid gets a one-pixel ring of zeros
+    that out-of-grid indices clamp onto.
+    """
+    grid = as_grid(grid, name="grid")
     border = BorderPolicy.coerce(border)
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("sample coordinates must be finite")
-    x0f = np.floor(xs)
-    y0f = np.floor(ys)
-    fx = xs - x0f
-    fy = ys - y0f
-    x0 = x0f.astype(np.int64)
-    y0 = y0f.astype(np.int64)
-    v00 = _gather(image, y0, x0, border)
-    v01 = _gather(image, y0, x0 + 1, border)
-    v10 = _gather(image, y0 + 1, x0, border)
-    v11 = _gather(image, y0 + 1, x0 + 1, border)
-    top = (1.0 - fx) * v00 + fx * v01
-    bottom = (1.0 - fx) * v10 + fx * v11
-    return (1.0 - fy) * top + fy * bottom
+    lead, shape = grid.shape[:-2], xs.shape
+    h, w = grid.shape[-2:]
+    if border is BorderPolicy.ZERO:
+        grid = np.pad(grid, [(0, 0)] * len(lead) + [(1, 1), (1, 1)])
+    row = grid.shape[-1]
+    flat = grid.reshape(*lead, -1)
+    xs, ys = xs.ravel(), ys.ravel()
+    out = np.empty((*lead, xs.size))
+    step = max(1, BLOCK_POINTS // math.prod(lead))
+    for lo in range(0, xs.size, step):
+        x, y = xs[lo : lo + step], ys[lo : lo + step]
+        x0f = np.floor(x)
+        y0f = np.floor(y)
+        fx = x - x0f
+        fy = y - y0f
+        c0, c1 = _corner_indices(x0f.astype(np.intp), w, border)
+        r0, r1 = _corner_indices(y0f.astype(np.intp), h, border)
+        r0 *= row
+        r1 *= row
+        v00 = np.take(flat, r0 + c0, axis=-1)
+        v01 = np.take(flat, r0 + c1, axis=-1)
+        v10 = np.take(flat, r1 + c0, axis=-1)
+        v11 = np.take(flat, r1 + c1, axis=-1)
+        gx = 1.0 - fx
+        top = gx * v00 + fx * v01
+        bottom = gx * v10 + fx * v11
+        out[..., lo : lo + step] = (1.0 - fy) * top + fy * bottom
+    return out.reshape(lead + shape)
 
 
-def _gather(image, rows, cols, border):
-    h, w = image.shape
+def _corner_indices(i0, n, border):
+    """In-grid indices of the corners i0 and i0 + 1 along an axis of extent n.
+
+    For ZERO they index the padded axis of extent n + 2, where indices
+    outside [0, n) land on the zero ring.
+    """
     if border is BorderPolicy.CIRCULAR:
-        return image[rows % h, cols % w]
-    vals = image[np.clip(rows, 0, h - 1), np.clip(cols, 0, w - 1)]
-    if border is BorderPolicy.CLAMP:
-        return vals
-    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    return np.where(inside, vals, 0.0)
+        return i0 % n, (i0 + 1) % n
+    if border is BorderPolicy.ZERO:
+        return np.clip(i0 + 1, 0, n + 1), np.clip(i0 + 2, 0, n + 1)
+    return np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1)
 
 
 def bilinear_sample(image, x: float, y: float, border: BorderPolicy = BorderPolicy.CLAMP) -> float:
@@ -86,14 +119,15 @@ def warp(
     border: BorderPolicy = BorderPolicy.CLAMP,
     out_shape: tuple | None = None,
 ) -> np.ndarray:
-    """Inverse-mapping resampler: output(x, y) = sample(image, mapping(x, y))."""
-    image = as_grid(image, rank=2, name="image")
-    h, w = out_shape if out_shape is not None else image.shape
-    ys, xs = np.meshgrid(
-        np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij"
-    )
+    """Inverse-mapping resampler over the trailing two axes of an ``[..., H, W]`` grid:
+    output[..., y, x] = sample(image, mapping(x, y))."""
+    image = as_grid(image, name="image")
+    h, w = out_shape if out_shape is not None else image.shape[-2:]
+    _check_extents("warp output", h, w)
+    xs = np.arange(w, dtype=np.float64)[np.newaxis, :]
+    ys = np.arange(h, dtype=np.float64)[:, np.newaxis]
     sx, sy = mapping(xs, ys)
-    return sample_at(image, sx, sy, border)
+    return sample_at(image, np.broadcast_to(sx, (h, w)), np.broadcast_to(sy, (h, w)), border)
 
 
 def scale_transform(
@@ -108,16 +142,7 @@ def scale_transform(
     s < 1 shrinks. The default center is the exact image center. T_1 returns
     a bit-exact copy.
     """
-    image = as_grid(image, rank=2, name="image")
-    if not np.isfinite(s) or s <= 0:
-        raise ValueError(f"scale factor must be positive and finite, got {s}")
-    if s == 1.0:
-        return image.copy()
-    if center is None:
-        cy, cx = (image.shape[0] - 1) / 2.0, (image.shape[1] - 1) / 2.0
-    else:
-        cy, cx = float(center[0]), float(center[1])
-    return warp(image, PixelMapping.scale_about(s, cx, cy), border)
+    return _scale_about(as_grid(image, rank=2, name="image"), s, center, border)
 
 
 def scale_transform_stack(
@@ -126,14 +151,20 @@ def scale_transform_stack(
     center: tuple | None = None,
     border: BorderPolicy = BorderPolicy.CLAMP,
 ) -> np.ndarray:
-    """Apply ``scale_transform`` over the trailing two axes of a rank >= 2 grid."""
-    stack = as_grid(stack, name="stack")
-    if stack.ndim == 2:
-        return scale_transform(stack, s, center, border)
-    lead = stack.shape[:-2]
-    flat = stack.reshape(-1, *stack.shape[-2:])
-    out = np.stack([scale_transform(ch, s, center, border) for ch in flat])
-    return out.reshape(*lead, *stack.shape[-2:])
+    """Apply ``scale_transform`` over the trailing two axes of a rank >= 2 grid, as one warp."""
+    return _scale_about(as_grid(stack, name="stack"), s, center, border)
+
+
+def _scale_about(grid, s, center, border):
+    if not np.isfinite(s) or s <= 0:
+        raise ValueError(f"scale factor must be positive and finite, got {s}")
+    if s == 1.0:
+        return grid.copy()
+    if center is None:
+        cy, cx = (grid.shape[-2] - 1) / 2.0, (grid.shape[-1] - 1) / 2.0
+    else:
+        cy, cx = float(center[0]), float(center[1])
+    return warp(grid, PixelMapping.scale_about(s, cx, cy), border)
 
 
 def resize(
@@ -141,8 +172,7 @@ def resize(
 ) -> np.ndarray:
     """Bilinear resize with endpoint-aligned sampling."""
     image = as_grid(image, rank=2, name="image")
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"resize target must be positive, got {out_h}x{out_w}")
+    _check_extents("resize target", out_h, out_w)
     h, w = image.shape
     ys = (
         np.arange(out_h, dtype=np.float64) * ((h - 1) / (out_h - 1))
@@ -154,5 +184,9 @@ def resize(
         if out_w > 1
         else np.full(1, (w - 1) / 2.0)
     )
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    return sample_at(image, xx, yy, border)
+    return sample_at(image, xs[np.newaxis, :], ys[:, np.newaxis], border)
+
+
+def _check_extents(what, h, w):
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (h, w)):
+        raise ShapeError(f"{what} extents must be integers >= 1, got {h}x{w}")

@@ -36,6 +36,34 @@ def conv2d_loops(image, kernels, border="zero-fill"):
     return out
 
 
+def bilinear_loops(image, xs, ys, border="clamp"):
+    """Per-point bilinear interpolation of a rank-2 image at flat coordinate lists.
+
+    A corner outside the image reads its clamped pixel (clamp), its wrapped
+    pixel (circular) or 0 (zero-fill). The blend is (1 - fx) v00 + fx v01 per
+    row, then (1 - fy) top + fy bottom.
+    """
+    h, w = image.shape
+
+    def pixel(y, x):
+        if border == "circular":
+            return image[y % h, x % w]
+        if border == "clamp":
+            return image[min(max(y, 0), h - 1), min(max(x, 0), w - 1)]
+        return image[y, x] if 0 <= y < h and 0 <= x < w else 0.0
+
+    out = []
+    for x, y in zip(xs, ys):
+        x0 = math.floor(x)
+        y0 = math.floor(y)
+        fx = x - x0
+        fy = y - y0
+        top = (1.0 - fx) * pixel(y0, x0) + fx * pixel(y0, x0 + 1)
+        bottom = (1.0 - fx) * pixel(y0 + 1, x0) + fx * pixel(y0 + 1, x0 + 1)
+        out.append((1.0 - fy) * top + fy * bottom)
+    return np.array(out)
+
+
 def ssim_windows(a, b, data_range):
     """Per-window SSIM evaluated literally, averaged over all valid positions."""
     size, sigma = 11, 1.5

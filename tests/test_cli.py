@@ -86,6 +86,18 @@ class TestBasisCommand:
         main(["basis", "--config", config, "--out", str(out2), "--out-dir", str(tmp_path)])
         assert out2.read_bytes() == first
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"k": [7]}, {"sigma_base": "2"}, {"scales": 3.0}, {"alpha": True}],
+        ids=json.dumps,
+    )
+    def test_wrong_typed_config_is_usage_error(self, tmp_path, capsys, payload):
+        config = write_json(tmp_path / "config.json", payload)
+        out = tmp_path / "b.f64"
+        assert main(["basis", "--config", config, "--out", str(out), "--out-dir", str(tmp_path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWarpCommand:
     def test_zero_translation_scale_mode_is_identity(self, tmp_path, geo_files):

@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bilinear_loops
 
 from seslab import (
     BorderPolicy,
     PixelMapping,
+    ShapeError,
     bilinear_sample,
     render_gaussian_blobs,
+    resample,
     resize,
     sample_at,
     scale_transform,
+    scale_transform_stack,
     synth_image,
     warp,
 )
@@ -79,6 +85,11 @@ class TestWarp:
         assert out.shape == (10, 12)
         assert np.array_equal(out, blob_image[:10, :12])
 
+    @pytest.mark.parametrize("out_shape", [(-1, 5), (0, 5), (5, 0), (2.5, 3)])
+    def test_bad_out_shape_rejected(self, blob_image, out_shape):
+        with pytest.raises(ShapeError, match="integers >= 1"):
+            warp(blob_image, PixelMapping.identity(), out_shape=out_shape)
+
 
 class TestScaleTransform:
     def test_unit_scale_is_bit_exact_identity(self, blob_image):
@@ -135,6 +146,11 @@ class TestResize:
         assert out[0, 0] == image[0, 0]
         assert out[-1, -1] == image[-1, -1]
 
+    @pytest.mark.parametrize("target", [(0, 5), (5, -1), (2.5, 3)])
+    def test_bad_target_rejected(self, blob_image, target):
+        with pytest.raises(ShapeError, match="integers >= 1"):
+            resize(blob_image, *target)
+
     def test_upscale_downscale_roundtrip(self, blob_image):
         up = resize(blob_image, 128, 160)
         back = resize(up, *blob_image.shape)
@@ -148,3 +164,85 @@ def test_sample_at_vectorized_matches_scalar(rng):
     batch = sample_at(image, xs, ys, BorderPolicy.ZERO)
     singles = [bilinear_sample(image, x, y, BorderPolicy.ZERO) for x, y in zip(xs, ys)]
     assert np.abs(batch - np.array(singles)).max() == 0.0
+
+
+class TestSampleKernel:
+    """``sample_at`` against the per-point loop of ``oracles.bilinear_loops``."""
+
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    def test_matches_loop_up_to_three_pixels_outside(self, rng, border):
+        image = rng.normal(size=(6, 7))
+        # quarter-pixel lattice from 3 px before the first to 3 px past the last pixel
+        yy, xx = np.meshgrid(np.arange(-3, 8.25, 0.25), np.arange(-3, 9.25, 0.25), indexing="ij")
+        xs = np.concatenate([xx.ravel(), rng.uniform(-3, 9, size=300)])
+        ys = np.concatenate([yy.ravel(), rng.uniform(-3, 8, size=300)])
+        out = sample_at(image, xs, ys, border)
+        assert np.array_equal(out, bilinear_loops(image, xs, ys, border.value))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_points_spanning_several_blocks(self, rng, lead):
+        n = 2 * resample.BLOCK_POINTS + 7
+        grid = rng.normal(size=(*lead, 9, 11))
+        xs = rng.uniform(-2, 12, size=n)
+        ys = rng.uniform(-2, 10, size=n)
+        out = sample_at(grid, xs, ys, BorderPolicy.ZERO)
+        assert out.shape == (*lead, n)
+        for index in np.ndindex(*lead):
+            assert np.array_equal(out[index], bilinear_loops(grid[index], xs, ys, "zero-fill"))
+
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    def test_stacked_grid_equals_per_slice(self, rng, border):
+        grid = rng.normal(size=(2, 3, 8, 10))
+        xs = rng.uniform(-3, 12, size=(5, 6))
+        ys = rng.uniform(-3, 10, size=(5, 6))
+        out = sample_at(grid, xs, ys, border)
+        assert out.shape == (2, 3, 5, 6)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(out[i, j], sample_at(grid[i, j], xs, ys, border))
+
+    def test_open_grid_equals_meshgrid(self, rng):
+        image = rng.normal(size=(12, 15))
+        cols = rng.uniform(-2, 16, size=9)
+        rows = rng.uniform(-2, 13, size=7)
+        yy, xx = np.meshgrid(rows, cols, indexing="ij")
+        for border in BorderPolicy:
+            open_out = sample_at(image, cols[np.newaxis, :], rows[:, np.newaxis], border)
+            assert np.array_equal(open_out, sample_at(image, xx, yy, border))
+
+    @pytest.mark.parametrize("s", [0.7, 1.0, 1.6])
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    def test_stack_transform_equals_per_channel(self, rng, s, border):
+        stack = rng.normal(size=(2, 3, 16, 20))
+        out = scale_transform_stack(stack, s, border=border)
+        per_channel = np.stack([scale_transform(ch, s, border=border) for ch in stack.reshape(-1, 16, 20)])
+        assert np.array_equal(out, per_channel.reshape(stack.shape))
+
+    def test_stack_transform_samples_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sample_at(*args, **kwargs)
+
+        monkeypatch.setattr(resample, "sample_at", counting)
+        scale_transform_stack(rng.normal(size=(4, 24, 30)), 0.8, border=BorderPolicy.ZERO)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    def test_peak_memory_is_output_plus_coordinates_plus_blocks(self, rng, border):
+        # Allowed: the output, a copy of each coordinate array, the zero-ringed
+        # grid for ZERO, and 32 arrays of BLOCK_POINTS doubles (one block's
+        # temporaries are about twenty).
+        image = rng.uniform(size=(1024, 1024))
+        xs = rng.uniform(-3, 1026, size=image.shape)
+        ys = rng.uniform(-3, 1026, size=image.shape)
+        output = coords = image.nbytes
+        ring = image.nbytes if border is BorderPolicy.ZERO else 0
+        limit = output + 2 * coords + ring + 32 * 8 * resample.BLOCK_POINTS
+        tracemalloc.start()
+        try:
+            sample_at(image, xs, ys, border)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
