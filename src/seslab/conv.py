@@ -15,6 +15,7 @@ def conv2d(
     image: np.ndarray,
     kernels: np.ndarray,
     border: BorderPolicy = BorderPolicy.ZERO,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Correlate a [C, H, W] grid with a [O, C, k, k] kernel stack.
 
@@ -24,7 +25,8 @@ def conv2d(
         out[o, u, v] = sum_{c,i,j} image[c, u+i-k//2, v+j-k//2] * kernels[o, c, i, j]
 
     The kernel extent k must be odd and the input channel count must match
-    the kernels' channel dimension.
+    the kernels' channel dimension. With ``out`` given, a C-contiguous float64
+    [O, H, W] array, the result is written into it and ``out`` is returned.
     """
     image = as_grid(image, rank=3, name="input")
     kernels = as_grid(kernels, rank=4, name="kernels")
@@ -36,17 +38,22 @@ def conv2d(
     if image.shape[0] != in_ch:
         raise ShapeError(f"channel mismatch: input has {image.shape[0]} channels, kernels expect {in_ch}")
     _, h, w = image.shape
+    if out is None:
+        out = np.empty((out_ch, h, w))
+    elif not (isinstance(out, np.ndarray) and out.shape == (out_ch, h, w)
+              and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ShapeError(f"out must be a C-contiguous float64 array of shape {(out_ch, h, w)}")
     padded = pad2d(image, kh // 2, BorderPolicy.coerce(border))
     windows = sliding_window_view(padded, (kh, kw), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
     weights = kernels.reshape(out_ch, -1)
-    out = np.empty((out_ch, h, w))
+    flat = out.reshape(out_ch, h * w)
     # A row block of the [C, k, k, H, W] windows, copied, is the [C*k*k, rows*W] patch matrix.
     # Each output is one (c, i, j) dot product in an order independent of its position, so
     # circular shifts commute bit-exactly and the thread count cannot matter.
     rows = max(1, BLOCK_BYTES // (weights.nbytes // out_ch * w))
     for r0 in range(0, h, rows):
         patches = windows[..., r0 : r0 + rows, :].reshape(weights.shape[1], -1)
-        out[:, r0 : r0 + rows] = (weights @ patches).reshape(out_ch, -1, w)
+        np.matmul(weights, patches, out=flat[:, r0 * w : (r0 + rows) * w])
     return out
 
 

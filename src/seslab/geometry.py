@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, ShapeError
 from .grid import BorderPolicy, as_grid
-from .resample import PixelMapping, resize, sample_at
+from .resample import PixelMapping, _check_extents, resize, sample_at
 from .ssim import ssim
 
 
@@ -267,8 +267,9 @@ def log_polar(image, center=None, out_shape=None, r_min: float = 1.0) -> np.ndar
     image = as_grid(image, rank=2, name="image")
     cy, cx = _center_of(image.shape, center)
     n_theta, n_r = out_shape if out_shape is not None else image.shape
-    if n_theta < 1 or n_r < 2:
-        raise ShapeError(f"log-polar output needs >= 1 rows and >= 2 columns, got {out_shape}")
+    _check_extents("log-polar output", n_theta, n_r)
+    if n_r < 2:
+        raise ShapeError(f"log-polar output needs >= 2 columns, got {out_shape}")
     r_max = _corner_radius(image.shape, cy, cx)
     if not 0 < r_min < r_max:
         raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
@@ -291,6 +292,7 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     if n_r < 2:
         raise ShapeError(f"log-polar image needs >= 2 radius columns, got {lp_image.shape}")
     h, w = out_shape
+    _check_extents("inverse log-polar output", h, w)
     cy, cx = _center_of((h, w), center)
     r_max = _corner_radius((h, w), cy, cx)
     if not 0 < r_min < r_max:

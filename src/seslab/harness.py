@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SeslabError, require_ints
+from .errors import ConfigError, SeslabError, require_ints, require_reals
 from .fileio import read_pgm
 from .grid import BorderPolicy, as_grid, crop
 from .resample import scale_transform, scale_transform_stack
@@ -86,6 +86,8 @@ class EquivConfig:
     crop_margin: float = 0.1
 
     def __post_init__(self):
+        named = {f"scale_factors[{i}]": s for i, s in enumerate(self.scale_factors)}
+        require_reals("equiv config", crop_margin=self.crop_margin, **named)
         factors = tuple(float(s) for s in self.scale_factors)
         if not factors:
             raise ConfigError("at least one scale factor is required")

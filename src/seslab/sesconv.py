@@ -97,9 +97,7 @@ def combine(weights, basis: SteerableBasis, scale_gains=None) -> SesFilterBank:
 def ses_conv_input(image, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO):
     """Convolve a [C, H, W] grid once per scale, stacking along a new scale axis."""
     image = as_grid(image, rank=3, name="input")
-    return np.stack(
-        [conv2d(image, bank.kernels[si], border) for si in range(bank.num_scales)]
-    )
+    return _conv_per_scale([image] * bank.num_scales, bank, border)
 
 
 def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO):
@@ -113,9 +111,15 @@ def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPoli
         raise ShapeError(
             f"feature map has {x.shape[0]} scales, bank has {bank.num_scales}"
         )
-    return np.stack(
-        [conv2d(x[si], bank.kernels[si], border) for si in range(bank.num_scales)]
-    )
+    return _conv_per_scale(x, bank, border)
+
+
+def _conv_per_scale(inputs, bank: SesFilterBank, border) -> np.ndarray:
+    """Convolve inputs[s] with the scale-s kernels into one new [S, O, H, W] array."""
+    out = np.empty((bank.num_scales, bank.out_channels) + inputs[0].shape[1:])
+    for kernels, x, out_s in zip(bank.kernels, inputs, out):
+        conv2d(x, kernels, border, out=out_s)
+    return out
 
 
 def scale_projection(x) -> np.ndarray:
@@ -162,11 +166,11 @@ def _exact_mean_var(values: np.ndarray) -> tuple:
 
 
 def se_norm(x, epsilon: float = 1e-5) -> np.ndarray:
-    """Forward-only 3D normalization: per channel across (scale, H, W)."""
+    """Forward-only 3D normalization per channel across (scale, H, W), into a new array."""
     x = as_grid(x, rank=4, name="features")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return _affine_norm(x, _channel_stats(x), epsilon)
+    return _normalize_in_place(x.copy(), _channel_stats(x), epsilon)
 
 
 def norm2d(x, epsilon: float = 1e-5) -> np.ndarray:
@@ -175,8 +179,9 @@ def norm2d(x, epsilon: float = 1e-5) -> np.ndarray:
     return se_norm(x[np.newaxis], epsilon)[0]
 
 
-def relu(x) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray) -> np.ndarray:
+    """Rectify a float64 array in place and return it."""
+    return np.maximum(x, 0.0, out=x)
 
 
 @dataclass(frozen=True)
@@ -311,10 +316,13 @@ class Stack:
         return _propagate(self.spec, self.banks, self.border, image, self.norm_stats)[0]
 
 
-def _affine_norm(x, stats, epsilon=1e-5):
+def _normalize_in_place(x, stats, epsilon=1e-5):
+    """Apply the per-channel affine norm to a [S, C, H, W] map in place and return it."""
     mean, var = stats
     shape = (1, -1, 1, 1)
-    return (x - mean.reshape(shape)) / np.sqrt(var + epsilon).reshape(shape)
+    x -= mean.reshape(shape)
+    x /= np.sqrt(var + epsilon).reshape(shape)
+    return x
 
 
 def _channel_stats(x):
@@ -329,6 +337,9 @@ def _propagate(spec: StackSpec, banks, border, image, norm_stats=None) -> tuple:
     Every feature map is [S, C, H, W]. A vanilla stack is a single-scale SES
     stack on the largest-scale kernels. With ``norm_stats=None`` each norm
     uses its own input's statistics, which is the calibration pass.
+
+    Each conv output is a new array owned by this call: its projection is
+    copied into ``blocks``, then the norm and ReLU overwrite it in place.
     """
     scales = slice(None) if spec.kind == "ses" else slice(-1, None)
     banks = [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
@@ -337,9 +348,9 @@ def _propagate(spec: StackSpec, banks, border, image, norm_stats=None) -> tuple:
     stats = []
     for i, (bank, layer) in enumerate(zip(banks[1:], spec.layers[1:])):
         stats.append(_channel_stats(x) if norm_stats is None else norm_stats[i])
-        x = _affine_norm(x, stats[-1])
+        _normalize_in_place(x, stats[-1])
         if layer.nonlinearity == "relu":
-            x = relu(x)
+            relu(x)
         x = ses_conv_scalewise(x, bank, border)
         blocks.append(scale_projection(x))
     return blocks, tuple(stats)

@@ -342,6 +342,9 @@ class TestEquivCommand:
             {"corpus": {"colour": "red"}},
             {"stack": {"layers": 4}},
             {"blocks": 2},
+            {"scale_factors": [True]},
+            {"scale_factors": ["0.5"]},
+            {"crop_margin": "0.1"},
             [1, 2],
             3,
         ],

@@ -126,3 +126,44 @@ def test_working_memory_is_bounded_by_the_block_budget(rng):
     # One row's patch matrix here is 2 MB, two of them live at once; an unblocked
     # im2col would take 8 * 16 * 25 * 192 * 640 B = 393 MB.
     assert peak <= out.nbytes + padded_bytes + 8 * conv.BLOCK_BYTES
+
+
+def test_out_slice_of_a_scale_stack_is_filled_and_returned(rng):
+    image = rng.standard_normal((2, 9, 13))
+    kernels = rng.standard_normal((3, 2, 5, 5))
+    stack = np.full((3, 3, 9, 13), np.nan)
+    target = stack[1]
+    assert conv2d(image, kernels, out=target) is target
+    assert np.array_equal(stack[1], conv2d(image, kernels))
+    assert np.isnan(stack[0]).all() and np.isnan(stack[2]).all()
+
+
+@pytest.mark.parametrize(
+    "out_ch, in_ch, k, h, w",
+    [(4, 4, 11, 96, 320), (16, 16, 5, 192, 640)],
+    ids=["hot", "wide"],
+)
+@pytest.mark.parametrize("border", ["zero-fill", "clamp", "circular"])
+def test_out_is_bitwise_equal_to_a_fresh_output(rng, out_ch, in_ch, k, h, w, border):
+    image = rng.standard_normal((in_ch, h, w))
+    kernels = rng.standard_normal((out_ch, in_ch, k, k))
+    out = np.empty((2, out_ch, h, w))
+    conv2d(image, kernels, border, out=out[1])
+    assert np.array_equal(out[1], conv2d(image, kernels, border))
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        np.empty((2, 5, 6)),  # wrong channel count
+        np.empty((3, 5, 7)),  # wrong width
+        np.empty((3, 5, 6), dtype=np.float32),
+        np.empty((3, 5, 12))[:, :, ::2],  # right shape, not contiguous
+        np.empty((3, 6, 5)).transpose(0, 2, 1),
+        [[[0.0] * 6] * 5] * 3,  # not an array
+    ],
+    ids=["channels", "width", "float32", "strided", "transposed", "list"],
+)
+def test_bad_out_rejected(rng, out):
+    with pytest.raises(ShapeError, match="out must be"):
+        conv2d(rng.standard_normal((2, 5, 6)), rng.standard_normal((3, 2, 3, 3)), out=out)

@@ -210,6 +210,18 @@ class TestRunExperiment:
             EquivConfig(stack=TINY_STACK, scale_factors=(0.8,), blocks=(1.5,))
 
     @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"scale_factors": [True]}, r"scale_factors\[0\]"),
+            ({"scale_factors": [0.8, "0.5"]}, r"scale_factors\[1\]"),
+            ({"crop_margin": "0.1"}, "crop_margin"),
+        ],
+    )
+    def test_real_fields_typed(self, payload, field):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
+            EquivConfig.from_dict({"stack": TINY_STACK.to_dict(), "blocks": [1], **payload})
+
+    @pytest.mark.parametrize(
         "spec, fields",
         [
             (CorpusSpec, {"count": "3"}),

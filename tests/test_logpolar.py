@@ -58,6 +58,11 @@ class TestForward:
         with pytest.raises(ValueError, match="center"):
             log_polar(blob_image, center=(100.0, 5.0))
 
+    @pytest.mark.parametrize("out_shape", [(2.5, 4), (3, 4.0), (0, 4), (-1, 4)])
+    def test_output_extents_must_be_integers_at_least_one(self, blob_image, out_shape):
+        with pytest.raises(ShapeError, match="integers >= 1"):
+            log_polar(blob_image, out_shape=out_shape)
+
     def test_r_min_validation(self, blob_image):
         r_max = corner_radius(blob_image.shape)
         with pytest.raises(ValueError, match="r_min"):
@@ -79,6 +84,11 @@ class TestInverse:
         rec = inverse_log_polar(log_polar(image), image.shape)
         assert rec.min() >= image.min() - 1e-9
         assert rec.max() <= image.max() + 1e-9
+
+    @pytest.mark.parametrize("out_shape", [(20.5, 30), (20, 30.0), (0, 30), (20, -2)])
+    def test_output_extents_must_be_integers_at_least_one(self, out_shape):
+        with pytest.raises(ShapeError, match="integers >= 1"):
+            inverse_log_polar(np.ones((16, 8)), out_shape)
 
     def test_needs_two_radius_columns(self, blob_image):
         with pytest.raises(ShapeError, match="columns"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -13,6 +15,7 @@ from seslab import (
     combine,
     conv2d,
     norm2d,
+    relu,
     scale_matched_residue,
     scale_projection,
     scale_set_from_alpha,
@@ -23,6 +26,7 @@ from seslab import (
     single_scale_residue,
     synth_image,
 )
+from seslab import conv
 from seslab.sesconv import paper_scale_gains
 
 from oracles import combine_loops, norm_twopass_loops
@@ -239,6 +243,20 @@ class TestSeNorm:
         with pytest.raises(ValueError, match="epsilon"):
             se_norm(rng.standard_normal((1, 1, 4, 4)), epsilon=0.0)
 
+    def test_input_left_unchanged(self, rng):
+        x = rng.standard_normal((2, 3, 6, 7))
+        before = x.copy()
+        out = se_norm(x)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+
+def test_relu_rectifies_in_place(rng):
+    x = rng.standard_normal((2, 3, 5, 5))
+    expected = np.maximum(x, 0.0)
+    assert relu(x) is x
+    assert np.array_equal(x, expected)
+
 
 class TestTranslationEquivariance:
     def test_pipeline_commutes_with_circular_shifts(self, rng, small_basis):
@@ -320,6 +338,35 @@ class TestStack:
             StackSpec(layers=(LayerSpec(2, 7, "tanh"),))
         with pytest.raises(ConfigError, match="max_order"):
             StackSpec(layers=(LayerSpec(2, 3),), max_order=4)
+
+    def test_forward_leaves_input_unchanged(self):
+        stack = build_stack(StackSpec(layers=(LayerSpec(2, 5), LayerSpec(2, 5)), max_order=2))
+        image = synth_image("gaussian-blobs", 24, 32, seed=3)
+        before = image.copy()
+        blocks = stack.forward(image)
+        assert np.array_equal(image, before)
+        assert not any(np.shares_memory(b, image) for b in blocks)
+
+    def test_wide_forward_memory_is_bounded_by_its_own_maps(self):
+        # The equiv-wide stack: 2 layers of (16 channels, k=5), 3 scales, 192x640.
+        spec = StackSpec(layers=(LayerSpec(16, 5), LayerSpec(16, 5)), max_order=2)
+        stack = build_stack(spec)
+        image = synth_image("bandlimited-noise", 192, 640, seed=0)
+        tracemalloc.start()
+        try:
+            stack.forward(image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scale_map = 8 * 3 * 16 * 192 * 640  # one [S, C, H, W] feature map
+        block = 8 * 16 * 192 * 640
+        padded = 8 * 16 * (192 + 4) * (640 + 4)
+        patches = 8 * 16 * 5 * 5 * 640  # one row, above conv.BLOCK_BYTES
+        assert patches > conv.BLOCK_BYTES
+        # The layer's input and output maps, both blocks, one padded slice and
+        # two patch matrices: about 140 MiB. Fresh norm and ReLU temporaries or a
+        # stacked copy of the per-scale outputs would each add a full map.
+        assert peak <= 2 * scale_map + 2 * block + padded + 2 * patches
 
     def test_json_roundtrip(self):
         spec = StackSpec(kind="vanilla", layers=(LayerSpec(3, 9, "none"),), alpha=0.2, seed=4)
