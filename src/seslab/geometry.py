@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ShapeError
+from .errors import ConfigError, DegenerateGeometryError, ShapeError, require_ints, require_reals
 from .grid import BorderPolicy, as_grid
 from .resample import PixelMapping, _check_extents, resize, sample_at
 from .ssim import ssim
@@ -41,12 +41,15 @@ class CameraIntrinsics:
 
     @staticmethod
     def from_dict(data: dict) -> "CameraIntrinsics":
+        _require_keys("intrinsics", data, ("f", "u0", "v0", "width", "height"))
+        require_reals("intrinsics", f=data["f"], u0=data["u0"], v0=data["v0"])
+        require_ints("intrinsics", width=data["width"], height=data["height"])
         return CameraIntrinsics(
             f=float(data["f"]),
             u0=float(data["u0"]),
             v0=float(data["v0"]),
-            width=int(data["width"]),
-            height=int(data["height"]),
+            width=data["width"],
+            height=data["height"],
         )
 
 
@@ -76,6 +79,8 @@ class PatchPlane:
 
     @staticmethod
     def from_dict(data: dict) -> "PatchPlane":
+        _require_keys("plane", data, ("m", "n", "o", "p"))
+        require_reals("plane", m=data["m"], n=data["n"], o=data["o"], p=data["p"])
         return PatchPlane(
             m=float(data["m"]), n=float(data["n"]), o=float(data["o"]), p=float(data["p"])
         )
@@ -114,8 +119,29 @@ class EgoMotion:
 
     @staticmethod
     def from_dict(data: dict) -> "EgoMotion":
-        rot = np.asarray(data.get("R", np.eye(3).tolist()), dtype=np.float64)
-        return EgoMotion(rot, np.asarray(data["t"], dtype=np.float64))
+        _require_keys("motion", data, ("t",))
+        trans, rot = data["t"], data.get("R", np.eye(3).tolist())
+        if not (_is_list(trans, 3) and _is_list(rot, 3) and all(_is_list(row, 3) for row in rot)):
+            raise ConfigError(f"motion t must be 3 numbers and R 3 rows of 3, got t={trans!r}, R={rot!r}")
+        require_reals(
+            "motion",
+            **{f"t[{i}]": v for i, v in enumerate(trans)},
+            **{f"R[{i}][{j}]": v for i, row in enumerate(rot) for j, v in enumerate(row)},
+        )
+        return EgoMotion(np.asarray(rot, dtype=np.float64), np.asarray(trans, dtype=np.float64))
+
+
+def _require_keys(owner, data, keys):
+    """Raise ConfigError unless ``data`` is a JSON object holding every key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{owner} must be a JSON object, got {data!r}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ConfigError(f"{owner} is missing {', '.join(missing)}")
+
+
+def _is_list(value, n):
+    return isinstance(value, list) and len(value) == n
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class PixelMapping:
         return PixelMapping(lambda xs, ys: (cx + (xs - cx) / s, cy + (ys - cy) / s))
 
 
-# Output values per block of ``sample_at``. A block's temporaries are about
+# Output values per block of the point kernel. A block's temporaries are about
 # twenty arrays of at most BLOCK_POINTS 8-byte values (about 2.5 MiB), so
 # they stay in cache and peak memory does not grow with the point count.
 BLOCK_POINTS = 1 << 14
@@ -54,17 +54,32 @@ def sample_at(grid, xs, ys, border: BorderPolicy = BorderPolicy.CLAMP) -> np.nda
 
     ``xs`` and ``ys`` broadcast against each other to the point shape P;
     the result has shape ``[..., *P]``, every leading slice sampled at the
-    same points. Points are walked in blocks of about ``BLOCK_POINTS``
-    output values. Per block, floor, fraction and corner indices are worked
-    out once per axis and shared by all slices, and the four corners are
-    gathered by flat index. For ZERO the grid gets a one-pixel ring of zeros
-    that out-of-grid indices clamp onto.
+    same points. An open grid, ``xs`` of shape (1, W) and ``ys`` of shape
+    (H, 1) as an axis-aligned ``warp`` and ``resize`` pass them, goes
+    through the separable kernel ``_sample_separable``. Any other point
+    shape goes through the blocked point kernel ``_sample_points``. Both
+    blend the same four corners with the same expressions in the same
+    order, so the kernel chosen never changes a bit of the result. For ZERO
+    both read a one-pixel ring of zeros that out-of-grid indices clamp onto.
     """
     grid = as_grid(grid, name="grid")
     border = BorderPolicy.coerce(border)
-    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("sample coordinates must be finite")
+    if xs.ndim == ys.ndim == 2 and xs.shape[0] == 1 and ys.shape[1] == 1:
+        return _sample_separable(grid, xs[0], ys[:, 0], border)
+    return _sample_points(grid, *np.broadcast_arrays(xs, ys), border)
+
+
+def _sample_points(grid, xs, ys, border):
+    """Point kernel: every output value is an arbitrary point.
+
+    Points are walked in blocks of about ``BLOCK_POINTS`` output values.
+    Per block, floor, fraction and corner indices are worked out once per
+    axis and shared by all slices, and the four corners are gathered by
+    flat index from the zero-ringed grid (ZERO) or the grid itself.
+    """
     lead, shape = grid.shape[:-2], xs.shape
     h, w = grid.shape[-2:]
     if border is BorderPolicy.ZERO:
@@ -95,6 +110,56 @@ def sample_at(grid, xs, ys, border: BorderPolicy = BorderPolicy.CLAMP) -> np.nda
     return out.reshape(lead + shape)
 
 
+def _sample_separable(grid, xs, ys, border):
+    """Separable kernel: output (i, j) samples the point (xs[j], ys[i]).
+
+    The x pass blends, once per output column, every source row that some
+    output row reads: ``t = (1 - fx) * g[:, c0] + fx * g[:, c1]``, the point
+    kernel's ``top`` and ``bottom``. The y pass blends rows of t:
+    ``(1 - fy) * t[r0] + fy * t[r1]``. The in-place products and sums only
+    commute operands, which rounds the same. Leading slices go one at a
+    time, so no temporary grows with the channel count. The takes use
+    mode="clip", which skips the bounds check and the buffered ``out`` of
+    the default mode; every index is in range by construction.
+    """
+    lead = grid.shape[:-2]
+    h, w = grid.shape[-2:]
+    x0f = np.floor(xs)
+    y0f = np.floor(ys)
+    fx = xs - x0f
+    fy = (ys - y0f)[:, np.newaxis]
+    gx = 1.0 - fx
+    gy = 1.0 - fy
+    c0, c1 = _corner_indices(x0f.astype(np.intp), w, border)
+    r0, r1 = _corner_indices(y0f.astype(np.intp), h, border)
+    rows, at = np.unique(np.concatenate([r0, r1]), return_inverse=True)
+    at0, at1 = at[: ys.size], at[ys.size :]
+    zero = border is BorderPolicy.ZERO
+    if zero:
+        # rows index the zero-ringed grid, whose ring rows 0 and h + 1 sort to the ends
+        src = np.zeros((rows.size, w + 2))
+        lo, hi = np.searchsorted(rows, [1, h + 1])
+        inner, rows = src[lo:hi, 1:-1], rows[lo:hi] - 1
+    out = np.empty((*lead, ys.size, xs.size))
+    for index in np.ndindex(*lead):
+        if zero:
+            inner[...] = grid[index][rows]
+        else:
+            src = grid[index][rows]
+        t = np.take(src, c0, axis=1, mode="clip")
+        t *= gx
+        right = np.take(src, c1, axis=1, mode="clip")
+        right *= fx
+        t += right
+        o = out[index]
+        np.take(t, at0, axis=0, out=o, mode="clip")
+        o *= gy
+        bottom = np.take(t, at1, axis=0, mode="clip")
+        bottom *= fy
+        o += bottom
+    return out
+
+
 def _corner_indices(i0, n, border):
     """In-grid indices of the corners i0 and i0 + 1 along an axis of extent n.
 
@@ -106,11 +171,6 @@ def _corner_indices(i0, n, border):
     if border is BorderPolicy.ZERO:
         return np.clip(i0 + 1, 0, n + 1), np.clip(i0 + 2, 0, n + 1)
     return np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1)
-
-
-def bilinear_sample(image, x: float, y: float, border: BorderPolicy = BorderPolicy.CLAMP) -> float:
-    """Bilinear interpolation of the four neighbors of (x, y)."""
-    return float(sample_at(image, x, y, border))
 
 
 def warp(
@@ -127,7 +187,9 @@ def warp(
     xs = np.arange(w, dtype=np.float64)[np.newaxis, :]
     ys = np.arange(h, dtype=np.float64)[:, np.newaxis]
     sx, sy = mapping(xs, ys)
-    return sample_at(image, np.broadcast_to(sx, (h, w)), np.broadcast_to(sy, (h, w)), border)
+    if np.broadcast_shapes(np.shape(sx), np.shape(sy)) != (h, w):
+        sx, sy = np.broadcast_to(sx, (h, w)), np.broadcast_to(sy, (h, w))
+    return sample_at(image, sx, sy, border)
 
 
 def scale_transform(

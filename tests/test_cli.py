@@ -183,6 +183,42 @@ class TestWarpCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        ("kind", "payload", "field"),
+        [
+            ("plane", {"m": 0.0, "o": 1.0, "p": -30.0}, "n"),
+            ("plane", {"m": 0.0, "n": "0", "o": 1.0, "p": -30.0}, "n"),
+            ("plane", {"m": True, "n": 0.0, "o": 1.0, "p": -30.0}, "m"),
+            ("plane", [0.0, 0.0, 1.0, -30.0], "plane"),
+            ("intrinsics", [1, 2], "intrinsics"),
+            ("intrinsics", {**KITTI_INTRINSICS, "width": 60.7}, "width"),
+            ("intrinsics", {**KITTI_INTRINSICS, "height": "96"}, "height"),
+            ("intrinsics", {**KITTI_INTRINSICS, "f": None}, "f"),
+            ("intrinsics", {"f": 707.0, "u0": 63.5, "v0": 47.5, "width": 128}, "height"),
+            ("motion", {"R": [[1.0, 0.0, 0.0]] * 3}, "t"),
+            ("motion", {"t": "0 0 -3"}, "t"),
+            ("motion", {"t": [0.0, 0.0]}, "t"),
+            ("motion", {"t": [0.0, 0.0, True]}, "t[2]"),
+            ("motion", {"t": [0.0, 0.0, -3.0], "R": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}, "R"),
+            ("motion", {"t": [0.0, 0.0, -3.0], "R": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]}, "R[2][2]"),
+            ("motion", 3, "motion"),
+        ],
+        ids=lambda value: json.dumps(value) if not isinstance(value, str) else value,
+    )
+    def test_malformed_geometry_is_usage_error(self, tmp_path, capsys, geo_files, kind, payload, field):
+        files = {**geo_files, kind: write_json(tmp_path / f"bad_{kind}.json", payload)}
+        code = main([
+            "warp", "--image", files["image"], "--mode", "projective",
+            "--plane", files["plane"], "--motion", files["motion"],
+            "--intrinsics", files["intrinsics"],
+            "--out", str(tmp_path / "x.pgm"), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err
+        assert field in err
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_missing_image_is_io_error(self, tmp_path, geo_files):
         code = main([
             "warp", "--image", str(tmp_path / "absent.pgm"), "--mode", "logpolar",

@@ -8,9 +8,12 @@ from oracles import bilinear_loops
 
 from seslab import (
     BorderPolicy,
+    CameraIntrinsics,
+    EgoMotion,
+    PatchPlane,
     PixelMapping,
     ShapeError,
-    bilinear_sample,
+    projective_mapping,
     render_gaussian_blobs,
     resample,
     resize,
@@ -27,22 +30,22 @@ class TestBilinearSample:
         image = rng.uniform(size=(6, 7))
         for y in range(6):
             for x in range(7):
-                assert bilinear_sample(image, x, y) == image[y, x]
+                assert float(sample_at(image, x, y)) == image[y, x]
 
     def test_midpoint_of_2x2(self):
         image = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert bilinear_sample(image, 0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert float(sample_at(image, 0.5, 0.5)) == pytest.approx(0.5, abs=1e-15)
 
     def test_outside_corner_zero_fill(self):
         image = np.ones((4, 4))
-        value = bilinear_sample(image, -0.5, -0.5, BorderPolicy.ZERO)
+        value = float(sample_at(image, -0.5, -0.5, BorderPolicy.ZERO))
         assert value == pytest.approx(0.25, abs=1e-15)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            bilinear_sample(np.ones((3, 3)), float("nan"), 0.0)
+            float(sample_at(np.ones((3, 3)), float("nan"), 0.0))
         with pytest.raises(ValueError, match="finite"):
-            bilinear_sample(np.ones((3, 3)), 0.0, float("inf"))
+            float(sample_at(np.ones((3, 3)), 0.0, float("inf")))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -52,7 +55,7 @@ class TestBilinearSample:
     )
     def test_interpolation_stays_within_value_range(self, x, y, border):
         image = np.random.default_rng(0).uniform(size=(5, 6))
-        value = bilinear_sample(image, x, y, BorderPolicy.coerce(border))
+        value = float(sample_at(image, x, y, BorderPolicy.coerce(border)))
         assert image.min() - 1e-12 <= value <= image.max() + 1e-12
 
 
@@ -84,6 +87,30 @@ class TestWarp:
         out = warp(blob_image, PixelMapping.identity(), out_shape=(10, 12))
         assert out.shape == (10, 12)
         assert np.array_equal(out, blob_image[:10, :12])
+
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    def test_equals_sample_at_on_broadcast_coordinates(self, rng, border):
+        # scale_about keeps its open (1, W) and (H, 1) shape and takes the
+        # separable kernel; the projective map is (H, W) and takes the point kernel.
+        image = rng.normal(size=(2, 24, 31))
+        intr = CameraIntrinsics.centered(40.0, 31, 24)
+        tilted = PatchPlane(-0.05, 0.05, 1.0, -30.0)
+        xs = np.arange(31, dtype=np.float64)[np.newaxis, :]
+        ys = np.arange(24, dtype=np.float64)[:, np.newaxis]
+        for mapping in (
+            PixelMapping.scale_about(0.8, 14.2, 11.7),
+            PixelMapping.scale_about(1.7, 15.0, 11.5),
+            projective_mapping(intr, tilted, EgoMotion.z_translation(-3.0)),
+        ):
+            sx, sy = (np.broadcast_to(c, (24, 31)) for c in mapping(xs, ys))
+            expected = sample_at(image, sx, sy, border)
+            assert warp(image, mapping, border).tobytes() == expected.tobytes()
+
+    def test_constant_mapping_fills_output(self, rng):
+        image = rng.normal(size=(6, 7))
+        out = warp(image, PixelMapping(lambda xs, ys: (2.5, 1.25)), out_shape=(4, 5))
+        assert out.shape == (4, 5)
+        assert np.all(out == sample_at(image, 2.5, 1.25))
 
     @pytest.mark.parametrize("out_shape", [(-1, 5), (0, 5), (5, 0), (2.5, 3)])
     def test_bad_out_shape_rejected(self, blob_image, out_shape):
@@ -162,7 +189,7 @@ def test_sample_at_vectorized_matches_scalar(rng):
     xs = rng.uniform(-1, 9, size=12)
     ys = rng.uniform(-1, 7, size=12)
     batch = sample_at(image, xs, ys, BorderPolicy.ZERO)
-    singles = [bilinear_sample(image, x, y, BorderPolicy.ZERO) for x, y in zip(xs, ys)]
+    singles = [float(sample_at(image, x, y, BorderPolicy.ZERO)) for x, y in zip(xs, ys)]
     assert np.abs(batch - np.array(singles)).max() == 0.0
 
 
@@ -201,13 +228,34 @@ class TestSampleKernel:
             assert np.array_equal(out[i, j], sample_at(grid[i, j], xs, ys, border))
 
     def test_open_grid_equals_meshgrid(self, rng):
-        image = rng.normal(size=(12, 15))
-        cols = rng.uniform(-2, 16, size=9)
-        rows = rng.uniform(-2, 13, size=7)
-        yy, xx = np.meshgrid(rows, cols, indexing="ij")
-        for border in BorderPolicy:
-            open_out = sample_at(image, cols[np.newaxis, :], rows[:, np.newaxis], border)
-            assert np.array_equal(open_out, sample_at(image, xx, yy, border))
+        # The open grid runs the separable kernel; the meshgrid and the flat
+        # points run the point kernel. Grids are 12 rows by 15 columns.
+        cases = [
+            (rng.uniform(-2, 16, size=9), rng.uniform(-2, 13, size=7)),
+            (np.linspace(-6.5, 21, 12), np.linspace(-5, 17.5, 10)),  # whole rows and columns outside
+            (np.linspace(0.2, 14, 4), np.linspace(0.3, 11, 3)),  # downscale: source rows 2-4 and 7-10 unread
+            (np.array([7.25]), np.array([-0.5])),  # one output pixel
+            (rng.uniform(-2, 16, size=6), np.array([11.6])),  # one output row
+            (np.array([14.2]), rng.uniform(-2, 13, size=5)),  # one output column
+        ]
+        for lead in [(), (3,), (2, 3)]:
+            grid = rng.normal(size=(*lead, 12, 15))
+            for cols, rows in cases:
+                yy, xx = np.meshgrid(rows, cols, indexing="ij")
+                for border in BorderPolicy:
+                    open_out = sample_at(grid, cols[np.newaxis, :], rows[:, np.newaxis], border)
+                    assert open_out.shape == (*lead, rows.size, cols.size)
+                    assert np.array_equal(open_out, sample_at(grid, xx, yy, border))
+                    flat = sample_at(grid, xx.ravel(), yy.ravel(), border)
+                    assert open_out.tobytes() == flat.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_open_grid_non_finite_rejected(self, bad):
+        cols = np.array([[0.0, 1.5, 2.0]])
+        rows = np.array([[0.5], [1.0]])
+        for xs, ys in [(np.where(cols == 1.5, bad, cols), rows), (cols, np.where(rows == 1.0, bad, rows))]:
+            with pytest.raises(ValueError, match="finite"):
+                sample_at(np.ones((2, 3, 3)), xs, ys, BorderPolicy.ZERO)
 
     @pytest.mark.parametrize("s", [0.7, 1.0, 1.6])
     @pytest.mark.parametrize("border", list(BorderPolicy))
@@ -227,6 +275,21 @@ class TestSampleKernel:
         monkeypatch.setattr(resample, "sample_at", counting)
         scale_transform_stack(rng.normal(size=(4, 24, 30)), 0.8, border=BorderPolicy.ZERO)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    def test_stack_transform_peak_memory_is_output_plus_slices(self, rng, border):
+        # Allowed: the output and six zero-ringed slices. The separable kernel
+        # keeps about five (the source rows read, three blends, a copy for the
+        # ring); a zero-ringed copy of the whole stack, 16 slices, does not fit.
+        stack = rng.normal(size=(16, 192, 640))
+        limit = stack.nbytes + 6 * 194 * 642 * 8
+        tracemalloc.start()
+        try:
+            scale_transform_stack(stack, 0.8, border=border)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
     @pytest.mark.parametrize("border", list(BorderPolicy))
     def test_peak_memory_is_output_plus_coordinates_plus_blocks(self, rng, border):
