@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ShapeError
 from .grid import BorderPolicy, as_grid, pad_mode
 
-BLOCK_BYTES = 1 << 20  # patch matrix per GEMM: fits in L2, where a whole im2col takes 100s of MB
+BLOCK_BYTES = 1 << 19  # bounds a row block's patch and each of its accumulators: they stay in L2
 
 
 def conv2d(
@@ -27,6 +27,10 @@ def conv2d(
     The kernel extent k must be odd and the input channel count must match
     the kernels' channel dimension. With ``out`` given, a C-contiguous float64
     [O, H, W] array, the result is written into it and ``out`` is returned.
+
+    Each output is a sum over the column taps j, in j order, of one dot product
+    over (c, i). That order does not depend on the output's position or on the
+    thread count, so circular shifts commute with conv2d bit-exactly.
     """
     image = as_grid(image, rank=3, name="input")
     kernels = as_grid(kernels, rank=4, name="kernels")
@@ -44,16 +48,29 @@ def conv2d(
               and out.dtype == np.float64 and out.flags.c_contiguous):
         raise ShapeError(f"out must be a C-contiguous float64 array of shape {(out_ch, h, w)}")
     padded = pad2d(image, kh // 2, BorderPolicy.coerce(border))
-    windows = sliding_window_view(padded, (kh, kw), axis=(1, 2)).transpose(0, 3, 4, 1, 2)
-    weights = kernels.reshape(out_ch, -1)
-    flat = out.reshape(out_ch, h * w)
-    # A row block of the [C, k, k, H, W] windows, copied, is the [C*k*k, rows*W] patch matrix.
-    # Each output is one (c, i, j) dot product in an order independent of its position, so
-    # circular shifts commute bit-exactly and the thread count cannot matter.
-    rows = max(1, BLOCK_BYTES // (weights.nbytes // out_ch * w))
+    # Flatten each channel of the padded map, of width wp. Output (u, v) of a block of
+    # rows starting at r0 is then column t = (u - r0) * wp + v, and tap (c, i, j) reads
+    # flat[c, (r0 + i) * wp + j + t]. So one [C*k, rows*wp] patch, whose row (c, i) is
+    # the block's rows shifted down by i, serves every column tap j through the view
+    # patch[:, j : j + cols]; columns v >= W are discarded.
+    wp = w + kw - 1
+    taps = np.ascontiguousarray(kernels.transpose(3, 0, 1, 2)).reshape(kw, out_ch, in_ch * kh)
+    blocks = -(-h // max(1, BLOCK_BYTES // (8 * max(in_ch * kh, out_ch) * wp)))
+    rows = -(-h // blocks)  # equal blocks; the last one may overlap its predecessor
+    span, cols = rows * wp, rows * wp - kw + 1
+    windows = sliding_window_view(padded.reshape(in_ch, -1), span, axis=1)
+    patch = np.empty((in_ch, kh, span))
+    rhs = patch.reshape(in_ch * kh, span)
+    # Contiguous accumulators add fastest; their last kw - 1 columns stay 0.
+    acc, tmp = np.zeros((out_ch, span)), np.zeros((out_ch, span))
     for r0 in range(0, h, rows):
-        patches = windows[..., r0 : r0 + rows, :].reshape(weights.shape[1], -1)
-        np.matmul(weights, patches, out=flat[:, r0 * w : (r0 + rows) * w])
+        r0 = min(r0, h - rows)
+        np.copyto(patch, windows[:, r0 * wp : (r0 + kh) * wp : wp])
+        np.matmul(taps[0], rhs[:, :cols], out=acc[:, :cols])
+        for j in range(1, kw):
+            np.matmul(taps[j], rhs[:, j : j + cols], out=tmp[:, :cols])
+            acc += tmp
+        out[:, r0 : r0 + rows] = acc.reshape(out_ch, rows, wp)[:, :, :w]
     return out
 
 

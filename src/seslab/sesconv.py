@@ -10,7 +10,7 @@ import numpy as np
 
 from .basis import ScaleSet, SteerableBasis, build_basis, scale_set_from_alpha
 from .conv import conv2d
-from .errors import ConfigError, SeslabError, ShapeError, require_ints
+from .errors import ConfigError, SeslabError, ShapeError, require_ints, require_reals
 from .grid import BorderPolicy, as_grid, crop
 from .resample import scale_transform, scale_transform_stack
 from .synth import synth_image
@@ -173,12 +173,6 @@ def se_norm(x, epsilon: float = 1e-5) -> np.ndarray:
     return _normalize_in_place(x.copy(), _channel_stats(x), epsilon)
 
 
-def norm2d(x, epsilon: float = 1e-5) -> np.ndarray:
-    """Vanilla counterpart of :func:`se_norm`: per channel across (H, W)."""
-    x = as_grid(x, rank=3, name="features")
-    return se_norm(x[np.newaxis], epsilon)[0]
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     """Rectify a float64 array in place and return it."""
     return np.maximum(x, 0.0, out=x)
@@ -227,6 +221,7 @@ class StackSpec:
         if self.kind not in KINDS:
             raise ConfigError(f"stack kind must be one of {KINDS}, got {self.kind!r}")
         require_ints("stack", num_scales=self.num_scales, seed=self.seed, max_order=self.max_order)
+        require_reals("stack", alpha=self.alpha, base_sigma=self.base_sigma)
         layers = tuple(
             layer if isinstance(layer, LayerSpec) else LayerSpec(**layer)
             for layer in self.layers
@@ -234,8 +229,8 @@ class StackSpec:
         if not layers:
             raise ConfigError("stack needs at least one layer")
         object.__setattr__(self, "layers", layers)
-        if self.base_sigma <= 0:
-            raise ConfigError(f"base_sigma must be positive, got {self.base_sigma}")
+        if not 0 < self.base_sigma < math.inf:
+            raise ConfigError(f"base_sigma must be positive and finite, got {self.base_sigma}")
         if self.max_order < 0:
             raise ConfigError(f"max_order must be >= 0, got {self.max_order}")
         for layer in layers:
@@ -265,6 +260,8 @@ class StackSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "StackSpec":
+        if not isinstance(data, dict):
+            raise ConfigError(f"stack spec must be a JSON object, got {type(data).__name__}")
         known = {"kind", "layers", "alpha", "num_scales", "seed", "base_sigma", "max_order"}
         unknown = set(data) - known
         if unknown:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from seslab import (
+    ConfigError,
     CorpusSpec,
     EquivConfig,
     error_map,
@@ -390,6 +391,26 @@ class TestEquivCommand:
         config = write_json(tmp_path / "config.json", payload)
         assert main(["equiv", "--config", config, "--out-dir", str(tmp_path)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("payload", "field"),
+        [
+            ({"stack": {"alpha": True}}, "alpha"),
+            ({"stack": {"base_sigma": True}}, "base_sigma"),
+            ({"stack": {"base_sigma": float("nan")}}, "base_sigma"),
+            ({"stack": {"base_sigma": "2"}}, "base_sigma"),
+            ({"stack": []}, "stack"),
+        ],
+        ids=lambda value: json.dumps(value) if not isinstance(value, str) else value,
+    )
+    def test_malformed_stack_is_config_error_naming_the_field(self, tmp_path, capsys, payload, field):
+        with pytest.raises(ConfigError, match=field):
+            EquivConfig.from_dict(payload)
+        config = write_json(tmp_path / "config.json", payload)
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and field in err
+        assert not (tmp_path / "equiv_report.csv").exists()
 
 
 class TestCrossProcessDeterminism:

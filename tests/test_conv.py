@@ -82,6 +82,19 @@ def test_nonsquare_kernel_rejected(rng):
         conv2d(rng.uniform(size=(1, 5, 5)), rng.uniform(size=(1, 1, 3, 5)))
 
 
+# (out_ch, in_ch, k, h, w) and a block budget. A row block holds at most
+# budget // (8 * max(in_ch * k, out_ch) * (w + k - 1)) rows; when the blocks do
+# not tile the height, the last one overlaps its predecessor.
+BLOCK_CASES = [
+    ((16, 1, 5, 13, 11), 8 * 16 * 15 * 3),  # C*k < O: the accumulators bound 3-row blocks
+    ((2, 3, 3, 10, 9), 8 * 9 * 11 * 4),  # C*k >= O: the patch bounds 4-row blocks
+    ((3, 2, 1, 7, 5), 8 * 3 * 5 * 2),  # k = 1, 2-row blocks
+    ((2, 2, 7, 3, 9), 1 << 19),  # shorter than k
+    ((2, 1, 9, 6, 4), 1 << 19),  # narrower than k
+    ((2, 2, 5, 9, 8), 1),  # one row exceeds the budget
+]
+
+
 @pytest.mark.parametrize(
     "shape, budget, border",
     [
@@ -89,6 +102,11 @@ def test_nonsquare_kernel_rejected(rng):
         ((3, 2, 5, 9, 8), 8 * 50 * 8 * 2, "circular"),  # 2-row blocks
         ((1, 2, 7, 6, 5), 8 * 98 * 5 * 4 - 1, "clamp"),  # 3-row blocks
         ((1, 16, 5, 3, 640), conv.BLOCK_BYTES, "zero-fill"),  # one row exceeds the budget
+        *[
+            (shape, budget, border)
+            for shape, budget in BLOCK_CASES
+            for border in ("zero-fill", "clamp", "circular")
+        ],
     ],
 )
 def test_row_blocks_match_oracle(rng, monkeypatch, shape, budget, border):
@@ -110,6 +128,22 @@ def test_circular_shift_bit_exact_across_row_blocks(rng):
         rolled = np.roll(image, shift, axis=(1, 2))
         lhs = conv2d(rolled, kernels, BorderPolicy.CIRCULAR)
         assert np.array_equal(lhs, np.roll(base, shift, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("shape, budget", BLOCK_CASES)
+def test_circular_shifts_commute_across_row_blocks_into_out_slices(rng, monkeypatch, shape, budget):
+    out_ch, in_ch, k, h, w = shape
+    monkeypatch.setattr(conv, "BLOCK_BYTES", budget)
+    image = rng.standard_normal((in_ch, h, w))
+    kernels = rng.standard_normal((out_ch, in_ch, k, k))
+    base = conv2d(image, kernels, BorderPolicy.CIRCULAR)
+    shifts = [(1, 0), (h // 2, w - 1), (h - 1, 1)]
+    stack = np.full((len(shifts) + 1, out_ch, h, w), np.nan)
+    for s, shift in enumerate(shifts, start=1):
+        rolled, target = np.roll(image, shift, axis=(1, 2)), stack[s]
+        assert conv2d(rolled, kernels, BorderPolicy.CIRCULAR, out=target) is target
+        assert np.array_equal(target, np.roll(base, shift, axis=(1, 2)))
+    assert np.isnan(stack[0]).all()
 
 
 def test_working_memory_is_bounded_by_the_block_budget(rng):

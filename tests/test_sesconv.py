@@ -14,7 +14,6 @@ from seslab import (
     build_stack,
     combine,
     conv2d,
-    norm2d,
     relu,
     scale_matched_residue,
     scale_projection,
@@ -228,10 +227,6 @@ class TestSeNorm:
     def test_matches_two_pass_oracle(self, rng):
         x = rng.standard_normal((2, 3, 7, 9))
         assert np.abs(se_norm(x) - norm_twopass_loops(x, True)).max() <= 1e-10
-
-    def test_norm2d_matches_oracle(self, rng):
-        x = rng.standard_normal((3, 8, 9))
-        assert np.abs(norm2d(x) - norm_twopass_loops(x, False)).max() <= 1e-10
 
     def test_commutes_bit_exactly_with_circular_shift(self, rng):
         x = rng.standard_normal((3, 2, 8, 10))
