@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 MAX_HERMITE_ORDER = 10
 
@@ -95,11 +95,13 @@ def scale_set_from_alpha(alpha: float, count: int = 3) -> ScaleSet:
     ``count`` keeps the largest scales, so a single scale is always (1,).
     """
     if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+        raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
     if count not in (1, 2, 3):
-        raise ValueError(f"count must be 1, 2, or 3, got {count}")
-    full = (1.0 / (1.0 + 2.0 * alpha), 1.0 / (1.0 + alpha), 1.0)
-    return ScaleSet(full[3 - count :], alpha=alpha)
+        raise ConfigError(f"count must be 1, 2, or 3, got {count}")
+    sigmas = (1.0 / (1.0 + 2.0 * alpha), 1.0 / (1.0 + alpha), 1.0)[3 - count :]
+    if len(set(sigmas)) < count:
+        raise ConfigError(f"alpha {alpha} is too small to separate {count} scales, got {sigmas}")
+    return ScaleSet(sigmas, alpha=alpha)
 
 
 @dataclass(frozen=True)

@@ -154,14 +154,46 @@ def se_pool(x, window: int, mode: str = "max") -> np.ndarray:
     return blocks.mean(axis=(3, 5))
 
 
+_SUM_BLOCK = 1 << 15  # values per pass of _exact_sum: the block's temporaries stay in L2
+_EXACT_COUNT = 1 << 25  # values per run of bin sums; each bin sum is exact below 2**26
+_HI_BITS = ~np.int64((1 << 27) - 1)  # clears the low 27 of the 52 stored significand bits
+_BINS = 1 << 12  # a bin per sign and exponent field, the top 12 bits of a float64
+
+
+def _exact_sum(flat: np.ndarray) -> float:
+    """math.fsum(flat) of a contiguous float64 vector, bit for bit.
+
+    Each value splits exactly into hi = its bits with the low 27 cleared
+    (26 significant bits) and lo = value - hi (at most 27 bits). Binned by
+    sign and exponent field, the hi parts of one bin are multiples of one
+    power of two q below 2**26 q, and the lo parts multiples of q / 2**27
+    below q. So any partial sum of fewer than 2**26 of them is exact, in any
+    order, and fsum of the few nonzero bin sums is the correctly rounded total.
+    The result is inf or nan if a value is not finite, or if the values of
+    one sign and binade, or all of them, sum past the float64 range.
+    """
+    sums = np.zeros((-(-flat.size // _EXACT_COUNT), 2, _BINS))
+    for start in range(0, flat.size, _SUM_BLOCK):
+        block = flat[start : start + _SUM_BLOCK]
+        bins = (block.view(np.uint64) >> 52).view(np.int64)
+        hi = (block.view(np.int64) & _HI_BITS).view(np.float64)
+        run = sums[start // _EXACT_COUNT]
+        run[0] += np.bincount(bins, hi, minlength=_BINS)
+        run[1] += np.bincount(bins, np.subtract(block, hi, out=hi), minlength=_BINS)
+    try:
+        return math.fsum(sums[sums != 0].tolist())
+    except (OverflowError, ValueError):  # an overflowing total, or inf - inf
+        return math.nan
+
+
 def _exact_mean_var(values: np.ndarray) -> tuple:
-    # Exact two-pass statistics: fsum makes the result a function of the
-    # value multiset only, so normalization commutes bit-for-bit with
-    # circular spatial shifts.
+    # Exact two-pass statistics: an exact sum is a function of the value
+    # multiset only, so normalization commutes bit-for-bit with circular
+    # spatial shifts.
     flat = np.ascontiguousarray(values).ravel()
-    mean = math.fsum(flat.tolist()) / flat.size
+    mean = _exact_sum(flat) / flat.size
     centered = flat - mean
-    var = math.fsum((centered * centered).tolist()) / flat.size
+    var = _exact_sum(np.multiply(centered, centered, out=centered)) / flat.size
     return mean, var
 
 
@@ -323,8 +355,19 @@ def _normalize_in_place(x, stats, epsilon=1e-5):
 
 
 def _channel_stats(x):
-    """Per-channel (mean[C], var[C]) of a [S, C, H, W] map across (scale, H, W)."""
-    mean, var = zip(*(_exact_mean_var(x[:, c]) for c in range(x.shape[1])))
+    """Per-channel (mean[C], var[C]) of a [S, C, H, W] map across (scale, H, W).
+
+    Raises SeslabError naming the first channel whose values or squared
+    deviations do not sum to a finite number; a non-finite mean makes the
+    variance non-finite too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        mean, var = zip(*(_exact_mean_var(x[:, c]) for c in range(x.shape[1])))
+    bad = np.flatnonzero(~np.isfinite(var))
+    if bad.size:
+        raise SeslabError(
+            f"channel {bad[0]}: values or their squared deviations do not sum to a finite number"
+        )
     return np.array(mean), np.array(var)
 
 

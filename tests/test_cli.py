@@ -396,6 +396,8 @@ class TestEquivCommand:
         ("payload", "field"),
         [
             ({"stack": {"alpha": True}}, "alpha"),
+            ({"stack": {"alpha": 1e-300}}, "alpha"),
+            ({"stack": {"alpha": float("nan")}}, "alpha"),
             ({"stack": {"base_sigma": True}}, "base_sigma"),
             ({"stack": {"base_sigma": float("nan")}}, "base_sigma"),
             ({"stack": {"base_sigma": "2"}}, "base_sigma"),

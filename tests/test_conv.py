@@ -101,7 +101,8 @@ BLOCK_CASES = [
         ((2, 3, 3, 11, 7), 8 * 27 * 7 * 3, "zero-fill"),  # 3-row blocks, a ragged last one
         ((3, 2, 5, 9, 8), 8 * 50 * 8 * 2, "circular"),  # 2-row blocks
         ((1, 2, 7, 6, 5), 8 * 98 * 5 * 4 - 1, "clamp"),  # 3-row blocks
-        ((1, 16, 5, 3, 640), conv.BLOCK_BYTES, "zero-fill"),  # one row exceeds the budget
+        # The default budget: one-row blocks, each a [16*5, 644] patch of 412 KB.
+        pytest.param((1, 16, 5, 3, 640), conv.BLOCK_BYTES, "zero-fill", id="default-budget-one-row-blocks"),
         *[
             (shape, budget, border)
             for shape, budget in BLOCK_CASES
@@ -122,7 +123,7 @@ def test_row_blocks_match_oracle(rng, monkeypatch, shape, budget, border):
 def test_circular_shift_bit_exact_across_row_blocks(rng):
     image = rng.standard_normal((4, 96, 320))
     kernels = rng.standard_normal((4, 4, 11, 11))
-    assert conv.BLOCK_BYTES // (8 * 4 * 11 * 11 * 320) < 96  # several row blocks
+    assert conv.BLOCK_BYTES // (8 * max(4 * 11, 4) * (320 + 11 - 1)) < 96  # several row blocks
     base = conv2d(image, kernels, BorderPolicy.CIRCULAR)
     for shift in [(1, 0), (37, 101), (95, 319)]:
         rolled = np.roll(image, shift, axis=(1, 2))
@@ -157,9 +158,10 @@ def test_working_memory_is_bounded_by_the_block_budget(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One row's patch matrix here is 2 MB, two of them live at once; an unblocked
-    # im2col would take 8 * 16 * 25 * 192 * 640 B = 393 MB.
-    assert peak <= out.nbytes + padded_bytes + 8 * conv.BLOCK_BYTES
+    # A block here is one row: its [C*k, W + k - 1] patch takes 412 KB and each of
+    # its two [O, W + k - 1] accumulators 82 KB, all within the budget. An
+    # unblocked im2col would take 8 * 16 * 25 * 192 * 640 B = 393 MB.
+    assert peak <= out.nbytes + padded_bytes + 3 * conv.BLOCK_BYTES
 
 
 def test_out_slice_of_a_scale_stack_is_filled_and_returned(rng):

@@ -1,13 +1,18 @@
+import hashlib
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from seslab import (
     BorderPolicy,
     ConfigError,
     LayerSpec,
+    SeslabError,
     ShapeError,
     StackSpec,
     build_basis,
@@ -25,7 +30,7 @@ from seslab import (
     single_scale_residue,
     synth_image,
 )
-from seslab import conv
+from seslab import conv, sesconv
 from seslab.sesconv import paper_scale_gains
 
 from oracles import combine_loops, norm_twopass_loops
@@ -245,6 +250,95 @@ class TestSeNorm:
         assert np.array_equal(x, before)
         assert not np.shares_memory(out, x)
 
+    @pytest.mark.parametrize(
+        "bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]], ids=["nan", "+inf", "-inf", "+inf-inf"]
+    )
+    def test_non_finite_value_is_seslab_error_naming_the_channel(self, rng, bad):
+        x = rng.standard_normal((2, 3, 4, 4))
+        x[1, 2, 0, : len(bad)] = bad
+        with pytest.raises(SeslabError, match="channel 2"):
+            se_norm(x)
+
+    def test_overflowing_square_sum_is_seslab_error_naming_the_channel(self):
+        x = np.zeros((1, 2, 2, 2))
+        x[0, 1] = [[1e200, -1e200], [2.0, 3.0]]  # finite mean, squares past the range
+        with pytest.raises(SeslabError, match="channel 1"):
+            se_norm(x)
+
+
+# Values whose sums cannot overflow, subnormals and signed zeros included, and
+# at most one value of each sign from the top binade [2**1023, 1.797e308].
+MODERATE = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308]),
+)
+TOP = st.floats(min_value=2.0**1023, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def finite_vectors(draw):
+    values = draw(st.lists(MODERATE, max_size=200))
+    values += draw(st.lists(TOP, max_size=1)) + [-v for v in draw(st.lists(TOP, max_size=1))]
+    return draw(st.permutations(values))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None)
+    @given(finite_vectors())
+    @example([1.0, 2.0**-53])  # a tie, rounded to even (down)
+    @example([1.0 + 2.0**-52, 2.0**-53])  # a tie, rounded to even (up)
+    @example([1.0, 2.0**-53, 2.0**-1074])  # just past a tie
+    @example([-0.0, -0.0])
+    @example([5e-324] * 7 + [-2.2250738585072014e-308])
+    @example([1.7976931348623157e308, -1.7976931348623157e308, 1.0, 2.0**-1074])
+    @example([1e150, 1e-300, -1e150, 3.0])
+    def test_equals_fsum_bit_for_bit(self, values):
+        try:
+            ref = math.fsum(values)
+        except OverflowError:  # fsum's running sum overflowed in this order
+            assume(False)
+        assert same_bits(sesconv._exact_sum(np.array(values, dtype=np.float64)), ref)
+
+    @pytest.mark.parametrize("block, count", [(4, 8), (8, 8), (3, 9)])
+    def test_blocks_and_runs_equal_fsum(self, rng, monkeypatch, block, count):
+        monkeypatch.setattr(sesconv, "_SUM_BLOCK", block)
+        monkeypatch.setattr(sesconv, "_EXACT_COUNT", count)
+        for size in (1, count - 1, count, 5 * count + 2):
+            values = rng.standard_normal(size) * 2.0 ** rng.integers(-1074, 900, size)
+            assert same_bits(sesconv._exact_sum(values), math.fsum(values.tolist()))
+
+    def test_a_channel_set_of_several_blocks_equals_fsum(self, rng):
+        values = rng.standard_normal(3 * sesconv._SUM_BLOCK + 5) * np.exp(rng.uniform(-40, 40))
+        assert same_bits(sesconv._exact_sum(values), math.fsum(values.tolist()))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.nan, 1.0], [np.inf], [-np.inf, 1.0], [np.inf, -np.inf], [1.6e308, 1.6e308], [1.6e308, 1e308]],
+    )
+    def test_non_finite_or_overflowing_sum_is_not_finite(self, values):
+        with np.errstate(invalid="ignore"):
+            assert not math.isfinite(sesconv._exact_sum(np.array(values)))
+
+    @pytest.mark.parametrize("kind", ["ses", "vanilla"])
+    @pytest.mark.parametrize(
+        "layers, max_order",
+        [((LayerSpec(4, 11),) * 4, 3), ((LayerSpec(16, 5),) * 2, 2)],
+        ids=["reference", "wide"],
+    )
+    def test_stack_norm_stats_hash_as_with_fsum(self, monkeypatch, kind, layers, max_order):
+        spec = StackSpec(kind=kind, layers=layers, max_order=max_order, seed=4)
+
+        def digest(stack):
+            return hashlib.sha256(b"".join(a.tobytes() for stats in stack.norm_stats for a in stats)).digest()
+
+        exact = digest(build_stack(spec))
+        monkeypatch.setattr(sesconv, "_exact_sum", lambda flat: math.fsum(flat.tolist()))
+        assert exact == digest(build_stack(spec))
+
 
 def test_relu_rectifies_in_place(rng):
     x = rng.standard_normal((2, 3, 5, 5))
@@ -356,12 +450,11 @@ class TestStack:
         scale_map = 8 * 3 * 16 * 192 * 640  # one [S, C, H, W] feature map
         block = 8 * 16 * 192 * 640
         padded = 8 * 16 * (192 + 4) * (640 + 4)
-        patches = 8 * 16 * 5 * 5 * 640  # one row, above conv.BLOCK_BYTES
-        assert patches > conv.BLOCK_BYTES
+        conv_block = 3 * conv.BLOCK_BYTES  # a row block's patch and its two accumulators
         # The layer's input and output maps, both blocks, one padded slice and
-        # two patch matrices: about 140 MiB. Fresh norm and ReLU temporaries or a
+        # one conv row block: about 137 MiB. Fresh norm and ReLU temporaries or a
         # stacked copy of the per-scale outputs would each add a full map.
-        assert peak <= 2 * scale_map + 2 * block + padded + 2 * patches
+        assert peak <= 2 * scale_map + 2 * block + padded + conv_block
 
     def test_json_roundtrip(self):
         spec = StackSpec(kind="vanilla", layers=(LayerSpec(3, 9, "none"),), alpha=0.2, seed=4)

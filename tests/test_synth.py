@@ -24,6 +24,18 @@ def test_values_in_unit_interval():
         assert img.min() >= 0.0 and img.max() <= 1.0
 
 
+@pytest.mark.parametrize("height, width", [(96, 96), (96, 320), (192, 640)])
+def test_blobs_hold_no_subnormal_values(height, width):
+    # The calibration probe, equiv-ref and equiv-wide extents. Unflushed, most
+    # 96x320 blob images hold values below the smallest normal double.
+    tiny = np.finfo(np.float64).tiny
+    for seed in range(12):
+        image = synth_image("gaussian-blobs", height, width, seed)
+        assert not ((image > 0.0) & (image < tiny)).any()
+        corpus = synth_corpus("gaussian-blobs", 1, height, width, seed)[0]
+        assert not ((corpus > 0.0) & (corpus < tiny)).any()
+
+
 def test_checkerboard_binary_values():
     board = synth_image("checkerboard", 8, 8, seed=0, cell=4)
     assert set(np.unique(board)) == {0.0, 1.0}
