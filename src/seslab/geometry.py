@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError, ShapeError, require_ints, require_reals
 from .grid import BorderPolicy, as_grid
-from .resample import PixelMapping, _check_extents, resize, sample_at
+from .resample import PixelMapping, _check_extents, resize, warp
 from .ssim import ssim
 
 
@@ -299,11 +299,14 @@ def log_polar(image, center=None, out_shape=None, r_min: float = 1.0) -> np.ndar
     r_max = _corner_radius(image.shape, cy, cx)
     if not 0 < r_min < r_max:
         raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
-    thetas = np.arange(n_theta, dtype=np.float64) * (2.0 * np.pi / n_theta)
     radii = np.exp(np.linspace(math.log(r_min), math.log(r_max), n_r))
-    ys = cy + radii[np.newaxis, :] * np.sin(thetas[:, np.newaxis])
-    xs = cx + radii[np.newaxis, :] * np.cos(thetas[:, np.newaxis])
-    return sample_at(image, xs, ys, BorderPolicy.CLAMP)
+
+    def fn(xs, ys):
+        thetas = ys * (2.0 * np.pi / n_theta)
+        r = radii[xs.astype(np.intp)]
+        return cx + r * np.cos(thetas), cy + r * np.sin(thetas)
+
+    return warp(image, PixelMapping(fn), BorderPolicy.CLAMP, (n_theta, n_r))
 
 
 def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> np.ndarray:
@@ -324,14 +327,17 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     if not 0 < r_min < r_max:
         raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
     dlnr = (math.log(r_max) - math.log(r_min)) / (n_r - 1)
-    dy = np.arange(h, dtype=np.float64)[:, np.newaxis] - cy
-    dx = np.arange(w, dtype=np.float64)[np.newaxis, :] - cx
-    radii = np.hypot(dy, dx)
-    thetas = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
-    cols = (np.log(np.maximum(radii, r_min)) - math.log(r_min)) / dlnr
-    rows = thetas * (n_theta / (2.0 * np.pi))
+
+    def fn(xs, ys):
+        dy, dx = ys - cy, xs - cx
+        thetas = np.arctan2(dy, dx)
+        # np.mod(thetas, 2 pi) bit for bit on [-pi, pi], -0.0 included
+        thetas += np.where(thetas < 0.0, 2.0 * np.pi, 0.0)
+        cols = (np.log(np.maximum(np.hypot(dy, dx), r_min)) - math.log(r_min)) / dlnr
+        return cols, thetas * (n_theta / (2.0 * np.pi))
+
     wrapped = np.vstack([lp_image, lp_image[:1]])  # row n_theta == row 0
-    return sample_at(wrapped, cols, rows, BorderPolicy.CLAMP)
+    return warp(wrapped, PixelMapping(fn), BorderPolicy.CLAMP, (h, w))
 
 
 def log_polar_roundtrip_ssim(image, up_factor: float = 1.0, r_min: float = 1.0) -> float:

@@ -293,6 +293,8 @@ def run_experiment(config: EquivConfig) -> EquivReport:
             for s in config.scale_factors:
                 values = [cells[(block, s)] for cells, _ in results]
                 delta = math.fsum(values) / len(values)
+                if not math.isfinite(delta):
+                    raise SeslabError(f"{kind} block {block} at scale {s}: mean delta is {delta}")
                 log10 = math.log10(delta) if delta > 0.0 else float("-inf")
                 rows.append(ReportRow(kind, block, float(s), delta, log10, len(values)))
     metadata = {"config": config.to_dict(), "kinds": list(REPORT_KINDS)}

@@ -64,31 +64,46 @@ def sample_at(grid, xs, ys, border: BorderPolicy = BorderPolicy.CLAMP) -> np.nda
     """
     grid = as_grid(grid, name="grid")
     border = BorderPolicy.coerce(border)
+    xs, ys = _finite_coordinates(xs, ys)
+    if xs.ndim == ys.ndim == 2 and xs.shape[0] == 1 and ys.shape[1] == 1:
+        return _sample_separable(grid, xs[0], ys[:, 0], border)
+    xs, ys = np.broadcast_arrays(xs, ys)
+    lead = grid.shape[:-2]
+    out = np.empty((*lead, xs.size))
+    _sample_points(_point_source(grid, border), grid.shape[-2:], xs.ravel(), ys.ravel(), border, out)
+    return out.reshape(lead + xs.shape)
+
+
+def _finite_coordinates(xs, ys):
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("sample coordinates must be finite")
-    if xs.ndim == ys.ndim == 2 and xs.shape[0] == 1 and ys.shape[1] == 1:
-        return _sample_separable(grid, xs[0], ys[:, 0], border)
-    return _sample_points(grid, *np.broadcast_arrays(xs, ys), border)
+    return xs, ys
 
 
-def _sample_points(grid, xs, ys, border):
-    """Point kernel: every output value is an arbitrary point.
-
-    Points are walked in blocks of about ``BLOCK_POINTS`` output values.
-    Per block, floor, fraction and corner indices are worked out once per
-    axis and shared by all slices, and the four corners are gathered by
-    flat index from the zero-ringed grid (ZERO) or the grid itself.
-    """
-    lead, shape = grid.shape[:-2], xs.shape
-    h, w = grid.shape[-2:]
+def _point_source(grid, border):
+    """The grid the point kernel gathers from, flattened over its trailing two
+    axes: the zero-ringed grid for ZERO, the grid itself otherwise."""
     if border is BorderPolicy.ZERO:
-        grid = np.pad(grid, [(0, 0)] * len(lead) + [(1, 1), (1, 1)])
-    row = grid.shape[-1]
-    flat = grid.reshape(*lead, -1)
-    xs, ys = xs.ravel(), ys.ravel()
-    out = np.empty((*lead, xs.size))
-    step = max(1, BLOCK_POINTS // math.prod(lead))
+        grid = np.pad(grid, [(0, 0)] * (grid.ndim - 2) + [(1, 1), (1, 1)])
+    return grid.reshape(*grid.shape[:-2], -1)
+
+
+def _sample_points(flat, shape, xs, ys, border, out):
+    """Point kernel: ``out[..., i]`` samples the point (xs[i], ys[i]).
+
+    ``flat`` is the ``_point_source`` of a grid whose trailing extents are
+    ``shape``; ``xs`` and ``ys`` are flat. Points are walked in blocks of
+    about ``BLOCK_POINTS`` output values. Per block, floor, fraction and
+    corner indices are worked out once per axis and shared by all slices,
+    the four corners are gathered by flat index, and the blend is written
+    in place into the block's slice of ``out``. The in-place products and
+    sums only commute operands, which rounds the same; the takes use
+    mode="clip", as every index is in range by construction.
+    """
+    h, w = shape
+    row = w + 2 if border is BorderPolicy.ZERO else w
+    step = max(1, BLOCK_POINTS // math.prod(flat.shape[:-1]))
     for lo in range(0, xs.size, step):
         x, y = xs[lo : lo + step], ys[lo : lo + step]
         x0f = np.floor(x)
@@ -99,15 +114,22 @@ def _sample_points(grid, xs, ys, border):
         r0, r1 = _corner_indices(y0f.astype(np.intp), h, border)
         r0 *= row
         r1 *= row
-        v00 = np.take(flat, r0 + c0, axis=-1)
-        v01 = np.take(flat, r0 + c1, axis=-1)
-        v10 = np.take(flat, r1 + c0, axis=-1)
-        v11 = np.take(flat, r1 + c1, axis=-1)
+        # top and bottom start as the corners v00 and v10 and are blended in place
+        top, v01, bottom, v11 = (
+            np.take(flat, index, axis=-1, mode="clip")
+            for index in (r0 + c0, r0 + c1, r1 + c0, r1 + c1)
+        )
         gx = 1.0 - fx
-        top = gx * v00 + fx * v01
-        bottom = gx * v10 + fx * v11
-        out[..., lo : lo + step] = (1.0 - fy) * top + fy * bottom
-    return out.reshape(lead + shape)
+        top *= gx
+        v01 *= fx
+        top += v01
+        bottom *= gx
+        v11 *= fx
+        bottom += v11
+        o = out[..., lo : lo + step]
+        np.multiply(top, 1.0 - fy, out=o)
+        bottom *= fy
+        o += bottom
 
 
 def _sample_separable(grid, xs, ys, border):
@@ -180,16 +202,37 @@ def warp(
     out_shape: tuple | None = None,
 ) -> np.ndarray:
     """Inverse-mapping resampler over the trailing two axes of an ``[..., H, W]`` grid:
-    output[..., y, x] = sample(image, mapping(x, y))."""
+    output[..., y, x] = sample(image, mapping(x, y)).
+
+    The mapping is first evaluated on a band of output rows. If it returns
+    an open grid, ``(1, W)`` columns and ``(rows, 1)`` rows as an
+    axis-aligned map (``scale_about``, ``shift``, identity) does, it is
+    evaluated once over all rows and sampled by the separable kernel. Any
+    other map is evaluated and sampled one band of
+    ``max(1, BLOCK_POINTS // (prod(lead) * W))`` rows at a time, straight
+    into that band of the output, so no full-size coordinate array is built.
+    """
     image = as_grid(image, name="image")
+    border = BorderPolicy.coerce(border)
     h, w = out_shape if out_shape is not None else image.shape[-2:]
     _check_extents("warp output", h, w)
+    lead = image.shape[:-2]
+    band = max(1, BLOCK_POINTS // (math.prod(lead) * w))
     xs = np.arange(w, dtype=np.float64)[np.newaxis, :]
     ys = np.arange(h, dtype=np.float64)[:, np.newaxis]
-    sx, sy = mapping(xs, ys)
-    if np.broadcast_shapes(np.shape(sx), np.shape(sy)) != (h, w):
-        sx, sy = np.broadcast_to(sx, (h, w)), np.broadcast_to(sy, (h, w))
-    return sample_at(image, sx, sy, border)
+    sx, sy = mapping(xs, ys[:band])
+    if np.shape(sx) == (1, w) and np.shape(sy) == (min(band, h), 1):
+        return sample_at(image, *mapping(xs, ys), border)
+    flat = _point_source(image, border)
+    out = np.empty((*lead, h * w))
+    for first in range(0, h, band):
+        rows = ys[first : first + band]
+        if first:
+            sx, sy = mapping(xs, rows)
+        sx, sy = (np.broadcast_to(c, (rows.size, w)).ravel() for c in _finite_coordinates(sx, sy))
+        points = out[..., first * w : (first + rows.size) * w]
+        _sample_points(flat, image.shape[-2:], sx, sy, border, points)
+    return out.reshape(*lead, h, w)
 
 
 def scale_transform(

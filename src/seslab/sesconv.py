@@ -407,6 +407,10 @@ def build_stack(spec: StackSpec, border: BorderPolicy = BorderPolicy.ZERO) -> St
         basis = basis_cache.get(layer.k)
         if basis is None:
             basis = build_basis(sigmas, max_order=spec.max_order, k=layer.k)
+            if not np.isfinite(basis.filters).all():
+                raise ConfigError(
+                    f"base_sigma {spec.base_sigma} makes the {layer.k}x{layer.k} basis filters non-finite"
+                )
             basis_cache[layer.k] = basis
         bound = 1.0 / math.sqrt(in_channels * layer.k * layer.k)
         weights = rng.uniform(

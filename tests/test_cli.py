@@ -414,6 +414,23 @@ class TestEquivCommand:
         assert "invalid configuration" in err and field in err
         assert not (tmp_path / "equiv_report.csv").exists()
 
+    @pytest.mark.parametrize("base_sigma", [1e-320, 1e300])
+    @pytest.mark.parametrize("layers", [2, 1])
+    def test_non_finite_basis_is_config_error_naming_base_sigma(
+        self, tmp_path, capsys, tiny_config, base_sigma, layers
+    ):
+        # Every basis filter comes out NaN. A two-layer stack used to fail in
+        # the norm without naming base_sigma; a one-layer one reported nan deltas.
+        payload = json.loads(Path(tiny_config).read_text())
+        payload["stack"]["base_sigma"] = base_sigma
+        payload["stack"]["layers"] = payload["stack"]["layers"][:layers]
+        payload["blocks"] = list(range(1, layers + 1))
+        config = write_json(tmp_path / "non_finite.json", payload)
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "base_sigma" in err
+        assert not (tmp_path / "equiv_report.csv").exists()
+
 
 class TestCrossProcessDeterminism:
     def test_equiv_csv_identical_across_processes(self, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -161,6 +162,15 @@ class TestRunExperiment:
         image[5, 7] = np.nan
         monkeypatch.setattr(CorpusSpec, "load", lambda self: [tiny_images[1], image])
         with pytest.raises(SeslabError, match="non-finite"):
+            run_experiment(TINY_CONFIG)
+
+    def test_non_finite_cell_mean_rejected(self, monkeypatch):
+        # math.log10 was skipped for a NaN mean, so the report read log10_delta -inf
+        def cells(stack, image, scale_factors, blocks, crop_margin, map_scale=None):
+            return {(b, s): math.nan if (b, s) == (2, 0.8) else 0.5 for b in blocks for s in scale_factors}, {}
+
+        monkeypatch.setattr(harness, "_image_cells", cells)
+        with pytest.raises(SeslabError, match=r"ses block 2 at scale 0\.8: mean delta is nan"):
             run_experiment(TINY_CONFIG)
 
     def test_csv_structure(self):

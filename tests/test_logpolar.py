@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from seslab import (
+    BorderPolicy,
     ShapeError,
     inverse_log_polar,
     log_polar,
     log_polar_roundtrip_ssim,
+    resample,
+    sample_at,
     scale_transform,
     ssim,
     synth_image,
@@ -120,3 +124,81 @@ class TestRoundtripSsim:
     def test_up_factor_validated(self, blob_image):
         with pytest.raises(ValueError, match="up_factor"):
             log_polar_roundtrip_ssim(blob_image, 0.5)
+
+
+def full_coordinate_radius(shape, cy, cx):
+    corners = [(0.0, 0.0), (0.0, shape[1] - 1.0), (shape[0] - 1.0, 0.0), (shape[0] - 1.0, shape[1] - 1.0)]
+    return max(math.hypot(y - cy, x - cx) for y, x in corners)
+
+
+def full_coordinate_log_polar(image, cy, cx, r_min=1.0):
+    """The forward transform as whole (theta, ln r) coordinate arrays."""
+    n_theta, n_r = image.shape
+    r_max = full_coordinate_radius(image.shape, cy, cx)
+    thetas = np.arange(n_theta, dtype=np.float64) * (2.0 * np.pi / n_theta)
+    radii = np.exp(np.linspace(math.log(r_min), math.log(r_max), n_r))
+    ys = cy + radii[np.newaxis, :] * np.sin(thetas[:, np.newaxis])
+    xs = cx + radii[np.newaxis, :] * np.cos(thetas[:, np.newaxis])
+    return sample_at(image, xs, ys, BorderPolicy.CLAMP)
+
+
+def full_coordinate_inverse(lp_image, out_shape, cy, cx, r_min=1.0):
+    """The inverse transform as whole Cartesian coordinate arrays, wrapped with np.mod."""
+    n_theta, n_r = lp_image.shape
+    h, w = out_shape
+    r_max = full_coordinate_radius(out_shape, cy, cx)
+    dlnr = (math.log(r_max) - math.log(r_min)) / (n_r - 1)
+    dy = np.arange(h, dtype=np.float64)[:, np.newaxis] - cy
+    dx = np.arange(w, dtype=np.float64)[np.newaxis, :] - cx
+    radii = np.hypot(dy, dx)
+    thetas = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
+    cols = (np.log(np.maximum(radii, r_min)) - math.log(r_min)) / dlnr
+    rows = thetas * (n_theta / (2.0 * np.pi))
+    wrapped = np.vstack([lp_image, lp_image[:1]])
+    return sample_at(wrapped, cols, rows, BorderPolicy.CLAMP)
+
+
+class TestAsMappings:
+    """The log-polar pair as two warps equals the full-coordinate form bit for bit."""
+
+    @pytest.mark.parametrize(
+        ("shape", "center", "r_min"),
+        [
+            ((96, 96), None, 1.0),
+            ((375, 1242), (187.5, 621.0), 1.0),  # the principal point of a 1242x375 frame
+            ((61, 47), (10.25, 40.0), 2.5),
+        ],
+    )
+    def test_pair_equals_full_coordinate_form(self, shape, center, r_min):
+        image = synth_image("gaussian-blobs", *shape, seed=7)
+        cy, cx = center if center is not None else ((shape[0] - 1) / 2.0, (shape[1] - 1) / 2.0)
+        lp = log_polar(image, center=center, r_min=r_min)
+        assert lp.tobytes() == full_coordinate_log_polar(image, cy, cx, r_min).tobytes()
+        rec = inverse_log_polar(lp, shape, center=center, r_min=r_min)
+        assert rec.tobytes() == full_coordinate_inverse(lp, shape, cy, cx, r_min).tobytes()
+
+    def test_theta_wrap_equals_mod_two_pi(self):
+        # arctan2 outputs in [-pi, pi], with +-0.0 (dy = +-0.0) and +-pi (dx < 0, dy = +-0.0)
+        values = np.array([-3.0, -1.0, -0.0, 0.0, 1e-300, 2.0])
+        dy, dx = np.meshgrid(values, values, indexing="ij")
+        rng = np.random.default_rng(3)
+        thetas = np.concatenate([np.arctan2(dy, dx).ravel(), np.arctan2(*rng.normal(size=(2, 1000)))])
+        assert {np.pi, -np.pi} <= set(thetas.tolist())
+        assert np.signbit(thetas[thetas == 0.0]).any()
+        wrapped = thetas.copy()
+        wrapped += np.where(wrapped < 0.0, 2.0 * np.pi, 0.0)
+        assert wrapped.tobytes() == np.mod(thetas, 2.0 * np.pi).tobytes()
+
+    def test_inverse_peak_memory_is_output_plus_wrapped_copy_plus_bands(self):
+        # Allowed: the output, the copy with row 0 appended, and 32 arrays of
+        # BLOCK_POINTS doubles for one band's coordinates and kernel temporaries.
+        # Whole-size coordinate arrays (radii, angles, rows, columns) do not fit.
+        lp = np.random.default_rng(5).uniform(size=(1024, 1024))
+        limit = lp.nbytes + (lp.nbytes + 8 * 1024) + 32 * 8 * resample.BLOCK_POINTS
+        tracemalloc.start()
+        try:
+            inverse_log_polar(lp, (1024, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit

@@ -118,6 +118,77 @@ class TestWarp:
             warp(blob_image, PixelMapping.identity(), out_shape=out_shape)
 
 
+def projective_onto(out_shape, src_shape):
+    """A tilted-plane projective map of an out_shape frame, stretched so that
+    it reaches about 3 px past every edge of a src_shape grid."""
+    h, w = out_shape
+    hs, ws = src_shape
+    intr = CameraIntrinsics.centered(2.0 * max(h, w), w, h)
+    proj = projective_mapping(intr, PatchPlane(-0.05, 0.05, 1.0, -30.0), EgoMotion.z_translation(-3.0))
+
+    def fn(xs, ys):
+        px, py = proj(xs, ys)
+        return px * ((ws + 6) / w) - 3.0, py * ((hs + 6) / h) - 3.0
+
+    return PixelMapping(fn)
+
+
+class TestBandedWarp:
+    """``warp`` of a map that is not axis-aligned, sampled one band of rows at a time."""
+
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    @pytest.mark.parametrize(
+        ("lead", "out_shape"),
+        [
+            ((), (800, 45)),  # bands of 364 rows, the last one partial
+            ((3,), (250, 45)),  # a leading axis: bands of 121 rows, the last one partial
+            ((), (3, resample.BLOCK_POINTS + 3)),  # wider than a block: one row per band
+            ((2,), (1, 57)),  # one output row
+        ],
+    )
+    def test_equals_full_coordinates_and_loops(self, rng, border, lead, out_shape):
+        h, w = out_shape
+        grid = rng.normal(size=(*lead, 5 + h // 3, 7 + w // 3))
+        mapping = projective_onto(out_shape, grid.shape[-2:])
+        sx, sy = mapping(np.arange(w, dtype=np.float64)[np.newaxis, :], np.arange(h, dtype=np.float64)[:, np.newaxis])
+        assert sx.shape == sy.shape == out_shape
+        out = warp(grid, mapping, border, out_shape)
+        assert out.tobytes() == sample_at(grid, sx, sy, border).tobytes()
+        for index in np.ndindex(*lead):
+            loops = bilinear_loops(grid[index], sx.ravel(), sy.ravel(), border.value)
+            assert np.array_equal(out[index].ravel(), loops)
+
+    def test_evaluates_the_mapping_per_band_and_pads_once(self, rng, monkeypatch):
+        grid = rng.normal(size=(3, 40, 50))
+        out_shape = (300, 50)
+        band = resample.BLOCK_POINTS // (3 * 50)
+        projective = projective_onto(out_shape, grid.shape[-2:])
+        rows, pads = [], []
+        real_pad = np.pad
+
+        def recording(xs, ys):
+            rows.append(ys.shape[0])
+            return projective(xs, ys)
+
+        def counting_pad(*args, **kwargs):
+            pads.append(1)
+            return real_pad(*args, **kwargs)
+
+        monkeypatch.setattr(np, "pad", counting_pad)
+        out = warp(grid, PixelMapping(recording), BorderPolicy.ZERO, out_shape)
+        assert rows == [band, band, 300 - 2 * band]
+        assert len(pads) == 1
+        monkeypatch.undo()
+        assert out.tobytes() == warp(grid, projective, BorderPolicy.ZERO, out_shape).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_in_a_later_band_rejected(self, bad):
+        # 3 bands of 2 rows for a [4, 5, 2048] grid; row 5 lies in the last one
+        mapping = PixelMapping(lambda xs, ys: (xs + 0.5 * ys, np.where(ys == 5.0, bad, ys)))
+        with pytest.raises(ValueError, match="finite"):
+            warp(np.ones((4, 5, 2048)), mapping, BorderPolicy.CLAMP, (6, 2048))
+
+
 class TestScaleTransform:
     def test_unit_scale_is_bit_exact_identity(self, blob_image):
         out = scale_transform(blob_image, 1.0)
