@@ -127,7 +127,9 @@ def build_basis(scales: ScaleSet, max_order: int = 6, k: int = 7) -> SteerableBa
 
     Orders run row-major over 0 <= n, m <= max_order, giving
     (max_order + 1)^2 members per scale; the member count must not exceed
-    the k*k pixel count or the basis cannot be linearly independent.
+    the k*k pixel count or the basis cannot be linearly independent. Raises
+    ConfigError when the sigmas are too small or too large for float64
+    filters on this grid.
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
@@ -138,9 +140,12 @@ def build_basis(scales: ScaleSet, max_order: int = 6, k: int = 7) -> SteerableBa
         )
     orders = tuple((n, m) for n in range(max_order + 1) for m in range(max_order + 1))
     filters = np.empty((len(scales), count, k, k))
-    for si, sigma in enumerate(scales.sigmas):
-        for bi, (n, m) in enumerate(orders):
-            filters[si, bi] = basis_filter(sigma, n, m, k)
+    with np.errstate(all="ignore"):  # reported below instead
+        for si, sigma in enumerate(scales.sigmas):
+            for bi, (n, m) in enumerate(orders):
+                filters[si, bi] = basis_filter(sigma, n, m, k)
+    if not np.isfinite(filters).all():
+        raise ConfigError(f"sigmas {scales.sigmas} make the {k}x{k} basis filters non-finite")
     filters.setflags(write=False)
     return SteerableBasis(filters=filters, sigmas=scales, orders=orders, k=k)
 

@@ -10,17 +10,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .basis import build_basis, save_basis, scale_set_from_alpha
-from .errors import (
-    ConfigError,
-    DegenerateGeometryError,
-    FormatError,
-    SeslabError,
-    require_ints,
-    require_reals,
-)
+from .errors import ConfigError, DegenerateGeometryError, FormatError, SeslabError, check_fields, load
 from .fileio import read_pgm, write_pgm
 from .geometry import (
     CameraIntrinsics,
@@ -53,19 +47,12 @@ def _load_json(path) -> dict:
         raise ConfigError(f"{path}: malformed JSON: {exc}") from None
 
 
-def _merge(defaults: dict, config_path, cli_values: dict) -> dict:
-    """Precedence: explicit CLI flags > config file > defaults."""
-    merged = dict(defaults)
-    if config_path:
-        file_values = _load_json(config_path)
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
-        unknown = set(file_values) - set(defaults)
-        if unknown:
-            raise ConfigError(f"{config_path}: unknown config keys {sorted(unknown)}")
-        merged.update(file_values)
-    merged.update({k: v for k, v in cli_values.items() if v is not None})
-    return merged
+def _load_config(cls, config_path, **flags):
+    """``cls`` loaded from the JSON config file, if any; flags that are not None beat its values."""
+    values = _load_json(config_path) if config_path else {}
+    if isinstance(values, dict):
+        values = {**values, **{key: value for key, value in flags.items() if value is not None}}
+    return load(cls, values)
 
 
 def _ints(text: str) -> list:
@@ -76,55 +63,60 @@ def _floats(text: str) -> list:
     return [float(tok) for tok in str(text).replace(",", " ").split()]
 
 
+@dataclass(frozen=True)
+class BasisConfig:
+    """Settings of ``seslab basis``."""
+
+    alpha: float = 0.1
+    scales: int = 3
+    order: int = 6
+    k: int = 7
+    sigma_base: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self)
+        if not self.sigma_base > 0:
+            raise ConfigError(f"sigma_base must be positive, got {self.sigma_base}")
+
+
 def cmd_basis(args) -> int:
-    defaults = {"alpha": 0.1, "scales": 3, "order": 6, "k": 7, "sigma_base": 1.0}
-    cfg = _merge(
-        defaults,
+    cfg = _load_config(
+        BasisConfig,
         args.config,
-        {
-            "alpha": args.alpha,
-            "scales": args.scales,
-            "order": args.order,
-            "k": args.k,
-            "sigma_base": args.sigma_base,
-        },
+        alpha=args.alpha,
+        scales=args.scales,
+        order=args.order,
+        k=args.k,
+        sigma_base=args.sigma_base,
     )
-    require_ints("basis", scales=cfg["scales"], order=cfg["order"], k=cfg["k"])
-    require_reals("basis", alpha=cfg["alpha"], sigma_base=cfg["sigma_base"])
-    scale_set = scale_set_from_alpha(float(cfg["alpha"]), cfg["scales"])
-    if cfg["sigma_base"] != 1.0:
-        scale_set = scale_set.scaled(float(cfg["sigma_base"]))
-    basis = build_basis(scale_set, max_order=cfg["order"], k=cfg["k"])
+    scale_set = scale_set_from_alpha(cfg.alpha, cfg.scales)
+    if cfg.sigma_base != 1.0:
+        scale_set = scale_set.scaled(cfg.sigma_base)
+    try:
+        basis = build_basis(scale_set, max_order=cfg.order, k=cfg.k)
+    except ConfigError as exc:
+        raise ConfigError(f"sigma_base {cfg.sigma_base}: {exc}") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_basis(out, basis)
-    _echo_config(Path(args.out_dir), "basis", {**cfg, "out": str(out)})
+    _echo_config(Path(args.out_dir), "basis", {**asdict(cfg), "out": str(out)})
     print(f"basis shape {list(basis.filters.shape)} -> {out}")
     return 0
-
-
-def _read_plane(path) -> PatchPlane:
-    return PatchPlane.from_dict(_load_json(path))
-
-
-def _read_motion(path) -> EgoMotion:
-    return EgoMotion.from_dict(_load_json(path))
-
-
-def _read_intrinsics(path) -> CameraIntrinsics:
-    return CameraIntrinsics.from_dict(_load_json(path))
 
 
 def cmd_warp(args) -> int:
     image = read_pgm(args.image)
     out_dir = Path(args.out_dir)
     metrics: dict = {"mode": args.mode}
+    intr = None
+    if args.intrinsics:
+        intr = load(CameraIntrinsics, _load_json(args.intrinsics), "intrinsics")
+    center = None if intr is None else (intr.v0, intr.u0)
     if args.mode in ("projective", "scale"):
-        if not (args.plane and args.motion and args.intrinsics):
+        if not (args.plane and args.motion and intr):
             raise ConfigError(f"mode {args.mode} needs --plane, --motion, and --intrinsics")
-        plane = _read_plane(args.plane)
-        motion = _read_motion(args.motion)
-        intr = _read_intrinsics(args.intrinsics)
+        plane = load(PatchPlane, _load_json(args.plane), "plane")
+        motion = EgoMotion.from_dict(_load_json(args.motion))
         t_z = float(motion.translation[2])
         s = scale_factor(plane, t_z)
         bound, ratio = parallel_bound(plane, intr)
@@ -142,19 +134,11 @@ def cmd_warp(args) -> int:
             mapping = scale_mapping(intr, s)
         result = warp(image, mapping)
     elif args.mode == "logpolar":
-        center = None
-        if args.intrinsics:
-            intr = _read_intrinsics(args.intrinsics)
-            center = (intr.v0, intr.u0)
         result = log_polar(image, center=center, r_min=args.r_min)
     elif args.mode == "invlogpolar":
         if not args.out_shape:
             raise ConfigError("mode invlogpolar needs --out-shape H,W")
         h, w = _ints(args.out_shape)
-        center = None
-        if args.intrinsics:
-            intr = _read_intrinsics(args.intrinsics)
-            center = (intr.v0, intr.u0)
         result = inverse_log_polar(image, (h, w), center=center, r_min=args.r_min)
     else:
         raise ConfigError(f"unknown warp mode {args.mode!r}")
@@ -181,69 +165,59 @@ def cmd_warp(args) -> int:
     return 0
 
 
-def _check_sweep_types(cfg: dict) -> None:
-    for key in ("heights", "up_factors"):
-        if not isinstance(cfg[key], list):
-            raise ConfigError(f"ssim-sweep {key} must be a list, got {cfg[key]!r}")
-    heights = {f"heights[{i}]": h for i, h in enumerate(cfg["heights"])}
-    require_ints("ssim-sweep", count=cfg["count"], seed=cfg["seed"], **heights)
-    require_reals("ssim-sweep", **{f"up_factors[{i}]": up for i, up in enumerate(cfg["up_factors"])})
-    if not isinstance(cfg["kind"], str):
-        raise ConfigError(f"ssim-sweep kind must be a string, got {cfg['kind']!r}")
-    if cfg["width"] is not None:
-        require_ints("ssim-sweep", width=cfg["width"])
+@dataclass(frozen=True)
+class SweepConfig:
+    """Settings of ``seslab ssim-sweep``; a width of None makes square images."""
+
+    heights: tuple[int, ...] = (96, 384)
+    up_factors: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
+    count: int = 20
+    kind: str = "checkerboard"
+    seed: int = 0
+    width: int | None = None
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.count < 1:
+            raise ConfigError(f"corpus count must be >= 1, got {self.count}")
+        if self.width is not None and self.width < 1:
+            raise ConfigError(f"width must be >= 1, got {self.width}")
 
 
 def cmd_ssim_sweep(args) -> int:
-    defaults = {
-        "heights": [96, 384],
-        "up_factors": [1.0, 2.0, 3.0, 4.0],
-        "count": 20,
-        "kind": "checkerboard",
-        "seed": 0,
-        "width": None,
-    }
-    cfg = _merge(
-        defaults,
+    cfg = _load_config(
+        SweepConfig,
         args.config,
-        {
-            "heights": _ints(args.heights) if args.heights else None,
-            "up_factors": _floats(args.up_factors) if args.up_factors else None,
-            "count": args.count,
-            "kind": args.kind,
-            "seed": args.seed,
-            "width": args.width,
-        },
+        heights=_ints(args.heights) if args.heights else None,
+        up_factors=_floats(args.up_factors) if args.up_factors else None,
+        count=args.count,
+        kind=args.kind,
+        seed=args.seed,
+        width=args.width,
     )
-    _check_sweep_types(cfg)
-    if cfg["count"] < 1:
-        raise ConfigError(f"corpus count must be >= 1, got {cfg['count']}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["height,up_factor,mean_ssim,n"]
     rows = []
-    for height in cfg["heights"]:
-        width = cfg["width"] or height
-        corpus = synth_corpus(cfg["kind"], cfg["count"], height, width, cfg["seed"])
-        for up in cfg["up_factors"]:
-            values = [log_polar_roundtrip_ssim(img, float(up)) for img in corpus]
+    for height in cfg.heights:
+        width = height if cfg.width is None else cfg.width
+        corpus = synth_corpus(cfg.kind, cfg.count, height, width, cfg.seed)
+        for up in cfg.up_factors:
+            values = [log_polar_roundtrip_ssim(img, up) for img in corpus]
             mean = math.fsum(values) / len(values)
-            rows.append({"height": height, "up_factor": float(up), "mean_ssim": mean, "n": len(values)})
-            lines.append(f"{height},{format(float(up), '.12g')},{format(mean, '.17g')},{len(values)}")
+            rows.append({"height": height, "up_factor": up, "mean_ssim": mean, "n": len(values)})
+            lines.append(f"{height},{format(up, '.12g')},{format(mean, '.17g')},{len(values)}")
     csv_text = "\n".join(lines) + "\n"
     (out_dir / "ssim_sweep.csv").write_text(csv_text)
     if args.format == "json":
         (out_dir / "ssim_sweep.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    _echo_config(out_dir, "ssim_sweep", cfg)
+    _echo_config(out_dir, "ssim_sweep", asdict(cfg))
     print(f"ssim sweep: {len(rows)} rows -> {out_dir / 'ssim_sweep.csv'}")
     return 0
 
 
 def cmd_equiv(args) -> int:
-    if args.config:
-        config = EquivConfig.from_json(Path(args.config).read_text())
-    else:
-        config = EquivConfig()
+    config = load(EquivConfig, _load_json(args.config)) if args.config else EquivConfig()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = run_experiment(config)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError, ShapeError, require_ints, require_reals
+from .errors import DegenerateGeometryError, ShapeError, check_fields, load
 from .grid import BorderPolicy, as_grid
 from .resample import PixelMapping, _check_extents, resize, warp
 from .ssim import ssim
@@ -26,6 +26,7 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        check_fields(self)
         if self.f <= 0:
             raise ValueError(f"focal length must be positive, got {self.f}")
         if self.width < 1 or self.height < 1:
@@ -38,19 +39,6 @@ class CameraIntrinsics:
     @staticmethod
     def centered(f: float, width: int, height: int) -> "CameraIntrinsics":
         return CameraIntrinsics(f, (width - 1) / 2.0, (height - 1) / 2.0, width, height)
-
-    @staticmethod
-    def from_dict(data: dict) -> "CameraIntrinsics":
-        _require_keys("intrinsics", data, ("f", "u0", "v0", "width", "height"))
-        require_reals("intrinsics", f=data["f"], u0=data["u0"], v0=data["v0"])
-        require_ints("intrinsics", width=data["width"], height=data["height"])
-        return CameraIntrinsics(
-            f=float(data["f"]),
-            u0=float(data["u0"]),
-            v0=float(data["v0"]),
-            width=data["width"],
-            height=data["height"],
-        )
 
 
 @dataclass(frozen=True)
@@ -66,6 +54,7 @@ class PatchPlane:
     p: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.m == 0 and self.n == 0 and self.o == 0:
             raise ValueError("plane normal (m, n, o) must be nonzero")
         if self.o <= 0:
@@ -77,14 +66,6 @@ class PatchPlane:
     def normal(self) -> np.ndarray:
         return np.array([self.m, self.n, self.o])
 
-    @staticmethod
-    def from_dict(data: dict) -> "PatchPlane":
-        _require_keys("plane", data, ("m", "n", "o", "p"))
-        require_reals("plane", m=data["m"], n=data["n"], o=data["o"], p=data["p"])
-        return PatchPlane(
-            m=float(data["m"]), n=float(data["n"]), o=float(data["o"]), p=float(data["p"])
-        )
-
 
 @dataclass(frozen=True)
 class EgoMotion:
@@ -94,12 +75,15 @@ class EgoMotion:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
+        try:
+            rot = np.asarray(self.rotation, dtype=np.float64)
+        except ValueError:  # ragged rows
+            raise ShapeError(f"rotation R must be 3x3, got {self.rotation!r}") from None
         trans = np.asarray(self.translation, dtype=np.float64).reshape(-1)
         if rot.shape != (3, 3):
-            raise ShapeError(f"rotation must be 3x3, got {rot.shape}")
+            raise ShapeError(f"rotation R must be 3x3, got {rot.shape}")
         if trans.shape != (3,):
-            raise ShapeError(f"translation must have 3 components, got {trans.shape}")
+            raise ShapeError(f"translation t must have 3 components, got {trans.shape}")
         if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
             raise ValueError("rotation is not orthonormal to 1e-9")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
@@ -119,29 +103,17 @@ class EgoMotion:
 
     @staticmethod
     def from_dict(data: dict) -> "EgoMotion":
-        _require_keys("motion", data, ("t",))
-        trans, rot = data["t"], data.get("R", np.eye(3).tolist())
-        if not (_is_list(trans, 3) and _is_list(rot, 3) and all(_is_list(row, 3) for row in rot)):
-            raise ConfigError(f"motion t must be 3 numbers and R 3 rows of 3, got t={trans!r}, R={rot!r}")
-        require_reals(
-            "motion",
-            **{f"t[{i}]": v for i, v in enumerate(trans)},
-            **{f"R[{i}][{j}]": v for i, row in enumerate(rot) for j, v in enumerate(row)},
-        )
-        return EgoMotion(np.asarray(rot, dtype=np.float64), np.asarray(trans, dtype=np.float64))
+        """EgoMotion from the JSON object {"t": [3 reals], "R": [3 rows of 3 reals]}; R defaults to I."""
+        keys = load(_MotionKeys, data, "motion")
+        return EgoMotion(keys.R, keys.t)
 
 
-def _require_keys(owner, data, keys):
-    """Raise ConfigError unless ``data`` is a JSON object holding every key."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{owner} must be a JSON object, got {data!r}")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise ConfigError(f"{owner} is missing {', '.join(missing)}")
+@dataclass(frozen=True)
+class _MotionKeys:
+    """The JSON keys of an EgoMotion, which differ from its field names."""
 
-
-def _is_list(value, n):
-    return isinstance(value, list) and len(value) == n
+    t: tuple[float, ...]
+    R: tuple[tuple[float, ...], ...] = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True)

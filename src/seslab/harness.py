@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SeslabError, require_ints, require_reals
+from .errors import ConfigError, SeslabError, check_fields, load
 from .fileio import read_pgm
 from .grid import BorderPolicy, as_grid, crop
 from .resample import scale_transform, scale_transform_stack
@@ -50,9 +50,7 @@ class CorpusSpec:
     image_dir: str | None = None
 
     def __post_init__(self):
-        require_ints("corpus", count=self.count, height=self.height, width=self.width, seed=self.seed)
-        if self.image_dir is not None and not isinstance(self.image_dir, str):
-            raise ConfigError(f"corpus image_dir must be a string, got {self.image_dir!r}")
+        check_fields(self)
         if self.image_dir is None and self.count < 1:
             raise ConfigError(f"corpus count must be >= 1, got {self.count}")
 
@@ -81,28 +79,22 @@ class EquivConfig:
 
     stack: StackSpec = StackSpec()
     corpus: CorpusSpec = CorpusSpec()
-    scale_factors: tuple = (1.0 / 1.2, 1.0 / 1.1, 0.8, 0.7, 0.6)
-    blocks: tuple = (1, 2, 3, 4)
+    scale_factors: tuple[float, ...] = (1.0 / 1.2, 1.0 / 1.1, 0.8, 0.7, 0.6)
+    blocks: tuple[int, ...] = (1, 2, 3, 4)
     crop_margin: float = 0.1
 
     def __post_init__(self):
-        named = {f"scale_factors[{i}]": s for i, s in enumerate(self.scale_factors)}
-        require_reals("equiv config", crop_margin=self.crop_margin, **named)
-        factors = tuple(float(s) for s in self.scale_factors)
-        if not factors:
+        check_fields(self)
+        if not self.scale_factors:
             raise ConfigError("at least one scale factor is required")
-        if any(not 0.0 < s <= 1.0 for s in factors):
-            raise ConfigError(f"scale factors must lie in (0, 1], got {factors}")
-        object.__setattr__(self, "scale_factors", factors)
-        require_ints("equiv config", **{f"blocks[{i}]": b for i, b in enumerate(self.blocks)})
-        blocks = tuple(int(b) for b in self.blocks)
-        if not blocks:
+        if any(not 0.0 < s <= 1.0 for s in self.scale_factors):
+            raise ConfigError(f"scale factors must lie in (0, 1], got {self.scale_factors}")
+        if not self.blocks:
             raise ConfigError("at least one block index is required")
-        if any(not 1 <= b <= len(self.stack.layers) for b in blocks):
+        if any(not 1 <= b <= len(self.stack.layers) for b in self.blocks):
             raise ConfigError(
-                f"block indices must lie in 1..{len(self.stack.layers)}, got {blocks}"
+                f"block indices must lie in 1..{len(self.stack.layers)}, got {self.blocks}"
             )
-        object.__setattr__(self, "blocks", blocks)
         if not 0.0 <= self.crop_margin < 0.5:
             raise ConfigError(f"crop margin must lie in [0, 0.5), got {self.crop_margin}")
 
@@ -117,29 +109,7 @@ class EquivConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "EquivConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"equiv config must be a JSON object, got {type(data).__name__}")
-        known = {"stack", "corpus", "scale_factors", "blocks", "crop_margin"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown equiv config fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        try:
-            if "stack" in kwargs:
-                kwargs["stack"] = StackSpec.from_dict(kwargs["stack"])
-            if "corpus" in kwargs:
-                kwargs["corpus"] = CorpusSpec(**kwargs["corpus"])
-            if "scale_factors" in kwargs:
-                kwargs["scale_factors"] = tuple(kwargs["scale_factors"])
-            if "blocks" in kwargs:
-                kwargs["blocks"] = tuple(kwargs["blocks"])
-            return EquivConfig(**kwargs)
-        except TypeError as exc:  # a JSON value of the wrong shape, e.g. a number for a list
-            raise ConfigError(f"malformed equiv config: {exc}") from None
-
-    @staticmethod
-    def from_json(text: str) -> "EquivConfig":
-        return EquivConfig.from_dict(json.loads(text))
+        return load(EquivConfig, data)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from .basis import ScaleSet, SteerableBasis, build_basis, scale_set_from_alpha
 from .conv import conv2d
-from .errors import ConfigError, SeslabError, ShapeError, require_ints, require_reals
+from .errors import ConfigError, SeslabError, ShapeError, check_fields
 from .grid import BorderPolicy, as_grid, crop
 from .resample import scale_transform, scale_transform_stack
 from .synth import synth_image
@@ -128,32 +127,6 @@ def scale_projection(x) -> np.ndarray:
     return x.max(axis=0)
 
 
-def se_pool(x, window: int, mode: str = "max") -> np.ndarray:
-    """Spatial pooling applied per scale slice; the scale axis is untouched.
-
-    Non-divisible extents are clamp-padded (edge replication) up to the next
-    window multiple.
-    """
-    x = as_grid(x, rank=4, name="features")
-    if window < 1:
-        raise ValueError(f"pool window must be >= 1, got {window}")
-    if mode not in ("max", "avg"):
-        raise ValueError(f"pool mode must be 'max' or 'avg', got {mode!r}")
-    if window == 1:
-        return x.copy()
-    s, c, h, w = x.shape
-    pad_h = (-h) % window
-    pad_w = (-w) % window
-    if pad_h or pad_w:
-        x = np.pad(x, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), mode="edge")
-    hb = (h + pad_h) // window
-    wb = (w + pad_w) // window
-    blocks = x.reshape(s, c, hb, window, wb, window)
-    if mode == "max":
-        return blocks.max(axis=(3, 5))
-    return blocks.mean(axis=(3, 5))
-
-
 _SUM_BLOCK = 1 << 15  # values per pass of _exact_sum: the block's temporaries stay in L2
 _EXACT_COUNT = 1 << 25  # values per run of bin sums; each bin sum is exact below 2**26
 _HI_BITS = ~np.int64((1 << 27) - 1)  # clears the low 27 of the 52 stored significand bits
@@ -217,7 +190,7 @@ class LayerSpec:
     nonlinearity: str = "relu"
 
     def __post_init__(self):
-        require_ints("layer", out_channels=self.out_channels, k=self.k)
+        check_fields(self)
         if self.out_channels < 1:
             raise ConfigError(f"out_channels must be >= 1, got {self.out_channels}")
         if self.k < 1 or self.k % 2 == 0:
@@ -242,7 +215,7 @@ class StackSpec:
     """
 
     kind: str = "ses"
-    layers: tuple = (LayerSpec(4, 11), LayerSpec(4, 11), LayerSpec(4, 11), LayerSpec(4, 11))
+    layers: tuple[LayerSpec, ...] = (LayerSpec(4, 11), LayerSpec(4, 11), LayerSpec(4, 11), LayerSpec(4, 11))
     alpha: float = 0.1
     num_scales: int = 3
     seed: int = 0
@@ -250,22 +223,16 @@ class StackSpec:
     max_order: int = 3
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in KINDS:
             raise ConfigError(f"stack kind must be one of {KINDS}, got {self.kind!r}")
-        require_ints("stack", num_scales=self.num_scales, seed=self.seed, max_order=self.max_order)
-        require_reals("stack", alpha=self.alpha, base_sigma=self.base_sigma)
-        layers = tuple(
-            layer if isinstance(layer, LayerSpec) else LayerSpec(**layer)
-            for layer in self.layers
-        )
-        if not layers:
+        if not self.layers:
             raise ConfigError("stack needs at least one layer")
-        object.__setattr__(self, "layers", layers)
-        if not 0 < self.base_sigma < math.inf:
-            raise ConfigError(f"base_sigma must be positive and finite, got {self.base_sigma}")
+        if not self.base_sigma > 0:
+            raise ConfigError(f"base_sigma must be positive, got {self.base_sigma}")
         if self.max_order < 0:
             raise ConfigError(f"max_order must be >= 0, got {self.max_order}")
-        for layer in layers:
+        for layer in self.layers:
             if (self.max_order + 1) ** 2 > layer.k * layer.k:
                 raise ConfigError(
                     f"max_order {self.max_order} needs more than {layer.k}x{layer.k} "
@@ -289,23 +256,6 @@ class StackSpec:
             "base_sigma": self.base_sigma,
             "max_order": self.max_order,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "StackSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(f"stack spec must be a JSON object, got {type(data).__name__}")
-        known = {"kind", "layers", "alpha", "num_scales", "seed", "base_sigma", "max_order"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown stack spec fields: {sorted(unknown)}")
-        spec = dict(data)
-        if "layers" in spec:
-            spec["layers"] = tuple(spec["layers"])
-        return StackSpec(**spec)
-
-    @staticmethod
-    def from_json(text: str) -> "StackSpec":
-        return StackSpec.from_dict(json.loads(text))
 
 
 CALIBRATION_SIZE = 96
@@ -406,11 +356,10 @@ def build_stack(spec: StackSpec, border: BorderPolicy = BorderPolicy.ZERO) -> St
     for layer in spec.layers:
         basis = basis_cache.get(layer.k)
         if basis is None:
-            basis = build_basis(sigmas, max_order=spec.max_order, k=layer.k)
-            if not np.isfinite(basis.filters).all():
-                raise ConfigError(
-                    f"base_sigma {spec.base_sigma} makes the {layer.k}x{layer.k} basis filters non-finite"
-                )
+            try:
+                basis = build_basis(sigmas, max_order=spec.max_order, k=layer.k)
+            except ConfigError as exc:
+                raise ConfigError(f"base_sigma {spec.base_sigma}: {exc}") from None
             basis_cache[layer.k] = basis
         bound = 1.0 / math.sqrt(in_channels * layer.k * layer.k)
         weights = rng.uniform(

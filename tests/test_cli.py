@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -98,6 +100,25 @@ class TestBasisCommand:
         assert main(["basis", "--config", config, "--out", str(out), "--out-dir", str(tmp_path)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("sigma_base", [1e-320, 1e300])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_basis_is_usage_error(self, tmp_path, capsys, sigma_base, source):
+        # Every filter came out NaN, and the tensor was written with exit 0.
+        if source == "flag":
+            args = ["--sigma-base", repr(sigma_base)]
+        else:
+            args = ["--config", write_json(tmp_path / "config.json", {"sigma_base": sigma_base})]
+        out = tmp_path / "b.f64"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["basis", *args, "--out", str(out), "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "sigma_base" in err
+        assert not out.exists()
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestWarpCommand:
@@ -228,6 +249,32 @@ class TestWarpCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize(
+        ("kind", "payload", "field"),
+        [
+            ("plane", {"m": math.nan, "n": 0.0, "o": 1.0, "p": -30.0}, "plane.m"),
+            ("plane", {"m": 0.0, "n": 0.0, "o": 1.0, "p": -math.inf}, "plane.p"),
+            ("intrinsics", {**KITTI_INTRINSICS, "f": math.inf}, "intrinsics.f"),
+            ("motion", {"t": [0.0, 0.0, math.nan]}, "motion.t[2]"),
+        ],
+        ids=lambda value: json.dumps(value) if not isinstance(value, str) else value,
+    )
+    def test_non_finite_geometry_is_usage_error(self, tmp_path, capsys, geo_files, kind, payload, field):
+        # json parses NaN and Infinity; they gave a NaN metric, or a scale factor of 1.
+        files = {**geo_files, kind: write_json(tmp_path / f"bad_{kind}.json", payload)}
+        out_dir = tmp_path / "out"
+        code = main([
+            "warp", "--image", files["image"], "--mode", "scale",
+            "--plane", files["plane"], "--motion", files["motion"],
+            "--intrinsics", files["intrinsics"],
+            "--out", str(out_dir / "x.pgm"), "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{field} must be a finite number" in err
+        assert not out_dir.exists()
+
+
 class TestSsimSweepCommand:
     def test_row_count_and_bounds(self, tmp_path):
         code = main([
@@ -285,6 +332,20 @@ class TestSsimSweepCommand:
         config = write_json(tmp_path / "config.json", payload)
         assert main(["ssim-sweep", "--config", config, "--out-dir", str(tmp_path)]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_zero_width_rejected(self, tmp_path, capsys, source):
+        # A width of 0 used to run square images.
+        argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]
+        if source == "flag":
+            argv += ["--width", "0"]
+        else:
+            argv += ["--config", write_json(tmp_path / "config.json", {"width": 0})]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "width must be >= 1, got 0" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestEquivCommand:
@@ -351,7 +412,7 @@ class TestEquivCommand:
         assert main(["equiv", "--config", tiny_config, "--out-dir", str(tmp_path), "--maps"]) == 0
         assert (len(builds), len(loads)) == (2, 1)
 
-        config = EquivConfig.from_json(Path(tiny_config).read_text())
+        config = EquivConfig.from_dict(json.loads(Path(tiny_config).read_text()))
         image = real_load(config.corpus)[0]
         s = config.scale_factors[0]
         for kind in ("ses", "vanilla"):
@@ -430,6 +491,41 @@ class TestEquivCommand:
         err = capsys.readouterr().err
         assert "invalid configuration" in err and "base_sigma" in err
         assert not (tmp_path / "equiv_report.csv").exists()
+
+
+    @pytest.mark.parametrize("base_sigma", [1e-320, 1e300])
+    def test_non_finite_basis_prints_no_runtime_warning(self, tmp_path, capsys, tiny_config, base_sigma):
+        payload = json.loads(Path(tiny_config).read_text())
+        payload["stack"]["base_sigma"] = base_sigma
+        config = write_json(tmp_path / "non_finite.json", payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["equiv", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        assert "base_sigma" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["warp", "equiv", "ssim-sweep"])
+def test_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys, geo_files, command):
+    # Each of these exited 1 with an OverflowError traceback.
+    big = 10**400
+    payload, field = {
+        "warp": ({**KITTI_INTRINSICS, "f": big}, "intrinsics.f"),
+        "equiv": ({"scale_factors": [big]}, "scale_factors[0]"),
+        "ssim-sweep": ({"up_factors": [big], "count": 1}, "up_factors[0]"),
+    }[command]
+    config = write_json(tmp_path / "config.json", payload)
+    argv = {
+        "warp": ["warp", "--image", geo_files["image"], "--mode", "logpolar", "--intrinsics", config,
+                 "--out", str(tmp_path / "out" / "x.pgm")],
+        "equiv": ["equiv", "--config", config],
+        "ssim-sweep": ["ssim-sweep", "--config", config],
+    }[command]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and f"{field} must be a finite number" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestCrossProcessDeterminism:

@@ -204,7 +204,7 @@ class TestRunExperiment:
         assert data["metadata"]["config"]["blocks"] == [1, 2]
 
     def test_config_json_roundtrip(self):
-        back = EquivConfig.from_json(json.dumps(TINY_CONFIG.to_dict()))
+        back = EquivConfig.from_dict(json.loads(json.dumps(TINY_CONFIG.to_dict())))
         assert back == TINY_CONFIG
 
     def test_config_validation(self):

@@ -24,13 +24,13 @@ from seslab import (
     scale_projection,
     scale_set_from_alpha,
     se_norm,
-    se_pool,
     ses_conv_input,
     ses_conv_scalewise,
     single_scale_residue,
     synth_image,
 )
 from seslab import conv, sesconv
+from seslab.errors import load
 from seslab.sesconv import paper_scale_gains
 
 from oracles import combine_loops, norm_twopass_loops
@@ -173,47 +173,6 @@ class TestScaleProjection:
         x = rng.standard_normal((3, 2, 5, 5))
         doubled = np.concatenate([x, x])
         assert np.array_equal(scale_projection(doubled), scale_projection(x))
-
-
-class TestSePool:
-    def test_window_one_identity(self, rng):
-        x = rng.standard_normal((2, 3, 6, 6))
-        out = se_pool(x, 1)
-        assert np.array_equal(out, x)
-        assert out is not x
-
-    def test_window_two_max(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert se_pool(x, 2, "max")[0, 0] == np.array([[4.0]])
-
-    def test_avg_matches_box_oracle(self, rng):
-        x = rng.standard_normal((2, 2, 8, 12))
-        out = se_pool(x, 4, "avg")
-        assert out.shape == (2, 2, 2, 3)
-        for s in range(2):
-            for c in range(2):
-                for i in range(2):
-                    for j in range(3):
-                        block = x[s, c, 4 * i : 4 * i + 4, 4 * j : 4 * j + 4]
-                        assert abs(out[s, c, i, j] - block.sum() / 16.0) <= 1e-12
-
-    def test_scale_axis_untouched(self, rng):
-        x = rng.standard_normal((3, 2, 8, 8))
-        assert se_pool(x, 2).shape == (3, 2, 4, 4)
-
-    def test_clamp_padding_on_ragged_extent(self):
-        x = np.arange(5.0).reshape(1, 1, 1, 5)
-        out = se_pool(x, 2, "max")
-        assert out.shape == (1, 1, 1, 3)
-        assert out[0, 0, 0].tolist() == [1.0, 3.0, 4.0]
-
-    def test_invalid_window(self, rng):
-        with pytest.raises(ValueError, match="window"):
-            se_pool(rng.standard_normal((1, 1, 4, 4)), 0)
-
-    def test_invalid_mode(self, rng):
-        with pytest.raises(ValueError, match="mode"):
-            se_pool(rng.standard_normal((1, 1, 4, 4)), 2, "median")
 
 
 class TestSeNorm:
@@ -359,13 +318,11 @@ class TestTranslationEquivariance:
             x = se_norm(x)
             x = np.maximum(x, 0.0)
             x = ses_conv_scalewise(x, bank2, BorderPolicy.CIRCULAR)
-            x = se_pool(x, 2)
             return scale_projection(x)
 
         rolled = np.roll(image, shift, axis=(1, 2))
         lhs = pipeline(rolled)
-        # pool window 2 divides the shift, so pooling commutes as well
-        rhs = np.roll(pipeline(image), (shift[0] // 2, shift[1] // 2), axis=(1, 2))
+        rhs = np.roll(pipeline(image), shift, axis=(1, 2))
         assert np.array_equal(lhs, rhs)
 
 
@@ -458,12 +415,12 @@ class TestStack:
 
     def test_json_roundtrip(self):
         spec = StackSpec(kind="vanilla", layers=(LayerSpec(3, 9, "none"),), alpha=0.2, seed=4)
-        back = StackSpec.from_dict(spec.to_dict())
+        back = load(StackSpec, spec.to_dict())
         assert back == spec
 
     def test_unknown_json_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
-            StackSpec.from_dict({"kind": "ses", "dropout": 0.5})
+            load(StackSpec, {"kind": "ses", "dropout": 0.5})
 
 
 class TestHeadlineResidue:
