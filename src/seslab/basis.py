@@ -89,6 +89,12 @@ class ScaleSet:
         return ScaleSet(tuple(s * factor for s in self.sigmas), self.alpha)
 
 
+def check_scale_count(name: str, count: int) -> None:
+    """Raise ConfigError, naming the setting ``name``, unless ``count`` is 1, 2 or 3."""
+    if count not in (1, 2, 3):
+        raise ConfigError(f"{name} must be 1, 2, or 3, got {count}")
+
+
 def scale_set_from_alpha(alpha: float, count: int = 3) -> ScaleSet:
     """Downscaling scale set (1/(1+2a), 1/(1+a), 1) truncated to ``count``.
 
@@ -96,8 +102,7 @@ def scale_set_from_alpha(alpha: float, count: int = 3) -> ScaleSet:
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigError(f"alpha must lie in (0, 1], got {alpha}")
-    if count not in (1, 2, 3):
-        raise ConfigError(f"count must be 1, 2, or 3, got {count}")
+    check_scale_count("count", count)
     sigmas = (1.0 / (1.0 + 2.0 * alpha), 1.0 / (1.0 + alpha), 1.0)[3 - count :]
     if len(set(sigmas)) < count:
         raise ConfigError(f"alpha {alpha} is too small to separate {count} scales, got {sigmas}")

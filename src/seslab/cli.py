@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .basis import build_basis, save_basis, scale_set_from_alpha
+from .basis import build_basis, check_scale_count, save_basis, scale_set_from_alpha
 from .errors import ConfigError, DegenerateGeometryError, FormatError, SeslabError, check_fields, load
 from .fileio import read_pgm, write_pgm
 from .geometry import (
@@ -75,6 +75,7 @@ class BasisConfig:
 
     def __post_init__(self):
         check_fields(self)
+        check_scale_count("scales", self.scales)
         if not self.sigma_base > 0:
             raise ConfigError(f"sigma_base must be positive, got {self.sigma_base}")
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ShapeError, check_fields, load
+from .errors import ConfigError, DegenerateGeometryError, ShapeError, check_fields, load
 from .grid import BorderPolicy, as_grid
 from .resample import PixelMapping, _check_extents, resize, warp
 from .ssim import ssim
@@ -84,7 +84,12 @@ class EgoMotion:
             raise ShapeError(f"rotation R must be 3x3, got {rot.shape}")
         if trans.shape != (3,):
             raise ShapeError(f"translation t must have 3 components, got {trans.shape}")
-        if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
+        for name, value in (("rotation R", rot), ("translation t", trans)):
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} must be finite, got {value.tolist()}")
+        # An entry above 1 already breaks orthonormality, and bounding the
+        # entries keeps R^T R from overflowing.
+        if np.abs(rot).max() > 1.0 + 1e-9 or np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
             raise ValueError("rotation is not orthonormal to 1e-9")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
             raise ValueError(f"rotation determinant is {np.linalg.det(rot):.12g}, not 1")

@@ -41,10 +41,15 @@ def pad_mode(border: BorderPolicy) -> str:
 
 def crop(arr: np.ndarray, margin: float) -> np.ndarray:
     """View of ``arr`` without a border of ``margin`` x extent on each side of its last two axes."""
-    h, w = arr.shape[-2:]
+    return arr[(..., *crop_window(arr.shape, margin))]
+
+
+def crop_window(shape: tuple, margin: float) -> tuple:
+    """The (rows, cols) slices that ``crop`` keeps of a grid with trailing extents ``shape[-2:]``."""
+    h, w = shape[-2:]
     my = int(round(h * margin))
     mx = int(round(w * margin))
-    return arr[..., my : h - my, mx : w - mx]
+    return slice(my, h - my), slice(mx, w - mx)
 
 
 def as_grid(data, rank: int | None = None, name: str = "grid") -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, SeslabError, check_fields, load
 from .fileio import read_pgm
-from .grid import BorderPolicy, as_grid, crop
-from .resample import scale_transform, scale_transform_stack
+from .grid import BorderPolicy, as_grid, crop_window
+from .resample import sample_at, scale_transform, scale_transform_mapping, scale_transform_stack
 from .sesconv import Stack, StackSpec, build_stack
 from .synth import synth_corpus
 
@@ -174,22 +174,38 @@ def _fmt(value: float) -> str:
 
 def _delta_ratio(feats, feats_of_scaled, s: float, margin: float, with_map: bool) -> tuple:
     """One cell's ratio ||T_s F - F(T_s h)||^2 / ||T_s F||^2 over the cropped
-    interior and, ``with_map``, the peak-normalized per-pixel error (else None)."""
-    scaled_feats = scale_transform_stack(feats, s, border=BorderPolicy.ZERO)
-    diff = scaled_feats - feats_of_scaled
-    num = crop(diff, margin)
-    den = crop(scaled_feats, margin)
-    den_sq = float(np.sum(den * den))
+    interior and, ``with_map``, the peak-normalized per-pixel error (else None).
+
+    Without a map, T_s F is sampled on the crop window only. With one, it is
+    sampled in full for the map and the ratio reads a copy of its window.
+    Either way the ratio reduces arrays of the same shape and values.
+    """
+    rows, cols = crop_window(feats.shape, margin)
+    err = None
+    if with_map:
+        scaled = scale_transform_stack(feats, s, border=BorderPolicy.ZERO)
+        err = scaled - feats_of_scaled
+        err *= err
+        err = np.sum(err, axis=0)
+        peak = err.max()
+        if peak > 0:
+            err /= peak
+        window = scaled[..., rows, cols].copy()
+    else:
+        h, w = feats.shape[-2:]
+        xs = np.arange(w, dtype=np.float64)[np.newaxis, cols]
+        ys = np.arange(h, dtype=np.float64)[rows, np.newaxis]
+        mapping = scale_transform_mapping(feats.shape, s, None)
+        window = sample_at(feats, *mapping(xs, ys), BorderPolicy.ZERO)
+    num = window - feats_of_scaled[..., rows, cols]
+    num *= num
+    window *= window
+    den_sq = float(np.sum(window))
     if den_sq == 0.0:
         raise SeslabError(
             "equivariance error undefined: scaled feature map is identically zero"
         )
-    ratio = float(np.sum(num * num)) / den_sq
-    if not with_map:
-        return ratio, None
-    err = np.sum(diff * diff, axis=0)
-    peak = err.max()
-    return ratio, (err / peak if peak > 0 else err)
+    return float(np.sum(num)) / den_sq, err
 
 
 def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None) -> tuple:

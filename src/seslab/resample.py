@@ -143,11 +143,24 @@ def _sample_separable(grid, xs, ys, border):
     time, so no temporary grows with the channel count. The takes use
     mode="clip", which skips the bounds check and the buffered ``out`` of
     the default mode; every index is in range by construction.
+
+    For ZERO, an output whose four corners all lie on the zero ring blends
+    zeros with non-negative weights, which gives +0.0. The output starts as
+    +0.0, and only the window from the first to the last live column and
+    row is sampled, straight into the output, with the same expressions.
     """
     lead = grid.shape[:-2]
     h, w = grid.shape[-2:]
     x0f = np.floor(xs)
     y0f = np.floor(ys)
+    shape = (*lead, ys.size, xs.size)
+    zero = border is BorderPolicy.ZERO
+    live_rows = live_cols = slice(None)
+    if zero:
+        live_rows, live_cols = _live_window(y0f, h), _live_window(x0f, w)
+        if live_rows is None or live_cols is None:
+            return np.zeros(shape)
+    xs, x0f, ys, y0f = xs[live_cols], x0f[live_cols], ys[live_rows], y0f[live_rows]
     fx = xs - x0f
     fy = (ys - y0f)[:, np.newaxis]
     gx = 1.0 - fx
@@ -156,13 +169,15 @@ def _sample_separable(grid, xs, ys, border):
     r0, r1 = _corner_indices(y0f.astype(np.intp), h, border)
     rows, at = np.unique(np.concatenate([r0, r1]), return_inverse=True)
     at0, at1 = at[: ys.size], at[ys.size :]
-    zero = border is BorderPolicy.ZERO
     if zero:
         # rows index the zero-ringed grid, whose ring rows 0 and h + 1 sort to the ends
         src = np.zeros((rows.size, w + 2))
         lo, hi = np.searchsorted(rows, [1, h + 1])
         inner, rows = src[lo:hi, 1:-1], rows[lo:hi] - 1
-    out = np.empty((*lead, ys.size, xs.size))
+    # Allocated after the buffers above: allocating it first left a glibc
+    # heap layout that raised the peak RSS of the next forward pass by 15 MB.
+    out = np.zeros(shape) if zero else np.empty(shape)
+    window = out[..., live_rows, live_cols]
     for index in np.ndindex(*lead):
         if zero:
             inner[...] = grid[index][rows]
@@ -173,13 +188,21 @@ def _sample_separable(grid, xs, ys, border):
         right = np.take(src, c1, axis=1, mode="clip")
         right *= fx
         t += right
-        o = out[index]
-        np.take(t, at0, axis=0, out=o, mode="clip")
-        o *= gy
+        o = window[index]
+        # a take into a window narrower than the output would go through a copy
+        top = np.take(t, at0, axis=0, out=o if o.flags.c_contiguous else None, mode="clip")
+        top *= gy
         bottom = np.take(t, at1, axis=0, mode="clip")
         bottom *= fy
-        o += bottom
+        np.add(top, bottom, out=o)
     return out
+
+
+def _live_window(i0f, n):
+    """Slice from the first to the last output whose corner i0 or i0 + 1 lies
+    in [0, n), given the floors ``i0f``; None when there is none."""
+    live = np.flatnonzero((i0f >= -1.0) & (i0f < n))
+    return slice(live[0], live[-1] + 1) if live.size else None
 
 
 def _corner_indices(i0, n, border):
@@ -260,16 +283,24 @@ def scale_transform_stack(
     return _scale_about(as_grid(stack, name="stack"), s, center, border)
 
 
-def _scale_about(grid, s, center, border):
+def scale_transform_mapping(shape: tuple, s: float, center: tuple | None) -> PixelMapping:
+    """The mapping of ``scale_transform`` on a grid whose trailing extents are
+    ``shape[-2:]``: T_s about ``center`` (row, col), or about the exact grid
+    center when it is None."""
     if not np.isfinite(s) or s <= 0:
         raise ValueError(f"scale factor must be positive and finite, got {s}")
-    if s == 1.0:
-        return grid.copy()
     if center is None:
-        cy, cx = (grid.shape[-2] - 1) / 2.0, (grid.shape[-1] - 1) / 2.0
+        cy, cx = (shape[-2] - 1) / 2.0, (shape[-1] - 1) / 2.0
     else:
         cy, cx = float(center[0]), float(center[1])
-    return warp(grid, PixelMapping.scale_about(s, cx, cy), border)
+    return PixelMapping.scale_about(s, cx, cy)
+
+
+def _scale_about(grid, s, center, border):
+    mapping = scale_transform_mapping(grid.shape, s, center)
+    if s == 1.0:
+        return grid.copy()
+    return warp(grid, mapping, border)
 
 
 def resize(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ScaleSet, SteerableBasis, build_basis, scale_set_from_alpha
+from .basis import ScaleSet, SteerableBasis, build_basis, check_scale_count, scale_set_from_alpha
 from .conv import conv2d
 from .errors import ConfigError, SeslabError, ShapeError, check_fields
 from .grid import BorderPolicy, as_grid, crop
@@ -238,7 +238,8 @@ class StackSpec:
                     f"max_order {self.max_order} needs more than {layer.k}x{layer.k} "
                     f"pixels per filter"
                 )
-        scale_set_from_alpha(self.alpha, self.num_scales)  # validates both
+        check_scale_count("num_scales", self.num_scales)
+        scale_set_from_alpha(self.alpha, self.num_scales)  # validates alpha
 
     def scale_set(self) -> ScaleSet:
         return scale_set_from_alpha(self.alpha, self.num_scales).scaled(self.base_sigma)

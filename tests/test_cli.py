@@ -102,6 +102,20 @@ class TestBasisCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_scale_count_error_names_scales(self, tmp_path, capsys, source):
+        # The message named "count", a parameter of scale_set_from_alpha.
+        if source == "flag":
+            args = ["--scales", "4"]
+        else:
+            args = ["--config", write_json(tmp_path / "config.json", {"scales": 4})]
+        out = tmp_path / "b.f64"
+        assert main(["basis", *args, "--out", str(out), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: scales must be 1, 2, or 3, got 4" in err
+        assert "count" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma_base", [1e-320, 1e300])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_non_finite_basis_is_usage_error(self, tmp_path, capsys, sigma_base, source):
@@ -239,6 +253,34 @@ class TestWarpCommand:
         err = capsys.readouterr().err
         assert "invalid configuration" in err
         assert field in err
+        assert not (tmp_path / "x.pgm").exists()
+
+    @pytest.mark.parametrize(
+        ("rotation", "message"),
+        [
+            ([[1e200, -1e200, 0.0], [1e200, 1e200, 0.0], [0.0, 0.0, 1.0]], "not orthonormal"),
+            ([[1e308, 0.0, 0.0], [0.0, 1e308, 0.0], [0.0, 0.0, 1.0]], "not orthonormal"),
+        ],
+        ids=["1e200", "1e308"],
+    )
+    def test_huge_rotation_is_usage_error_without_warning(
+        self, tmp_path, capsys, geo_files, rotation, message
+    ):
+        # R^T R overflowed, and numpy printed a RuntimeWarning before the error.
+        files = {**geo_files, "motion": write_json(tmp_path / "m.json", {"t": [0.0, 0.0, -3.0], "R": rotation})}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "warp", "--image", files["image"], "--mode", "scale",
+                "--plane", files["plane"], "--motion", files["motion"],
+                "--intrinsics", files["intrinsics"],
+                "--out", str(tmp_path / "x.pgm"), "--out-dir", str(tmp_path),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and message in err
+        assert "Warning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "x.pgm").exists()
 
     def test_missing_image_is_io_error(self, tmp_path, geo_files):
@@ -473,6 +515,14 @@ class TestEquivCommand:
         assert main(["equiv", "--config", config, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "invalid configuration" in err and field in err
+        assert not (tmp_path / "equiv_report.csv").exists()
+
+    def test_scale_count_error_names_num_scales(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", {"stack": {"num_scales": 4}})
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: num_scales must be 1, 2, or 3, got 4" in err
+        assert "count" not in err
         assert not (tmp_path / "equiv_report.csv").exists()
 
     @pytest.mark.parametrize("base_sigma", [1e-320, 1e300])

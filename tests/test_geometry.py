@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from seslab import (
     CameraIntrinsics,
+    ConfigError,
     DatasetFocalProfile,
     DegenerateGeometryError,
     EgoMotion,
@@ -51,6 +54,27 @@ class TestTypes:
         bad[0, 1] = 1e-6
         with pytest.raises(ValueError, match="orthonormal"):
             EgoMotion(bad, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        ("rotation", "translation", "field"),
+        [
+            (np.full((3, 3), np.nan), np.zeros(3), "rotation R"),
+            (np.where(np.eye(3) == 1, np.inf, 0.0), np.zeros(3), "rotation R"),
+            (np.eye(3), [0.0, 0.0, np.nan], "translation t"),
+            (np.eye(3), [-np.inf, 0.0, -3.0], "translation t"),
+        ],
+    )
+    def test_motion_rejects_non_finite(self, rotation, translation, field):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            EgoMotion(rotation, translation)
+
+    def test_motion_huge_entries_not_orthonormal_without_overflow(self):
+        # R^T R overflowed here, with a numpy RuntimeWarning before the error
+        huge = np.array([[1e200, -1e200, 0.0], [1e200, 1e200, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="orthonormal"):
+                EgoMotion(huge, np.zeros(3))
 
     def test_motion_rejects_reflection(self):
         flip = np.diag([1.0, 1.0, -1.0])

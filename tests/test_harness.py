@@ -18,6 +18,7 @@ from seslab import (
     error_map,
     run_experiment,
     scale_transform,
+    scale_transform_stack,
     synth_corpus,
     synth_image,
     write_pgm,
@@ -25,6 +26,7 @@ from seslab import (
 from dataclasses import replace
 
 from seslab import harness
+from seslab.grid import crop
 from oracles import delta_formula
 
 TINY_STACK = StackSpec(layers=(LayerSpec(2, 7), LayerSpec(2, 7)), max_order=2)
@@ -296,3 +298,76 @@ class TestErrorMap:
             return total / len(images)
 
         assert mean_unnormalized(ses) < mean_unnormalized(vanilla)
+
+
+def full_size_cell(feats, feats_of_scaled, s, margin):
+    """A cell as the whole-map path computes it: T_s F over the full map,
+    the difference at full size, then the crop and the sums of squares."""
+    scaled = scale_transform_stack(feats, s, border=BorderPolicy.ZERO)
+    diff = scaled - feats_of_scaled
+    num, den = crop(diff, margin), crop(scaled, margin)
+    err = np.sum(diff * diff, axis=0)
+    peak = err.max()
+    return float(np.sum(num * num)) / float(np.sum(den * den)), (err / peak if peak > 0 else err)
+
+
+class TestCellReduction:
+    """``_delta_ratio`` samples only the crop window; it must give the
+    full-size path's ratio bit for bit, with and without the error map."""
+
+    SCALES = (0.55, 0.7, 1.0 / 1.1, 1.0)
+
+    @pytest.fixture(scope="class")
+    def features(self, tiny_images):
+        cases = []
+        for kind in ("ses", "vanilla"):
+            stack = build_stack(replace(TINY_STACK, kind=kind))
+            for image in tiny_images:
+                base = stack.forward(image)
+                for s in self.SCALES:
+                    scaled = stack.forward(scale_transform(image, s, border=BorderPolicy.ZERO))
+                    for block in (1, 2):
+                        cases.append((base[block - 1], scaled[block - 1], s))
+        return cases
+
+    @pytest.mark.parametrize("margin", [0.1, 0.0, 0.25])
+    def test_every_cell_equals_full_size_path(self, features, margin):
+        for feats, feats_of_scaled, s in features:
+            expected, expected_map = full_size_cell(feats, feats_of_scaled, s, margin)
+            ratio, grid = harness._delta_ratio(feats, feats_of_scaled, s, margin, False)
+            assert grid is None
+            assert ratio == expected
+            map_ratio, grid = harness._delta_ratio(feats, feats_of_scaled, s, margin, True)
+            assert map_ratio == ratio
+            assert grid.tobytes() == expected_map.tobytes()
+
+    def test_image_cells_equal_full_size_path(self, tiny_images):
+        stack = build_stack(TINY_STACK)
+        cells, maps = harness._image_cells(stack, tiny_images[0], self.SCALES, (1, 2), 0.1, 0.7)
+        base = stack.forward(tiny_images[0])
+        for s in self.SCALES:
+            scaled = stack.forward(scale_transform(tiny_images[0], s, border=BorderPolicy.ZERO))
+            for block in (1, 2):
+                ratio, grid = full_size_cell(base[block - 1], scaled[block - 1], s, 0.1)
+                assert cells[(block, s)] == ratio
+                if s == 0.7:
+                    assert maps[block].tobytes() == grid.tobytes()
+        assert sorted(maps) == [1, 2]
+
+    def test_unit_scale_is_exactly_zero(self, features):
+        for feats, _, _ in features:
+            for with_map in (False, True):
+                ratio, _ = harness._delta_ratio(feats, feats, 1.0, 0.1, with_map)
+                assert ratio == 0.0
+
+    @pytest.mark.parametrize("with_map", [False, True])
+    def test_zero_denominator_raises(self, rng, with_map):
+        zero = np.zeros((2, 32, 40))
+        with pytest.raises(SeslabError, match="identically zero"):
+            harness._delta_ratio(zero, rng.normal(size=zero.shape), 0.8, 0.1, with_map)
+        # features only near the border, which T_s at 0.5 moves out of the crop window
+        rim = np.zeros((2, 32, 40))
+        rim[:, :2] = rim[:, -2:] = rim[:, :, :2] = rim[:, :, -2:] = 1.0
+        assert full_size_cell(rim, rim, 0.5, 0.0)[0] > 0.0
+        with pytest.raises(SeslabError, match="identically zero"):
+            harness._delta_ratio(rim, rim, 0.5, 0.3, with_map)

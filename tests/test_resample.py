@@ -320,6 +320,50 @@ class TestSampleKernel:
                     flat = sample_at(grid, xx.ravel(), yy.ravel(), border)
                     assert open_out.tobytes() == flat.tobytes()
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.6, 0.8])
+    def test_zero_fill_shrink_matches_loop_with_signed_zeros(self, rng, s):
+        # Shrinking leaves whole output rows and columns whose corners all lie
+        # on the ring; the separable kernel skips them. Signed zeros in the
+        # grid make the sign of each zero output part of the comparison.
+        image = rng.choice([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0], size=(12, 15))
+        xs, ys = resample.scale_transform_mapping(image.shape, s, None)(
+            np.arange(15.0)[np.newaxis, :], np.arange(12.0)[:, np.newaxis]
+        )
+        out = sample_at(image, xs, ys, BorderPolicy.ZERO)
+        yy, xx = np.broadcast_arrays(ys, xs)
+        expected = bilinear_loops(image, xx.ravel(), yy.ravel(), "zero-fill")
+        assert out.tobytes() == expected.reshape(out.shape).tobytes()
+        assert (out[:, 0] == 0).all() and (out[0] == 0).all()  # ring-only rows and columns exist
+
+    @pytest.mark.parametrize(
+        ("cols", "rows"),
+        [
+            (np.linspace(-20.0, -1.5, 7), np.linspace(-3.0, 14.0, 5)),  # every column left of the grid
+            (np.linspace(-3.0, 18.0, 6), np.linspace(12.0, 30.0, 4)),  # every row below the grid
+            (np.linspace(16.0, 40.0, 3), np.linspace(-9.0, -1.01, 3)),  # both
+        ],
+    )
+    def test_zero_fill_outside_grid_is_positive_zero(self, rng, cols, rows):
+        grid = -rng.uniform(1.0, 2.0, size=(2, 12, 15))
+        out = sample_at(grid, cols[np.newaxis, :], rows[:, np.newaxis], BorderPolicy.ZERO)
+        assert out.shape == (2, rows.size, cols.size)
+        assert out.tobytes() == np.zeros_like(out).tobytes()
+        yy, xx = np.meshgrid(rows, cols, indexing="ij")
+        expected = bilinear_loops(grid[0], xx.ravel(), yy.ravel(), "zero-fill")
+        assert out[1].tobytes() == expected.reshape(out.shape[1:]).tobytes()
+
+    @pytest.mark.parametrize("s", [0.6, 1.0 / 1.1, 1.0, 1.3])
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    def test_sub_window_equals_block_of_stack_transform(self, rng, s, border):
+        stack = rng.normal(size=(3, 20, 30))
+        full = scale_transform_stack(stack, s, border=border)
+        mapping = resample.scale_transform_mapping(stack.shape, s, None)
+        for rows, cols in [(slice(2, 18), slice(3, 27)), (slice(0, 20), slice(9, 10)), (slice(15, 20), slice(0, 5))]:
+            xs = np.arange(30.0)[np.newaxis, cols]
+            ys = np.arange(20.0)[rows, np.newaxis]
+            window = sample_at(stack, *mapping(xs, ys), border)
+            assert window.tobytes() == full[..., rows, cols].tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_open_grid_non_finite_rejected(self, bad):
         cols = np.array([[0.0, 1.5, 2.0]])
@@ -347,8 +391,12 @@ class TestSampleKernel:
         scale_transform_stack(rng.normal(size=(4, 24, 30)), 0.8, border=BorderPolicy.ZERO)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("border", list(BorderPolicy))
-    def test_stack_transform_peak_memory_is_output_plus_slices(self, rng, border):
+    @pytest.mark.parametrize(
+        ("border", "s"),
+        [pytest.param(b, 0.8, id=str(b)) for b in BorderPolicy]
+        + [pytest.param(b, 0.6, id=f"{b}-0.6") for b in BorderPolicy],
+    )
+    def test_stack_transform_peak_memory_is_output_plus_slices(self, rng, border, s):
         # Allowed: the output and six zero-ringed slices. The separable kernel
         # keeps about five (the source rows read, three blends, a copy for the
         # ring); a zero-ringed copy of the whole stack, 16 slices, does not fit.
@@ -356,7 +404,7 @@ class TestSampleKernel:
         limit = stack.nbytes + 6 * 194 * 642 * 8
         tracemalloc.start()
         try:
-            scale_transform_stack(stack, 0.8, border=border)
+            scale_transform_stack(stack, s, border=border)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
