@@ -221,7 +221,7 @@ def cmd_equiv(args) -> int:
     config = load(EquivConfig, _load_json(args.config)) if args.config else EquivConfig()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_experiment(config)
+    report = run_experiment(config, maps=args.maps)
     report.write_csv(out_dir / "equiv_report.csv")
     if args.format == "json":
         report.write_json(out_dir / "equiv_report.json")

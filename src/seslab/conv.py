@@ -26,7 +26,8 @@ def conv2d(
 
     The kernel extent k must be odd and the input channel count must match
     the kernels' channel dimension. With ``out`` given, a C-contiguous float64
-    [O, H, W] array, the result is written into it and ``out`` is returned.
+    [O, H, W] array, the result is written into it and ``out`` is returned;
+    ``out`` may be ``image`` itself when O == C.
 
     Each output is a sum over the column taps j, in j order, of one dot product
     over (c, i). That order does not depend on the output's position or on the
@@ -48,6 +49,8 @@ def conv2d(
               and out.dtype == np.float64 and out.flags.c_contiguous):
         raise ShapeError(f"out must be a C-contiguous float64 array of shape {(out_ch, h, w)}")
     padded = pad2d(image, kh // 2, BorderPolicy.coerce(border))
+    if np.may_share_memory(padded, out):  # k = 1 pads nothing; the last block rereads rows
+        padded = padded.copy()
     # Flatten each channel of the padded map, of width wp. Output (u, v) of a block of
     # rows starting at r0 is then column t = (u - r0) * wp + v, and tap (c, i, j) reads
     # flat[c, (r0 + i) * wp + j + t]. So one [C*k, rows*wp] patch, whose row (c, i) is

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -102,9 +103,11 @@ def read_tensor(path) -> tuple:
     if not side.exists():
         raise FormatError(f"{path}: missing sidecar header {side}")
     try:
-        meta = json.loads(side.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(side.read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8; nesting too deep
         raise FormatError(f"{side}: malformed JSON sidecar: {exc}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{side}: sidecar must be a JSON object, got {type(meta).__name__}")
     for key in ("shape", "dtype", "order"):
         if key not in meta:
             raise FormatError(f"{side}: sidecar is missing the {key!r} field")
@@ -112,17 +115,15 @@ def read_tensor(path) -> tuple:
         raise FormatError(f"{side}: unsupported dtype {meta['dtype']!r}")
     if meta["order"] != "row-major":
         raise FormatError(f"{side}: unsupported order {meta['order']!r}")
-    try:
-        shape = tuple(int(x) for x in meta["shape"])
-    except (TypeError, ValueError):
-        raise FormatError(f"{side}: malformed shape {meta['shape']!r}") from None
-    if not shape or any(x < 1 for x in shape):
-        raise FormatError(f"{side}: invalid shape {list(shape)}")
+    shape = meta["shape"]
+    # type() is int rejects bools and integral floats, which write_tensor never writes.
+    if not (isinstance(shape, list) and shape and all(type(x) is int and x >= 1 for x in shape)):
+        raise FormatError(f"{side}: shape must be a non-empty list of positive integers, got {shape!r}")
     raw = Path(path).read_bytes()
-    expected = int(np.prod(shape)) * 8
+    expected = 8 * math.prod(shape)  # a Python int: no int64 wrap-around
     if len(raw) != expected:
         raise FormatError(
-            f"{path}: expected {expected} bytes for shape {list(shape)}, got {len(raw)}"
+            f"{path}: expected {expected} bytes for shape {shape}, got {len(raw)}"
         )
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy(), meta
 

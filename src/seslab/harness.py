@@ -127,7 +127,7 @@ class EquivReport:
     rows: tuple
     metadata: dict
     # Error maps {(kind, block): grid} of the first image at the first scale
-    # factor; not part of the CSV or JSON report.
+    # factor, empty unless asked for; not part of the CSV or JSON report.
     maps: dict = field(default_factory=dict, compare=False)
 
     def to_csv_text(self) -> str:
@@ -249,8 +249,12 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
     return math.fsum(ratios) / len(ratios)
 
 
-def run_experiment(config: EquivConfig) -> EquivReport:
+def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     """Evaluate both stack kinds over the corpus; deterministic per config.
+
+    With ``maps``, the report also carries the error maps of the first image
+    at the first scale factor; without, ``report.maps`` is empty. The rows do
+    not depend on it.
 
     Corpus items may be evaluated on up to SESLAB_THREADS worker threads, but
     on no more threads than there are images or CPUs; the reduction into
@@ -259,8 +263,8 @@ def run_experiment(config: EquivConfig) -> EquivReport:
     """
     images = config.corpus.load()
     workers = min(thread_count(), len(images), os.cpu_count() or 1)
-    map_scales = [config.scale_factors[0]] + [None] * (len(images) - 1)
-    rows, maps = [], {}
+    map_scales = [config.scale_factors[0] if maps else None] + [None] * (len(images) - 1)
+    rows, grids = [], {}
     for kind in REPORT_KINDS:
         stack = build_stack(replace(config.stack, kind=kind))
 
@@ -274,7 +278,7 @@ def run_experiment(config: EquivConfig) -> EquivReport:
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(job, images, map_scales))
-        maps.update({(kind, block): grid for block, grid in results[0][1].items()})
+        grids.update({(kind, block): grid for block, grid in results[0][1].items()})
         for block in config.blocks:
             for s in config.scale_factors:
                 values = [cells[(block, s)] for cells, _ in results]
@@ -284,7 +288,7 @@ def run_experiment(config: EquivConfig) -> EquivReport:
                 log10 = math.log10(delta) if delta > 0.0 else float("-inf")
                 rows.append(ReportRow(kind, block, float(s), delta, log10, len(values)))
     metadata = {"config": config.to_dict(), "kinds": list(REPORT_KINDS)}
-    return EquivReport(rows=tuple(rows), metadata=metadata, maps=maps)
+    return EquivReport(rows=tuple(rows), metadata=metadata, maps=grids)
 
 
 def error_map(stack: Stack, image, s: float, block: int) -> np.ndarray:

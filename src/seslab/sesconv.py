@@ -94,9 +94,16 @@ def combine(weights, basis: SteerableBasis, scale_gains=None) -> SesFilterBank:
 
 
 def ses_conv_input(image, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO):
-    """Convolve a [C, H, W] grid once per scale, stacking along a new scale axis."""
+    """Convolve a [C, H, W] grid once per scale, stacking along a new scale axis.
+
+    All scales run as one conv2d of the [S*O, C, k, k] kernels, whose output
+    rows are the [S, O, H, W] result.
+    """
     image = as_grid(image, rank=3, name="input")
-    return _conv_per_scale([image] * bank.num_scales, bank, border)
+    kernels = bank.kernels.reshape((-1,) + bank.kernels.shape[2:])
+    out = np.empty((bank.num_scales, bank.out_channels) + image.shape[1:])
+    conv2d(image, kernels, border, out=out.reshape((-1,) + image.shape[1:]))
+    return out
 
 
 def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO):
@@ -113,11 +120,17 @@ def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPoli
     return _conv_per_scale(x, bank, border)
 
 
-def _conv_per_scale(inputs, bank: SesFilterBank, border) -> np.ndarray:
-    """Convolve inputs[s] with the scale-s kernels into one new [S, O, H, W] array."""
-    out = np.empty((bank.num_scales, bank.out_channels) + inputs[0].shape[1:])
-    for kernels, x, out_s in zip(bank.kernels, inputs, out):
-        conv2d(x, kernels, border, out=out_s)
+def _conv_per_scale(x, bank: SesFilterBank, border, out=None) -> np.ndarray:
+    """Convolve x[s] with the scale-s kernels into out[s], a new [S, O, H, W]
+    array if ``out`` is None, and return ``out``.
+
+    ``out`` may be ``x`` itself when the bank keeps the channel count: slice s
+    is read only by its own conv2d, which may write into its input.
+    """
+    if out is None:
+        out = np.empty((len(x), bank.out_channels) + x.shape[2:])
+    for kernels, x_s, out_s in zip(bank.kernels, x, out):
+        conv2d(x_s, kernels, border, out=out_s)
     return out
 
 
@@ -329,8 +342,11 @@ def _propagate(spec: StackSpec, banks, border, image, norm_stats=None) -> tuple:
     stack on the largest-scale kernels. With ``norm_stats=None`` each norm
     uses its own input's statistics, which is the calibration pass.
 
-    Each conv output is a new array owned by this call: its projection is
-    copied into ``blocks``, then the norm and ReLU overwrite it in place.
+    Each feature map is a new array owned by this call. Its projection is
+    copied into ``blocks``; then the norm and ReLU overwrite it in place, and
+    a layer that keeps the channel count convolves each scale slice back into
+    it, so the forward holds one map. A layer that changes the channel count
+    writes a new one.
     """
     scales = slice(None) if spec.kind == "ses" else slice(-1, None)
     banks = [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
@@ -342,7 +358,8 @@ def _propagate(spec: StackSpec, banks, border, image, norm_stats=None) -> tuple:
         _normalize_in_place(x, stats[-1])
         if layer.nonlinearity == "relu":
             relu(x)
-        x = ses_conv_scalewise(x, bank, border)
+        in_place = bank.out_channels == bank.in_channels
+        x = _conv_per_scale(x, bank, border, out=x if in_place else None)
         blocks.append(scale_projection(x))
     return blocks, tuple(stats)
 

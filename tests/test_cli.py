@@ -436,6 +436,14 @@ class TestEquivCommand:
         grid = read_pgm(maps[0])
         assert grid.shape == (32, 40)
 
+    def test_report_is_byte_identical_with_and_without_maps(self, tmp_path, tiny_config):
+        for name, extra in (("bare", []), ("maps", ["--maps"])):
+            argv = ["equiv", "--config", tiny_config, "--out-dir", str(tmp_path / name), "--format", "json"]
+            assert main(argv + extra) == 0
+        for report in ("equiv_report.csv", "equiv_report.json"):
+            assert (tmp_path / "bare" / report).read_bytes() == (tmp_path / "maps" / report).read_bytes()
+        assert not (tmp_path / "bare" / "maps").exists()
+
     def test_maps_reuse_report_forwards(self, tmp_path, tiny_config, monkeypatch):
         builds, loads = [], []
         real_build, real_load = sesconv.build_stack, CorpusSpec.load

@@ -189,6 +189,24 @@ def test_out_is_bitwise_equal_to_a_fresh_output(rng, out_ch, in_ch, k, h, w, bor
 
 
 @pytest.mark.parametrize(
+    "channels, k, h, w, budget",
+    [
+        (3, 1, 7, 5, 8 * 3 * 5 * 2),  # k = 1 pads nothing; the last 2-row block overlaps
+        (2, 3, 10, 9, 8 * 6 * 11 * 4),  # 4-row blocks, the last one overlapping
+        (4, 11, 96, 320, conv.BLOCK_BYTES),
+    ],
+)
+@pytest.mark.parametrize("border", ["zero-fill", "clamp", "circular"])
+def test_out_may_be_the_input_itself(rng, monkeypatch, channels, k, h, w, budget, border):
+    monkeypatch.setattr(conv, "BLOCK_BYTES", budget)
+    image = rng.standard_normal((channels, h, w))
+    kernels = rng.standard_normal((channels, channels, k, k))
+    expected = conv2d(image, kernels, border)
+    assert conv2d(image, kernels, border, out=image) is image
+    assert np.array_equal(image, expected)
+
+
+@pytest.mark.parametrize(
     "out",
     [
         np.empty((2, 5, 6)),  # wrong channel count

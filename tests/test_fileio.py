@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from seslab import FormatError, read_grid, read_pgm, read_tensor, write_grid, write_pgm, write_tensor
+from seslab import FormatError, SeslabError, read_grid, read_pgm, read_tensor, write_grid, write_pgm, write_tensor
 from seslab.fileio import sidecar_path
 
 
@@ -48,6 +52,36 @@ class TestTensorFormat:
         write_tensor(path, rng.uniform(size=(2, 2, 2)))
         sidecar_path(path).write_text('{"shape": [2, 2, 2], "dtype": "float64"}')
         with pytest.raises(FormatError, match="order"):
+            read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "sidecar, match",
+        [
+            ('["shape", "dtype", "order"]', "must be a JSON object, got list"),
+            ("5", "must be a JSON object, got int"),
+            ('{"shape": [4294967296, 4294967296], "dtype": "float64", "order": "row-major"}',
+             r"expected 147573952589676412928 bytes"),
+            ('{"shape": [1.7], "dtype": "float64", "order": "row-major"}', r"shape .*got \[1.7\]"),
+            ('{"shape": [1.0], "dtype": "float64", "order": "row-major"}', r"shape .*got \[1.0\]"),
+            ('{"shape": [true, 1], "dtype": "float64", "order": "row-major"}', r"shape .*got \[True, 1\]"),
+            ('{"shape": "11", "dtype": "float64", "order": "row-major"}', r"shape .*got '11'"),
+            ('{"shape": [], "dtype": "float64", "order": "row-major"}', r"shape .*got \[\]"),
+            ('{"shape": [2, 0], "dtype": "float64", "order": "row-major"}', r"shape .*got \[2, 0\]"),
+        ],
+        ids=["list", "number", "int64-overflow", "fraction", "integral-float", "bool", "string", "empty", "zero"],
+    )
+    def test_bad_sidecar_is_format_error(self, tmp_path, sidecar, match):
+        path = tmp_path / "t.f64"
+        path.write_bytes(b"")
+        sidecar_path(path).write_text(sidecar)
+        with pytest.raises(FormatError, match=match):
+            read_tensor(path)
+
+    def test_sidecar_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "t.f64"
+        path.write_bytes(b"\x00" * 8)
+        sidecar_path(path).write_bytes(b'{"shape": [1], "dtype": "\xff"}')
+        with pytest.raises(FormatError, match="malformed JSON"):
             read_tensor(path)
 
 
@@ -110,3 +144,77 @@ def test_grid_dispatch_by_suffix(rng, tmp_path):
     tensor = rng.standard_normal((2, 3, 4))
     write_grid(tmp_path / "b.f64", tensor)
     assert np.array_equal(read_grid(tmp_path / "b.f64"), tensor)
+
+
+
+# Fuzz: any header, payload or sidecar either parses or raises a SeslabError.
+# Inputs are built from header-shaped pieces, so most get past the magic.
+WHITESPACE = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c", b"", b"  # note\n", b"#"])
+HEADER_FIELDS = (
+    st.integers(min_value=-3, max_value=70000).map(lambda n: str(n).encode())
+    | st.sampled_from([b"1_0", b"+4", b"0x10", b"1e2", b"\xd9\xa3", b"9" * 5000, b""])
+    | st.binary(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+SHAPES = st.lists(
+    st.integers(min_value=-1, max_value=5) | st.sampled_from([2**32, 2**63, 2**64 + 1]) | JSON_VALUES,
+    max_size=4,
+)
+
+
+@st.composite
+def pgm_files(draw):
+    fields = [draw(st.sampled_from([b"P5", b"P2", b"P6", b"p5"]) | st.binary(max_size=3))]
+    fields += [draw(HEADER_FIELDS) for _ in range(3)]
+    header = b"".join(draw(WHITESPACE) + field for field in fields) + draw(WHITESPACE)
+    return header + draw(st.binary(max_size=64))
+
+
+@st.composite
+def sidecars(draw):
+    meta = {"shape": draw(SHAPES | JSON_VALUES), "dtype": "float64", "order": "row-major"}
+    for key in draw(st.sets(st.sampled_from(sorted(meta)), max_size=3)):
+        if draw(st.booleans()):
+            del meta[key]
+        else:
+            meta[key] = draw(JSON_VALUES)
+    text = json.dumps(draw(st.just(meta) | JSON_VALUES)).encode()
+    return draw(st.just(text) | st.binary(max_size=32) | st.just(text[: draw(st.integers(0, len(text)))]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _parses_or_is_seslab_error(read, path):
+    try:
+        read(path)
+    except SeslabError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=pgm_files() | st.binary(max_size=64))
+@example(raw=b"P5 2 1 255\n\x00\xff")
+@example(raw=b"P5\n1 1\n65535\n\x01\x00")
+def test_read_pgm_parses_or_raises_seslab_error(fuzz_dir, raw):
+    path = fuzz_dir / "fuzz.pgm"
+    path.write_bytes(raw)
+    _parses_or_is_seslab_error(read_pgm, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sidecar=sidecars(), payload=st.binary(max_size=48))
+@example(sidecar=b'{"shape": [2, 3], "dtype": "float64", "order": "row-major"}', payload=bytes(48))
+@example(sidecar=b'{"shape": [4294967296, 4294967296], "dtype": "float64", "order": "row-major"}', payload=b"")
+def test_read_tensor_parses_or_raises_seslab_error(fuzz_dir, sidecar, payload):
+    path = fuzz_dir / "fuzz.f64"
+    path.write_bytes(payload)
+    sidecar_path(path).write_bytes(sidecar)
+    _parses_or_is_seslab_error(read_tensor, path)

@@ -132,6 +132,23 @@ class TestRunExperiment:
         b = run_experiment(TINY_CONFIG).to_csv_text()
         assert a == b
 
+    def test_maps_only_when_asked_and_rows_do_not_depend_on_them(self, monkeypatch):
+        with_maps = []
+        real = harness._delta_ratio
+
+        def counting(*args):
+            with_maps.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(harness, "_delta_ratio", counting)
+        default = run_experiment(TINY_CONFIG)  # library callers keep their maps
+        assert sorted(default.maps) == [(k, b) for k in ("ses", "vanilla") for b in TINY_CONFIG.blocks]
+        assert sum(with_maps) == len(default.maps)
+        with_maps.clear()
+        bare = run_experiment(TINY_CONFIG, maps=False)
+        assert bare.maps == {} and not any(with_maps)
+        assert bare.to_csv_text() == default.to_csv_text()
+
     def test_thread_count_does_not_change_output(self, monkeypatch):
         monkeypatch.setenv("SESLAB_THREADS", "1")
         a = run_experiment(TINY_CONFIG).to_csv_text()

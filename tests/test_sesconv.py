@@ -31,7 +31,7 @@ from seslab import (
 )
 from seslab import conv, sesconv
 from seslab.errors import load
-from seslab.sesconv import paper_scale_gains
+from seslab.sesconv import KINDS, paper_scale_gains
 
 from oracles import combine_loops, norm_twopass_loops
 
@@ -114,6 +114,25 @@ class TestSesConvInput:
         for si in range(3):
             assert np.array_equal(out[si], conv2d(image, bank.kernels[si]))
 
+    # Every first-layer shape of the suite and the benchmark: (O, k, max_order, H, W)
+    # of the reference stack (1 -> 4, k=11) and the wide stack (1 -> 16, k=5) at
+    # the sizes they run and at the calibration probe's 96x96.
+    @pytest.mark.parametrize(
+        "out_ch, k, max_order, h, w",
+        [(4, 11, 3, 96, 320), (4, 11, 3, 96, 96), (16, 5, 2, 192, 640), (16, 5, 2, 96, 96)],
+    )
+    @pytest.mark.parametrize("num_scales", [1, 2, 3])
+    def test_fused_scales_equal_per_scale_conv2d_bitwise(self, rng, num_scales, out_ch, k, max_order, h, w):
+        # One conv2d runs all S*O kernels. BLAS does not promise that a row's
+        # value is independent of the GEMM's row count, so check it bitwise.
+        sigmas = scale_set_from_alpha(0.1, num_scales).scaled(sesconv.DEFAULT_BASE_SIGMA)
+        basis = build_basis(sigmas, max_order, k)
+        bank = combine(rng.uniform(-1, 1, (out_ch, 1, basis.num_basis)), basis, paper_scale_gains(sigmas))
+        image = rng.uniform(size=(1, h, w))
+        out = ses_conv_input(image, bank)
+        for si in range(num_scales):
+            assert np.array_equal(out[si], conv2d(image, bank.kernels[si]))
+
 
 class TestSesConvScalewise:
     def test_no_scale_mixing(self, rng, small_basis):
@@ -147,6 +166,17 @@ class TestSesConvScalewise:
         bank = combine(rng.standard_normal((2, 2, small_basis.num_basis)), small_basis)
         with pytest.raises(ShapeError, match="scales"):
             ses_conv_scalewise(rng.standard_normal((2, 2, 8, 8)), bank)
+
+    @pytest.mark.parametrize("k, max_order", [(1, 0), (5, 2)])
+    def test_public_convs_leave_their_inputs_untouched(self, rng, k, max_order):
+        # C == O, the channel plan a forward convolves in place.
+        basis = build_basis(scale_set_from_alpha(0.1, 3).scaled(2.0), max_order, k)
+        bank = combine(rng.standard_normal((2, 2, basis.num_basis)), basis)
+        image, x = rng.standard_normal((2, 9, 11)), rng.standard_normal((3, 2, 9, 11))
+        image_before, x_before = image.copy(), x.copy()
+        outputs = ses_conv_input(image, bank), ses_conv_scalewise(x, bank)
+        assert np.array_equal(image, image_before) and np.array_equal(x, x_before)
+        assert not any(np.shares_memory(out, arg) for out in outputs for arg in (image, x))
 
 
 class TestScaleProjection:
@@ -385,6 +415,34 @@ class TestStack:
         with pytest.raises(ConfigError, match="max_order"):
             StackSpec(layers=(LayerSpec(2, 3),), max_order=4)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "layers, max_order, h, w, budget",
+        [
+            pytest.param(StackSpec().layers, 3, 96, 320, conv.BLOCK_BYTES, id="reference"),
+            pytest.param((LayerSpec(16, 5), LayerSpec(16, 5)), 2, 96, 320, conv.BLOCK_BYTES, id="wide"),
+            pytest.param(
+                (LayerSpec(3, 5), LayerSpec(5, 5, "none"), LayerSpec(5, 3), LayerSpec(2, 5)),
+                1, 40, 56, conv.BLOCK_BYTES, id="channels-change",
+            ),
+            # The k=1 layers run in 4-row blocks over 30 rows, the last one overlapping.
+            pytest.param(
+                (LayerSpec(3, 3), LayerSpec(3, 1), LayerSpec(3, 1, "none"), LayerSpec(2, 3)),
+                0, 30, 40, 8 * 3 * 40 * 4, id="k1-keeps-channels",
+            ),
+        ],
+    )
+    def test_in_place_forward_equals_out_of_place_bitwise(
+        self, monkeypatch, kind, layers, max_order, h, w, budget
+    ):
+        monkeypatch.setattr(conv, "BLOCK_BYTES", budget)
+        stack = build_stack(StackSpec(kind=kind, layers=layers, max_order=max_order, seed=3))
+        image = synth_image("gaussian-blobs", h, w, seed=4)
+        expected = _forward_out_of_place(stack, image)
+        blocks = stack.forward(image)
+        assert len(blocks) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, expected))
+
     def test_forward_leaves_input_unchanged(self):
         stack = build_stack(StackSpec(layers=(LayerSpec(2, 5), LayerSpec(2, 5)), max_order=2))
         image = synth_image("gaussian-blobs", 24, 32, seed=3)
@@ -393,25 +451,25 @@ class TestStack:
         assert np.array_equal(image, before)
         assert not any(np.shares_memory(b, image) for b in blocks)
 
-    def test_wide_forward_memory_is_bounded_by_its_own_maps(self):
-        # The equiv-wide stack: 2 layers of (16 channels, k=5), 3 scales, 192x640.
+    def test_wide_forward_memory_is_bounded_by_one_feature_map(self):
+        # The equiv-wide stack, 2 layers of (16 channels, k=5) and 3 scales, at 96x320.
         spec = StackSpec(layers=(LayerSpec(16, 5), LayerSpec(16, 5)), max_order=2)
         stack = build_stack(spec)
-        image = synth_image("bandlimited-noise", 192, 640, seed=0)
+        image = synth_image("bandlimited-noise", 96, 320, seed=0)
         tracemalloc.start()
         try:
             stack.forward(image)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        scale_map = 8 * 3 * 16 * 192 * 640  # one [S, C, H, W] feature map
-        block = 8 * 16 * 192 * 640
-        padded = 8 * 16 * (192 + 4) * (640 + 4)
+        scale_map = 8 * 3 * 16 * 96 * 320  # one [S, C, H, W] feature map
+        blocks = 2 * 8 * 16 * 96 * 320
+        padded = 8 * 16 * (96 + 4) * (320 + 4)
         conv_block = 3 * conv.BLOCK_BYTES  # a row block's patch and its two accumulators
-        # The layer's input and output maps, both blocks, one padded slice and
-        # one conv row block: about 137 MiB. Fresh norm and ReLU temporaries or a
-        # stacked copy of the per-scale outputs would each add a full map.
-        assert peak <= 2 * scale_map + 2 * block + padded + conv_block
+        # One feature map, both blocks, one padded slice and one conv row block:
+        # about 24 MiB. A second map, such as a fresh output for the second layer
+        # or a norm or ReLU temporary, would add 11 MiB.
+        assert peak <= scale_map + blocks + padded + conv_block
 
     def test_json_roundtrip(self):
         spec = StackSpec(kind="vanilla", layers=(LayerSpec(3, 9, "none"),), alpha=0.2, seed=4)
@@ -439,3 +497,19 @@ class TestHeadlineResidue:
             fixed = single_scale_residue(bank, image, s)
             assert matched <= 5e-2
             assert fixed > matched
+
+
+def _forward_out_of_place(stack, image):
+    """Stack.forward rebuilt from fresh arrays: one conv2d per scale slice and
+    a new array for every norm, ReLU and conv output."""
+    kernels = slice(None) if stack.kind == "ses" else slice(-1, None)
+    banks = [replace(bank, kernels=bank.kernels[kernels]) for bank in stack.banks]
+    x = np.stack([conv2d(image[np.newaxis], k, stack.border) for k in banks[0].kernels])
+    blocks = [x.max(axis=0)]
+    for bank, layer, (mean, var) in zip(banks[1:], stack.spec.layers[1:], stack.norm_stats):
+        x = (x - mean.reshape(1, -1, 1, 1)) / np.sqrt(var + 1e-5).reshape(1, -1, 1, 1)
+        if layer.nonlinearity == "relu":
+            x = np.maximum(x, 0.0)
+        x = ses_conv_scalewise(x, bank, stack.border)
+        blocks.append(x.max(axis=0))
+    return blocks
