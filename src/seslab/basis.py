@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, dump, load
 
 MAX_HERMITE_ORDER = 10
 
@@ -155,27 +155,46 @@ def build_basis(scales: ScaleSet, max_order: int = 6, k: int = 7) -> SteerableBa
     return SteerableBasis(filters=filters, sigmas=scales, orders=orders, k=k)
 
 
+BASIS_KIND = "steerable-basis"
+
+
+@dataclass(frozen=True)
+class _BasisKeys:
+    """The sidecar keys of a saved basis beside the tensor header's."""
+
+    kind: str
+    sigmas: tuple[float, ...]
+    orders: tuple[tuple[int, ...], ...]
+    k: int
+    alpha: float | None = None
+
+
 def save_basis(path, basis: SteerableBasis) -> None:
     """Export as tensor + sidecar; the sidecar records sigmas, orders, and k."""
-    fileio.write_tensor(
-        path,
-        basis.filters,
-        extra={
-            "kind": "steerable-basis",
-            "sigmas": list(basis.sigmas.sigmas),
-            "alpha": basis.sigmas.alpha,
-            "orders": [list(o) for o in basis.orders],
-            "k": basis.k,
-        },
-    )
+    keys = _BasisKeys(BASIS_KIND, basis.sigmas.sigmas, basis.orders, basis.k, basis.sigmas.alpha)
+    fileio.write_tensor(path, basis.filters, extra=dump(keys))
 
 
 def load_basis(path) -> SteerableBasis:
+    """Read a basis written by :func:`save_basis`; raises FormatError for a
+    sidecar whose keys are malformed or disagree with the tensor's shape."""
     filters, meta = fileio.read_tensor(path)
+    side = fileio.sidecar_path(path)
+    extra = {key: value for key, value in meta.items() if key not in fileio.HEADER_KEYS}
+    try:
+        keys = load(_BasisKeys, extra, "basis")
+        sigmas = ScaleSet(keys.sigmas, keys.alpha)
+    except ValueError as exc:
+        raise FormatError(f"{side}: {exc}") from None
+    if keys.kind != BASIS_KIND:
+        raise FormatError(f"{side}: kind must be {BASIS_KIND!r}, got {keys.kind!r}")
+    if any(len(order) != 2 for order in keys.orders):
+        raise FormatError(f"{side}: every order must be an (n, m) pair, got {list(keys.orders)}")
+    expected = (len(keys.sigmas), len(keys.orders), keys.k, keys.k)
+    if filters.shape != expected:
+        raise FormatError(
+            f"{side}: {len(keys.sigmas)} sigmas, {len(keys.orders)} orders and k {keys.k} "
+            f"need a tensor of shape {list(expected)}, got {list(filters.shape)}"
+        )
     filters.setflags(write=False)
-    return SteerableBasis(
-        filters=filters,
-        sigmas=ScaleSet(tuple(meta["sigmas"]), meta.get("alpha")),
-        orders=tuple(tuple(o) for o in meta["orders"]),
-        k=int(meta["k"]),
-    )
+    return SteerableBasis(filters=filters, sigmas=sigmas, orders=keys.orders, k=keys.k)

@@ -10,12 +10,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import build_basis, check_scale_count, save_basis, scale_set_from_alpha
-from .errors import ConfigError, DegenerateGeometryError, FormatError, SeslabError, check_fields, load
-from .fileio import read_pgm, write_pgm
+from .errors import ConfigError, DegenerateGeometryError, FormatError, SeslabError, check_fields, dump, load
+from .fileio import read_pgm, write_json, write_pgm
 from .geometry import (
     CameraIntrinsics,
     EgoMotion,
@@ -36,14 +36,13 @@ from .synth import synth_corpus
 
 def _echo_config(out_dir: Path, name: str, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}_config.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / f"{name}_config.json", payload)
 
 
 def _load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8; nesting too deep
         raise ConfigError(f"{path}: malformed JSON: {exc}") from None
 
 
@@ -100,7 +99,7 @@ def cmd_basis(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_basis(out, basis)
-    _echo_config(Path(args.out_dir), "basis", {**asdict(cfg), "out": str(out)})
+    _echo_config(Path(args.out_dir), "basis", {**dump(cfg), "out": str(out)})
     print(f"basis shape {list(basis.filters.shape)} -> {out}")
     return 0
 
@@ -147,7 +146,7 @@ def cmd_warp(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, result)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "warp_metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "warp_metrics.json", metrics)
     _echo_config(
         out_dir,
         "warp",
@@ -211,8 +210,8 @@ def cmd_ssim_sweep(args) -> int:
     csv_text = "\n".join(lines) + "\n"
     (out_dir / "ssim_sweep.csv").write_text(csv_text)
     if args.format == "json":
-        (out_dir / "ssim_sweep.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    _echo_config(out_dir, "ssim_sweep", asdict(cfg))
+        write_json(out_dir / "ssim_sweep.json", rows)
+    _echo_config(out_dir, "ssim_sweep", dump(cfg))
     print(f"ssim sweep: {len(rows)} rows -> {out_dir / 'ssim_sweep.csv'}")
     return 0
 
@@ -225,7 +224,7 @@ def cmd_equiv(args) -> int:
     report.write_csv(out_dir / "equiv_report.csv")
     if args.format == "json":
         report.write_json(out_dir / "equiv_report.json")
-    _echo_config(out_dir, "equiv", config.to_dict())
+    _echo_config(out_dir, "equiv", dump(config))
     if args.maps:
         maps_dir = out_dir / "maps"
         maps_dir.mkdir(exist_ok=True)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the loader of config specs."""
+"""Exception types shared across the package, and the loader and writer of config specs."""
 
 import dataclasses
 import functools
@@ -57,6 +57,20 @@ def load(cls, data, path: str = ""):
         raise ConfigError(f"{name} is missing {', '.join(missing)}")
     hints = _hints(cls)
     return cls(**{key: _convert(hints[key], value, _join(path, key)) for key, value in data.items()})
+
+
+def dump(obj):
+    """The JSON value of ``obj``, the inverse of :func:`load`.
+
+    A dataclass becomes an object keyed by field name, with nested
+    dataclasses dumped recursively, and a tuple becomes a list. Any other
+    value is returned as it is.
+    """
+    if dataclasses.is_dataclass(obj):
+        return {f.name: dump(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [dump(item) for item in obj]
+    return obj
 
 
 def check_fields(obj) -> None:

@@ -1,4 +1,4 @@
-"""File formats: binary PGM images and flat float64 tensors with JSON sidecars."""
+"""File formats: binary PGM images, flat float64 tensors with JSON sidecars, and JSON files."""
 
 from __future__ import annotations
 
@@ -12,6 +12,8 @@ from .errors import FormatError
 from .grid import as_grid
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+# The keys every tensor sidecar holds; write_tensor's ``extra`` adds others.
+HEADER_KEYS = ("shape", "dtype", "order")
 
 
 def write_pgm(path, image, maxval: int = 255) -> None:
@@ -87,6 +89,11 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
 
 
+def write_json(path, payload) -> None:
+    """Write ``payload`` as JSON, indented by 2 with sorted keys and a final newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def write_tensor(path, array, extra: dict | None = None) -> None:
     """Write a tensor as flat little-endian float64 plus a JSON sidecar header."""
     array = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
@@ -94,7 +101,7 @@ def write_tensor(path, array, extra: dict | None = None) -> None:
     meta = {"shape": list(array.shape), "dtype": "float64", "order": "row-major"}
     if extra:
         meta.update(extra)
-    sidecar_path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar_path(path), meta)
 
 
 def read_tensor(path) -> tuple:
@@ -108,7 +115,7 @@ def read_tensor(path) -> tuple:
         raise FormatError(f"{side}: malformed JSON sidecar: {exc}") from None
     if not isinstance(meta, dict):
         raise FormatError(f"{side}: sidecar must be a JSON object, got {type(meta).__name__}")
-    for key in ("shape", "dtype", "order"):
+    for key in HEADER_KEYS:
         if key not in meta:
             raise FormatError(f"{side}: sidecar is missing the {key!r} field")
     if meta["dtype"] != "float64":
@@ -126,17 +133,3 @@ def read_tensor(path) -> tuple:
             f"{path}: expected {expected} bytes for shape {shape}, got {len(raw)}"
         )
     return np.frombuffer(raw, dtype="<f8").reshape(shape).copy(), meta
-
-
-def write_grid(path, array, maxval: int = 255) -> None:
-    """Write rank-2 grids with a .pgm suffix as PGM, anything else as a tensor."""
-    if str(path).lower().endswith(".pgm"):
-        write_pgm(path, array, maxval)
-    else:
-        write_tensor(path, array)
-
-
-def read_grid(path) -> np.ndarray:
-    if str(path).lower().endswith(".pgm"):
-        return read_pgm(path)
-    return read_tensor(path)[0]

@@ -6,7 +6,7 @@ import enum
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 class BorderPolicy(enum.Enum):
@@ -45,10 +45,18 @@ def crop(arr: np.ndarray, margin: float) -> np.ndarray:
 
 
 def crop_window(shape: tuple, margin: float) -> tuple:
-    """The (rows, cols) slices that ``crop`` keeps of a grid with trailing extents ``shape[-2:]``."""
+    """The (rows, cols) slices that ``crop`` keeps of a grid with trailing extents ``shape[-2:]``.
+
+    Raises ConfigError unless ``margin`` lies in [0, 0.5) and the window
+    keeps at least one pixel.
+    """
     h, w = shape[-2:]
+    if not 0.0 <= margin < 0.5:
+        raise ConfigError(f"crop margin must lie in [0, 0.5), got {margin} for a {h}x{w} grid")
     my = int(round(h * margin))
     mx = int(round(w * margin))
+    if my >= h - my or mx >= w - mx:
+        raise ConfigError(f"crop margin {margin} leaves no pixel of a {h}x{w} grid")
     return slice(my, h - my), slice(mx, w - mx)
 
 

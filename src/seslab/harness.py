@@ -8,7 +8,6 @@ seed-derived coefficients so the comparison isolates the architecture.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SeslabError, check_fields, load
-from .fileio import read_pgm
+from .errors import ConfigError, SeslabError, check_fields, dump, load
+from .fileio import read_pgm, write_json
 from .grid import BorderPolicy, as_grid, crop_window
 from .resample import sample_at, scale_transform, scale_transform_mapping, scale_transform_stack
 from .sesconv import Stack, StackSpec, build_stack
@@ -62,16 +61,6 @@ class CorpusSpec:
             return [read_pgm(p) for p in paths]
         return synth_corpus(self.kind, self.count, self.height, self.width, self.seed)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "count": self.count,
-            "height": self.height,
-            "width": self.width,
-            "seed": self.seed,
-            "image_dir": self.image_dir,
-        }
-
 
 @dataclass(frozen=True)
 class EquivConfig:
@@ -97,15 +86,6 @@ class EquivConfig:
             )
         if not 0.0 <= self.crop_margin < 0.5:
             raise ConfigError(f"crop margin must lie in [0, 0.5), got {self.crop_margin}")
-
-    def to_dict(self) -> dict:
-        return {
-            "stack": self.stack.to_dict(),
-            "corpus": self.corpus.to_dict(),
-            "scale_factors": list(self.scale_factors),
-            "blocks": list(self.blocks),
-            "crop_margin": self.crop_margin,
-        }
 
     @staticmethod
     def from_dict(data: dict) -> "EquivConfig":
@@ -142,24 +122,8 @@ class EquivReport:
     def write_csv(self, path) -> None:
         Path(path).write_text(self.to_csv_text())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "rows": [
-                {
-                    "kind": r.kind,
-                    "block": r.block,
-                    "scale": r.scale,
-                    "delta": r.delta,
-                    "log10_delta": r.log10_delta,
-                    "n": r.n,
-                }
-                for r in self.rows
-            ],
-        }
-
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, {"metadata": self.metadata, "rows": [dump(r) for r in self.rows]})
 
     def cell(self, kind: str, block: int, scale: float) -> ReportRow:
         for r in self.rows:
@@ -287,7 +251,7 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
                     raise SeslabError(f"{kind} block {block} at scale {s}: mean delta is {delta}")
                 log10 = math.log10(delta) if delta > 0.0 else float("-inf")
                 rows.append(ReportRow(kind, block, float(s), delta, log10, len(values)))
-    metadata = {"config": config.to_dict(), "kinds": list(REPORT_KINDS)}
+    metadata = {"config": dump(config), "kinds": list(REPORT_KINDS)}
     return EquivReport(rows=tuple(rows), metadata=metadata, maps=grids)
 
 

@@ -257,20 +257,6 @@ class StackSpec:
     def scale_set(self) -> ScaleSet:
         return scale_set_from_alpha(self.alpha, self.num_scales).scaled(self.base_sigma)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "layers": [
-                {"out_channels": l.out_channels, "k": l.k, "nonlinearity": l.nonlinearity}
-                for l in self.layers
-            ],
-            "alpha": self.alpha,
-            "num_scales": self.num_scales,
-            "seed": self.seed,
-            "base_sigma": self.base_sigma,
-            "max_order": self.max_order,
-        }
-
 
 CALIBRATION_SIZE = 96
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
 from seslab import (
+    FormatError,
     ScaleSet,
     ShapeError,
     basis_filter,
@@ -15,6 +18,7 @@ from seslab import (
     save_basis,
     scale_set_from_alpha,
 )
+from seslab.fileio import sidecar_path
 
 # Explicit probabilist's polynomials H_0..H_6, written out by hand and kept
 # independent of the recurrence implementation.
@@ -204,3 +208,30 @@ def test_save_load_roundtrip(tmp_path):
     assert back.sigmas.sigmas == pytest.approx(basis.sigmas.sigmas)
     assert back.orders == basis.orders
     assert back.k == 7
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"sigmas": None}, "basis is missing sigmas"),
+        ({"k": 7}, r"3 sigmas, 9 orders and k 7 need a tensor of shape \[3, 9, 7, 7\], got \[3, 9, 5, 5\]"),
+        ({"orders": [[0, 0]]}, r"3 sigmas, 1 orders and k 5 need a tensor of shape \[3, 1, 5, 5\]"),
+        ({"sigmas": [2.0]}, r"1 sigmas, 9 orders and k 5 need a tensor of shape \[1, 9, 5, 5\]"),
+        ({"sigmas": [3.0, 2.0, 1.0]}, "strictly ascending"),
+        ({"sigmas": "123"}, "sigmas must be a list"),
+        ({"orders": [[0, 0, 0]] * 9}, "every order must be an"),
+        ({"k": 5.0}, "k must be an integer"),
+        ({"kind": "filter-bank"}, "kind must be 'steerable-basis', got 'filter-bank'"),
+        ({"gain": 2.0}, "unknown keys in basis"),
+    ],
+    ids=["no-sigmas", "k", "one-order", "one-sigma", "unordered", "sigmas-text", "triples", "float-k", "kind", "unknown"],
+)
+def test_load_basis_checks_its_sidecar(tmp_path, change, message):
+    # Each of these loaded silently or raised KeyError or a bare ValueError.
+    path = tmp_path / "basis.f64"
+    save_basis(path, build_basis(scale_set_from_alpha(0.1, 3), max_order=2, k=5))
+    meta = json.loads(sidecar_path(path).read_text())
+    meta.update(change)
+    sidecar_path(path).write_text(json.dumps({key: value for key, value in meta.items() if value is not None}))
+    with pytest.raises(FormatError, match=message):
+        load_basis(path)

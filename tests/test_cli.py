@@ -20,6 +20,7 @@ from seslab import (
     write_pgm,
 )
 from seslab.cli import main
+from seslab.errors import load
 
 KITTI_INTRINSICS = {"f": 707.0, "u0": 63.5, "v0": 47.5, "width": 128, "height": 96}
 
@@ -417,7 +418,7 @@ class TestEquivCommand:
         assert len(lines) == 1 + 8
         assert (tmp_path / "equiv_report.json").exists()
         echoed = json.loads((tmp_path / "equiv_config.json").read_text())
-        assert echoed["blocks"] == [1, 2]
+        assert load(EquivConfig, echoed) == load(EquivConfig, json.loads(Path(tiny_config).read_text()))
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path, tiny_config, monkeypatch):
         monkeypatch.setenv("SESLAB_THREADS", "1")
@@ -583,6 +584,24 @@ def test_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys, geo_file
     err = capsys.readouterr().err
     assert "invalid configuration" in err and f"{field} must be a finite number" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["equiv", "basis", "warp"])
+def test_json_nested_past_the_recursion_limit_is_usage_error(tmp_path, capsys, geo_files, command):
+    # Each of these ended in a RecursionError traceback.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    argv = {
+        "equiv": ["equiv", "--config", str(deep)],
+        "basis": ["basis", "--config", str(deep), "--out", str(tmp_path / "out" / "b.f64")],
+        "warp": ["warp", "--image", geo_files["image"], "--mode", "projective", "--plane", str(deep),
+                 "--motion", geo_files["motion"], "--intrinsics", geo_files["intrinsics"],
+                 "--out", str(tmp_path / "out" / "x.pgm")],
+    }[command]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid configuration: {deep}: malformed JSON" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seslab import FormatError, SeslabError, read_grid, read_pgm, read_tensor, write_grid, write_pgm, write_tensor
+from seslab import FormatError, SeslabError, read_pgm, read_tensor, write_pgm, write_tensor
 from seslab.fileio import sidecar_path
 
 
@@ -135,16 +135,6 @@ class TestPgm:
         assert back[0, 1] == 0.0
         assert back[0, 2] == pytest.approx(1.0 / 255)
         assert back[0, 3] == 1.0
-
-
-def test_grid_dispatch_by_suffix(rng, tmp_path):
-    image = rng.uniform(size=(8, 8))
-    write_grid(tmp_path / "a.pgm", image)
-    assert np.abs(read_grid(tmp_path / "a.pgm") - image).max() <= 1 / 255
-    tensor = rng.standard_normal((2, 3, 4))
-    write_grid(tmp_path / "b.f64", tensor)
-    assert np.array_equal(read_grid(tmp_path / "b.f64"), tensor)
-
 
 
 # Fuzz: any header, payload or sidecar either parses or raises a SeslabError.

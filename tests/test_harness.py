@@ -17,8 +17,10 @@ from seslab import (
     equivariance_error,
     error_map,
     run_experiment,
+    scale_matched_residue,
     scale_transform,
     scale_transform_stack,
+    single_scale_residue,
     synth_corpus,
     synth_image,
     write_pgm,
@@ -26,6 +28,7 @@ from seslab import (
 from dataclasses import replace
 
 from seslab import harness
+from seslab.errors import dump
 from seslab.grid import crop
 from oracles import delta_formula
 
@@ -118,6 +121,33 @@ def test_non_finite_image_rejected_by_measurements(measure, tiny_images):
     image[5, 7] = np.nan
     with pytest.raises(SeslabError, match="non-finite"):
         measure(build_stack(TINY_STACK), image)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda stack, image, margin: crop(image, margin),
+        lambda stack, image, margin: equivariance_error(stack, [image], 0.8, 1, crop_margin=margin),
+        lambda stack, image, margin: scale_matched_residue(stack.banks[0], image, 0, 2, crop_margin=margin),
+        lambda stack, image, margin: single_scale_residue(stack.banks[0], image, 0.8, crop_margin=margin),
+    ],
+    ids=["crop", "equivariance_error", "scale_matched_residue", "single_scale_residue"],
+)
+@pytest.mark.parametrize(
+    "margin, message",
+    [
+        (-0.4, r"crop margin must lie in \[0, 0\.5\), got -0\.4 for a 32x40 grid"),
+        (0.5, r"crop margin must lie in \[0, 0\.5\), got 0\.5 for a 32x40 grid"),
+        (float("nan"), r"crop margin must lie in \[0, 0\.5\), got nan for a 32x40 grid"),
+        (0.49, r"crop margin 0\.49 leaves no pixel of a 32x40 grid"),
+    ],
+    ids=["negative", "half", "nan", "empty-window"],
+)
+def test_crop_margin_checked_by_measurements(measure, margin, message, tiny_images):
+    # A negative margin was measured over a slice of the map, and an empty
+    # window was reported as an identically zero feature map.
+    with pytest.raises(ConfigError, match=message):
+        measure(build_stack(TINY_STACK), tiny_images[0], margin)
 
 
 class TestRunExperiment:
@@ -223,7 +253,7 @@ class TestRunExperiment:
         assert data["metadata"]["config"]["blocks"] == [1, 2]
 
     def test_config_json_roundtrip(self):
-        back = EquivConfig.from_dict(json.loads(json.dumps(TINY_CONFIG.to_dict())))
+        back = EquivConfig.from_dict(json.loads(json.dumps(dump(TINY_CONFIG))))
         assert back == TINY_CONFIG
 
     def test_config_validation(self):
@@ -232,7 +262,7 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="block indices"):
             EquivConfig(stack=TINY_STACK, scale_factors=(0.8,), blocks=(5,))
         with pytest.raises(ConfigError, match="unknown"):
-            EquivConfig.from_dict({"stack": TINY_STACK.to_dict(), "gpus": 4})
+            EquivConfig.from_dict({"stack": dump(TINY_STACK), "gpus": 4})
         with pytest.raises(ConfigError, match="JSON object"):
             EquivConfig.from_dict([1, 2])
         with pytest.raises(ConfigError, match="integer"):
@@ -248,7 +278,7 @@ class TestRunExperiment:
     )
     def test_real_fields_typed(self, payload, field):
         with pytest.raises(ConfigError, match=f"{field} must be a number"):
-            EquivConfig.from_dict({"stack": TINY_STACK.to_dict(), "blocks": [1], **payload})
+            EquivConfig.from_dict({"stack": dump(TINY_STACK), "blocks": [1], **payload})
 
     @pytest.mark.parametrize(
         "spec, fields",

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seslab import CameraIntrinsics, ConfigError, EgoMotion, EquivConfig, LayerSpec, PatchPlane, StackSpec
+from seslab import CameraIntrinsics, ConfigError, CorpusSpec, EgoMotion, EquivConfig, LayerSpec, PatchPlane, StackSpec
+from seslab.basis import _BasisKeys
 from seslab.cli import BasisConfig, SweepConfig
-from seslab.errors import load
+from seslab.errors import dump, load
 from seslab.geometry import _MotionKeys
+from seslab.sesconv import KINDS, NONLINEARITIES
 
 BIG = 10**400  # parses from JSON as an int too large for a float
 
@@ -142,3 +144,76 @@ def test_any_json_loads_or_is_a_value_error(target, data):
         loader(value)
     except ValueError:
         pass
+
+
+# Valid instances of every dataclass that load reads.
+reals = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+texts = st.text(max_size=6)
+layers = st.builds(LayerSpec, st.integers(1, 64), st.sampled_from([5, 7, 11]), st.sampled_from(NONLINEARITIES))
+stacks = st.builds(
+    StackSpec,
+    st.sampled_from(KINDS),
+    st.lists(layers, min_size=1, max_size=4),
+    st.floats(0.05, 1.0),
+    st.integers(1, 3),
+    st.integers(),
+    positive,
+    st.integers(0, 3),
+)
+corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(), st.integers(), st.integers(), st.none() | texts)
+INSTANCES = {
+    "LayerSpec": layers,
+    "StackSpec": stacks,
+    "CorpusSpec": corpora,
+    "EquivConfig": stacks.flatmap(
+        lambda stack: st.builds(
+            EquivConfig,
+            st.just(stack),
+            corpora,
+            st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=5),
+            st.lists(st.integers(1, len(stack.layers)), min_size=1, max_size=4),
+            st.floats(0.0, 0.5, exclude_max=True),
+        )
+    ),
+    "BasisConfig": st.builds(BasisConfig, reals, st.integers(1, 3), st.integers(), st.integers(), positive),
+    "SweepConfig": st.builds(
+        SweepConfig,
+        st.lists(st.integers(), max_size=4),
+        st.lists(reals, max_size=4),
+        st.integers(min_value=1),
+        texts,
+        st.integers(),
+        st.none() | st.integers(min_value=1),
+    ),
+    "PatchPlane": st.builds(
+        PatchPlane, reals, reals, positive, st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+    ),
+    "CameraIntrinsics": st.tuples(st.integers(1, 5000), st.integers(1, 5000)).flatmap(
+        lambda size: st.builds(
+            CameraIntrinsics, positive, st.floats(0, size[0]), st.floats(0, size[1]), st.just(size[0]), st.just(size[1])
+        )
+    ),
+    "_MotionKeys": st.builds(
+        _MotionKeys,
+        st.lists(reals, max_size=4).map(tuple),
+        st.lists(st.lists(reals, max_size=4).map(tuple), max_size=4).map(tuple),
+    ),
+    "_BasisKeys": st.builds(
+        _BasisKeys,
+        texts,
+        st.lists(reals, max_size=4).map(tuple),
+        st.lists(st.lists(st.integers(), max_size=3).map(tuple), max_size=4).map(tuple),
+        st.integers(),
+        st.none() | reals,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_load_inverts_dump(name, data):
+    value = data.draw(INSTANCES[name])
+    text = json.dumps(dump(value))  # only JSON types, or this raises
+    assert load(type(value), json.loads(text)) == value

@@ -30,7 +30,7 @@ from seslab import (
     synth_image,
 )
 from seslab import conv, sesconv
-from seslab.errors import load
+from seslab.errors import dump, load
 from seslab.sesconv import KINDS, paper_scale_gains
 
 from oracles import combine_loops, norm_twopass_loops
@@ -473,7 +473,7 @@ class TestStack:
 
     def test_json_roundtrip(self):
         spec = StackSpec(kind="vanilla", layers=(LayerSpec(3, 9, "none"),), alpha=0.2, seed=4)
-        back = load(StackSpec, spec.to_dict())
+        back = load(StackSpec, dump(spec))
         assert back == spec
 
     def test_unknown_json_field_rejected(self):
