@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,8 @@ class ScaleSet:
         sig = tuple(float(s) for s in self.sigmas)
         if not sig:
             raise ValueError("scale set must not be empty")
-        if any(s <= 0 for s in sig):
-            raise ValueError(f"scales must be positive, got {sig}")
+        if not all(0 < s < math.inf for s in sig):  # NaN fails every comparison
+            raise ValueError(f"scales must be positive and finite, got {sig}")
         if any(b <= a for a, b in zip(sig, sig[1:])):
             raise ValueError(f"scales must be strictly ascending, got {sig}")
         object.__setattr__(self, "sigmas", sig)
@@ -84,8 +85,8 @@ class ScaleSet:
 
     def scaled(self, factor: float) -> "ScaleSet":
         """Same scale ratios with every sigma multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError(f"scale-set factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scale-set factor must be positive and finite, got {factor}")
         return ScaleSet(tuple(s * factor for s in self.sigmas), self.alpha)
 
 

@@ -138,7 +138,10 @@ def cmd_warp(args) -> int:
     elif args.mode == "invlogpolar":
         if not args.out_shape:
             raise ConfigError("mode invlogpolar needs --out-shape H,W")
-        h, w = _ints(args.out_shape)
+        try:
+            h, w = _ints(args.out_shape)
+        except ValueError:  # not two integers
+            raise ConfigError(f"--out-shape must be two integers H,W, got {args.out_shape!r}") from None
         result = inverse_log_polar(image, (h, w), center=center, r_min=args.r_min)
     else:
         raise ConfigError(f"unknown warp mode {args.mode!r}")
@@ -217,7 +220,7 @@ def cmd_ssim_sweep(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    config = load(EquivConfig, _load_json(args.config)) if args.config else EquivConfig()
+    config = _load_config(EquivConfig, args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = run_experiment(config, maps=args.maps)

@@ -82,6 +82,4 @@ def pad2d(image: np.ndarray, margin: int, border: BorderPolicy) -> np.ndarray:
     if margin == 0:
         return image
     spec = [(0, 0)] * (image.ndim - 2) + [(margin, margin), (margin, margin)]
-    if BorderPolicy.coerce(border) is BorderPolicy.ZERO:
-        return np.pad(image, spec, mode="constant", constant_values=0.0)
     return np.pad(image, spec, mode=pad_mode(border))

@@ -129,6 +129,7 @@ class DatasetFocalProfile:
     height: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.f_y <= 0 or self.height <= 0:
             raise ValueError(
                 f"focal profile needs positive f_y and height, got {self.f_y}, {self.height}"
@@ -139,15 +140,15 @@ class DatasetFocalProfile:
         return 2.0 * self.f_y / self.height
 
     @staticmethod
-    def from_normalized(value: float, height: float = 2.0) -> "DatasetFocalProfile":
-        return DatasetFocalProfile(f_y=value * height / 2.0, height=height)
+    def from_normalized(value: float) -> "DatasetFocalProfile":
+        """The profile of height 2 whose normalized focal is ``value``."""
+        return DatasetFocalProfile(f_y=value, height=2.0)
 
 
 def projective_mapping(
     intrinsics: CameraIntrinsics,
     plane: PatchPlane,
     motion: EgoMotion,
-    check_grid: bool = True,
 ) -> PixelMapping:
     """Exact planar-patch map from first-image pixels to second-image pixels.
 
@@ -155,7 +156,8 @@ def projective_mapping(
     centered ray (u - u0, v - v0, f) and reads off the second-image pixel,
     which is the plane-induced homography K M K^{-1} about the principal
     point. Warping the second image through this mapping resamples it into
-    registration with the first.
+    registration with the first. Raises DegenerateGeometryError if the
+    denominator vanishes at a pixel of the intrinsics' grid.
     """
     rot = motion.rotation
     tbar = rot.T @ motion.translation
@@ -170,8 +172,7 @@ def projective_mapping(
         nv = mat[1, 0] * du + mat[1, 1] * dv + mat[1, 2] * f
         return u0 + f * nu / den, v0 + f * nv / den
 
-    if check_grid:
-        _check_denominator(mat, intrinsics, plane, motion)
+    _check_denominator(mat, intrinsics, plane, motion)
     return PixelMapping(fn)
 
 
@@ -220,21 +221,14 @@ def parallel_bound(plane: PatchPlane, intrinsics: CameraIntrinsics) -> tuple:
     return bound, bound / plane.o
 
 
-def corollary_deviation(
-    intrinsics: CameraIntrinsics,
-    plane: PatchPlane,
-    t_z: float,
-    grid_stride: int = 16,
-) -> float:
+def corollary_deviation(intrinsics: CameraIntrinsics, plane: PatchPlane, t_z: float) -> float:
     """Max pixel distance between the exact projective map and its scale
-    approximation over a sampled grid (corners always included)."""
-    if grid_stride < 1:
-        raise ValueError(f"grid_stride must be >= 1, got {grid_stride}")
+    approximation over a grid sampled about every 16 pixels (corners always included)."""
     s = scale_factor(plane, t_z)
     proj = projective_mapping(intrinsics, plane, EgoMotion.z_translation(t_z))
     approx = scale_mapping(intrinsics, s)
-    nu = max(2, math.ceil(intrinsics.width / grid_stride))
-    nv = max(2, math.ceil(intrinsics.height / grid_stride))
+    nu = max(2, math.ceil(intrinsics.width / 16))
+    nv = max(2, math.ceil(intrinsics.height / 16))
     us = np.linspace(0.0, intrinsics.width - 1.0, nu)
     vs = np.linspace(0.0, intrinsics.height - 1.0, nv)
     uu, vv = np.meshgrid(us, vs, indexing="xy")
@@ -317,7 +311,7 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     return warp(wrapped, PixelMapping(fn), BorderPolicy.CLAMP, (h, w))
 
 
-def log_polar_roundtrip_ssim(image, up_factor: float = 1.0, r_min: float = 1.0) -> float:
+def log_polar_roundtrip_ssim(image, up_factor: float = 1.0) -> float:
     """SSIM of an image against its upscale, log-polar, inverse, downscale
     roundtrip; measures what the log-polar discretization loses."""
     if up_factor < 1:
@@ -326,8 +320,8 @@ def log_polar_roundtrip_ssim(image, up_factor: float = 1.0, r_min: float = 1.0) 
     h, w = image.shape
     h2, w2 = round(h * up_factor), round(w * up_factor)
     big = resize(image, h2, w2) if (h2, w2) != (h, w) else image.copy()
-    lp = log_polar(big, r_min=r_min)
-    rec = inverse_log_polar(lp, (h2, w2), r_min=r_min)
+    lp = log_polar(big)
+    rec = inverse_log_polar(lp, (h2, w2))
     small = resize(rec, h, w) if (h2, w2) != (h, w) else rec
     return ssim(image, small)
 

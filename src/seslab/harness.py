@@ -20,11 +20,10 @@ from .errors import ConfigError, SeslabError, check_fields, dump, load
 from .fileio import read_pgm, write_json
 from .grid import BorderPolicy, as_grid, crop_window
 from .resample import sample_at, scale_transform, scale_transform_mapping, scale_transform_stack
-from .sesconv import Stack, StackSpec, build_stack
+from .sesconv import KINDS, Stack, StackSpec, build_stack
 from .synth import synth_corpus
 
 THREADS_ENV = "SESLAB_THREADS"
-REPORT_KINDS = ("ses", "vanilla")
 CSV_HEADER = "kind,block,scale,delta,log10_delta,n"
 
 
@@ -84,8 +83,8 @@ class EquivConfig:
             raise ConfigError(
                 f"block indices must lie in 1..{len(self.stack.layers)}, got {self.blocks}"
             )
-        if not 0.0 <= self.crop_margin < 0.5:
-            raise ConfigError(f"crop margin must lie in [0, 0.5), got {self.crop_margin}")
+        if self.corpus.image_dir is None:
+            crop_window((self.corpus.height, self.corpus.width), self.crop_margin)
 
     @staticmethod
     def from_dict(data: dict) -> "EquivConfig":
@@ -159,7 +158,7 @@ def _delta_ratio(feats, feats_of_scaled, s: float, margin: float, with_map: bool
         h, w = feats.shape[-2:]
         xs = np.arange(w, dtype=np.float64)[np.newaxis, cols]
         ys = np.arange(h, dtype=np.float64)[rows, np.newaxis]
-        mapping = scale_transform_mapping(feats.shape, s, None)
+        mapping = scale_transform_mapping(feats.shape, s)
         window = sample_at(feats, *mapping(xs, ys), BorderPolicy.ZERO)
     num = window - feats_of_scaled[..., rows, cols]
     num *= num
@@ -226,10 +225,12 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     byte-identical across thread counts.
     """
     images = config.corpus.load()
+    for image in images:  # a margin too wide for an image fails before any forward pass
+        crop_window(np.shape(image), config.crop_margin)
     workers = min(thread_count(), len(images), os.cpu_count() or 1)
     map_scales = [config.scale_factors[0] if maps else None] + [None] * (len(images) - 1)
     rows, grids = [], {}
-    for kind in REPORT_KINDS:
+    for kind in KINDS:
         stack = build_stack(replace(config.stack, kind=kind))
 
         def job(image, map_scale, _stack=stack):
@@ -251,7 +252,7 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
                     raise SeslabError(f"{kind} block {block} at scale {s}: mean delta is {delta}")
                 log10 = math.log10(delta) if delta > 0.0 else float("-inf")
                 rows.append(ReportRow(kind, block, float(s), delta, log10, len(values)))
-    metadata = {"config": dump(config), "kinds": list(REPORT_KINDS)}
+    metadata = {"config": dump(config), "kinds": list(KINDS)}
     return EquivReport(rows=tuple(rows), metadata=metadata, maps=grids)
 
 

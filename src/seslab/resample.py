@@ -258,55 +258,38 @@ def warp(
     return out.reshape(*lead, h, w)
 
 
-def scale_transform(
-    image,
-    s: float,
-    center: tuple | None = None,
-    border: BorderPolicy = BorderPolicy.CLAMP,
-) -> np.ndarray:
-    """Scale transform T_s about ``center`` given as (row, col).
+def scale_transform(image, s: float, border: BorderPolicy = BorderPolicy.CLAMP) -> np.ndarray:
+    """Scale transform T_s about the exact image center (cy, cx) = ((H-1)/2, (W-1)/2).
 
     output(y, x) = image(cy + (y - cy)/s, cx + (x - cx)/s); s > 1 magnifies,
-    s < 1 shrinks. The default center is the exact image center. T_1 returns
-    a bit-exact copy.
+    s < 1 shrinks. T_1 returns a bit-exact copy.
     """
-    return _scale_about(as_grid(image, rank=2, name="image"), s, center, border)
+    return _scale_about(as_grid(image, rank=2, name="image"), s, border)
 
 
-def scale_transform_stack(
-    stack,
-    s: float,
-    center: tuple | None = None,
-    border: BorderPolicy = BorderPolicy.CLAMP,
-) -> np.ndarray:
+def scale_transform_stack(stack, s: float, border: BorderPolicy = BorderPolicy.CLAMP) -> np.ndarray:
     """Apply ``scale_transform`` over the trailing two axes of a rank >= 2 grid, as one warp."""
-    return _scale_about(as_grid(stack, name="stack"), s, center, border)
+    return _scale_about(as_grid(stack, name="stack"), s, border)
 
 
-def scale_transform_mapping(shape: tuple, s: float, center: tuple | None) -> PixelMapping:
+def scale_transform_mapping(shape: tuple, s: float) -> PixelMapping:
     """The mapping of ``scale_transform`` on a grid whose trailing extents are
-    ``shape[-2:]``: T_s about ``center`` (row, col), or about the exact grid
-    center when it is None."""
+    ``shape[-2:]``: T_s about the exact grid center."""
     if not np.isfinite(s) or s <= 0:
         raise ValueError(f"scale factor must be positive and finite, got {s}")
-    if center is None:
-        cy, cx = (shape[-2] - 1) / 2.0, (shape[-1] - 1) / 2.0
-    else:
-        cy, cx = float(center[0]), float(center[1])
-    return PixelMapping.scale_about(s, cx, cy)
+    return PixelMapping.scale_about(s, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
 
 
-def _scale_about(grid, s, center, border):
-    mapping = scale_transform_mapping(grid.shape, s, center)
+def _scale_about(grid, s, border):
+    mapping = scale_transform_mapping(grid.shape, s)
     if s == 1.0:
         return grid.copy()
     return warp(grid, mapping, border)
 
 
-def resize(
-    image, out_h: int, out_w: int, border: BorderPolicy = BorderPolicy.CLAMP
-) -> np.ndarray:
-    """Bilinear resize with endpoint-aligned sampling."""
+def resize(image, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize with endpoint-aligned sampling; the sample points never
+    leave the grid, and clamp at its edges."""
     image = as_grid(image, rank=2, name="image")
     _check_extents("resize target", out_h, out_w)
     h, w = image.shape
@@ -320,7 +303,7 @@ def resize(
         if out_w > 1
         else np.full(1, (w - 1) / 2.0)
     )
-    return sample_at(image, xs[np.newaxis, :], ys[:, np.newaxis], border)
+    return sample_at(image, xs[np.newaxis, :], ys[:, np.newaxis])
 
 
 def _check_extents(what, h, w):

@@ -39,7 +39,7 @@ class SesFilterBank:
     weights: np.ndarray  # [O, C, num_basis]
     basis: SteerableBasis
     kernels: np.ndarray  # [S, O, C, k, k]
-    scale_gains: tuple | None = None
+    scale_gains: tuple
 
     @property
     def num_scales(self) -> int:
@@ -183,12 +183,10 @@ def _exact_mean_var(values: np.ndarray) -> tuple:
     return mean, var
 
 
-def se_norm(x, epsilon: float = 1e-5) -> np.ndarray:
+def se_norm(x) -> np.ndarray:
     """Forward-only 3D normalization per channel across (scale, H, W), into a new array."""
     x = as_grid(x, rank=4, name="features")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return _normalize_in_place(x.copy(), _channel_stats(x), epsilon)
+    return _normalize_in_place(x.copy(), _channel_stats(x))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -269,13 +267,13 @@ class Stack:
     are frozen at build time (calibrated once on a seed-derived probe
     image), so each norm is a fixed affine map. Per-input statistics would
     make the normalization itself scale-sensitive and mask the
-    convolutional equivariance the harness measures.
+    convolutional equivariance the harness measures. Every convolution
+    zero-fills its border.
     """
 
     spec: StackSpec
     banks: tuple
     norm_stats: tuple  # per layer >= 2: (mean[C], var[C])
-    border: BorderPolicy = BorderPolicy.ZERO
 
     @property
     def kind(self) -> str:
@@ -292,15 +290,15 @@ class Stack:
     def forward(self, image) -> list:
         """Per-block [C, H, W] activations for a rank-2 image."""
         image = as_grid(image, rank=2, name="image")
-        return _propagate(self.spec, self.banks, self.border, image, self.norm_stats)[0]
+        return _propagate(self.spec, self.banks, image, self.norm_stats)[0]
 
 
-def _normalize_in_place(x, stats, epsilon=1e-5):
+def _normalize_in_place(x, stats):
     """Apply the per-channel affine norm to a [S, C, H, W] map in place and return it."""
     mean, var = stats
     shape = (1, -1, 1, 1)
     x -= mean.reshape(shape)
-    x /= np.sqrt(var + epsilon).reshape(shape)
+    x /= np.sqrt(var + 1e-5).reshape(shape)
     return x
 
 
@@ -321,7 +319,7 @@ def _channel_stats(x):
     return np.array(mean), np.array(var)
 
 
-def _propagate(spec: StackSpec, banks, border, image, norm_stats=None) -> tuple:
+def _propagate(spec: StackSpec, banks, image, norm_stats=None) -> tuple:
     """Per-block scale-projected activations and the norm statistics used.
 
     Every feature map is [S, C, H, W]. A vanilla stack is a single-scale SES
@@ -336,7 +334,7 @@ def _propagate(spec: StackSpec, banks, border, image, norm_stats=None) -> tuple:
     """
     scales = slice(None) if spec.kind == "ses" else slice(-1, None)
     banks = [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
-    x = ses_conv_input(image[np.newaxis], banks[0], border)
+    x = ses_conv_input(image[np.newaxis], banks[0])
     blocks = [scale_projection(x)]
     stats = []
     for i, (bank, layer) in enumerate(zip(banks[1:], spec.layers[1:])):
@@ -345,12 +343,12 @@ def _propagate(spec: StackSpec, banks, border, image, norm_stats=None) -> tuple:
         if layer.nonlinearity == "relu":
             relu(x)
         in_place = bank.out_channels == bank.in_channels
-        x = _conv_per_scale(x, bank, border, out=x if in_place else None)
+        x = _conv_per_scale(x, bank, BorderPolicy.ZERO, out=x if in_place else None)
         blocks.append(scale_projection(x))
     return blocks, tuple(stats)
 
 
-def build_stack(spec: StackSpec, border: BorderPolicy = BorderPolicy.ZERO) -> Stack:
+def build_stack(spec: StackSpec) -> Stack:
     """Build a stack with fan-in uniform weights, w ~ U[-a, a], a = 1/sqrt(C k^2)."""
     sigmas = spec.scale_set()
     rng = np.random.default_rng(spec.seed)
@@ -371,12 +369,11 @@ def build_stack(spec: StackSpec, border: BorderPolicy = BorderPolicy.ZERO) -> St
         )
         banks.append(combine(weights, basis, scale_gains=paper_scale_gains(sigmas)))
         in_channels = layer.out_channels
-    border = BorderPolicy.coerce(border)
     # The probe is derived from the stack seed, so both kinds of a shared
     # spec see the same probe and stay comparable.
     probe = synth_image("gaussian-blobs", CALIBRATION_SIZE, CALIBRATION_SIZE, seed=spec.seed)
-    _, norm_stats = _propagate(spec, banks, border, probe)
-    return Stack(spec=spec, banks=tuple(banks), norm_stats=norm_stats, border=border)
+    _, norm_stats = _propagate(spec, banks, probe)
+    return Stack(spec=spec, banks=tuple(banks), norm_stats=norm_stats)
 
 
 def _relative_l2(lhs: np.ndarray, rhs: np.ndarray, crop_margin: float) -> float:
@@ -392,7 +389,6 @@ def scale_matched_residue(
     image,
     scale_i: int,
     scale_j: int,
-    border: BorderPolicy = BorderPolicy.ZERO,
     crop_margin: float = 0.15,
 ) -> float:
     """Relative l2 residue of the matched-kernel scale identity.
@@ -403,34 +399,29 @@ def scale_matched_residue(
 
     where amp = s * gain_i / gain_j accounts for the bank's cross-scale
     amplitude convention: amp = 1 for banks built with the analytic
-    1/sigma^2 gains (stacks) and amp = s for plain unit-l2 banks. Borders
-    are cropped by ``crop_margin`` per side before comparing.
+    1/sigma^2 gains (stacks) and amp = s for plain unit-l2 banks. Both
+    convolutions zero-fill, and borders are cropped by ``crop_margin`` per
+    side before comparing.
     """
     image = as_grid(image, rank=2, name="image")
     s = bank.sigma(scale_i) / bank.sigma(scale_j)
     amp = s * bank.gain(scale_i) / bank.gain(scale_j)
     scaled = scale_transform(image, s)
-    lhs = conv2d(scaled[np.newaxis], bank.kernels[scale_i], border)
-    ref = conv2d(image[np.newaxis], bank.kernels[scale_j], border)
+    lhs = conv2d(scaled[np.newaxis], bank.kernels[scale_i])
+    ref = conv2d(image[np.newaxis], bank.kernels[scale_j])
     rhs = amp * scale_transform_stack(ref, s)
     return _relative_l2(lhs, rhs, crop_margin)
 
 
-def single_scale_residue(
-    bank: SesFilterBank,
-    image,
-    s: float,
-    scale_index: int = -1,
-    border: BorderPolicy = BorderPolicy.ZERO,
-    crop_margin: float = 0.15,
-) -> float:
+def single_scale_residue(bank: SesFilterBank, image, s: float, crop_margin: float = 0.15) -> float:
     """The same measurement when the kernel cannot follow the image scaling.
 
-    A single-scale (vanilla) layer claims conv(T_s h, K) = T_s conv(h, K);
-    the returned residue is the relative l2 failure of that claim.
+    A single-scale (vanilla) layer of the bank's largest-scale kernels K
+    claims conv(T_s h, K) = T_s conv(h, K); the returned residue is the
+    relative l2 failure of that claim.
     """
     image = as_grid(image, rank=2, name="image")
-    kernels = bank.kernels[scale_index]
-    lhs = conv2d(scale_transform(image, s)[np.newaxis], kernels, border)
-    rhs = scale_transform_stack(conv2d(image[np.newaxis], kernels, border), s)
+    kernels = bank.kernels[-1]
+    lhs = conv2d(scale_transform(image, s)[np.newaxis], kernels)
+    rhs = scale_transform_stack(conv2d(image[np.newaxis], kernels), s)
     return _relative_l2(lhs, rhs, crop_margin)

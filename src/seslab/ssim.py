@@ -14,10 +14,10 @@ K1 = 0.01
 K2 = 0.03
 
 
-def gaussian_window(size: int = WINDOW_SIZE, sigma: float = WINDOW_SIGMA) -> np.ndarray:
-    """1D Gaussian tap vector normalized to unit sum."""
-    x = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    w = np.exp(-(x * x) / (2.0 * sigma * sigma))
+def gaussian_window() -> np.ndarray:
+    """The WINDOW_SIZE Gaussian taps of std WINDOW_SIGMA, normalized to unit sum."""
+    x = np.arange(WINDOW_SIZE, dtype=np.float64) - (WINDOW_SIZE - 1) / 2.0
+    w = np.exp(-(x * x) / (2.0 * WINDOW_SIGMA * WINDOW_SIGMA))
     return w / w.sum()
 
 

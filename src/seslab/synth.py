@@ -9,6 +9,7 @@ from .errors import ConfigError, ShapeError
 KINDS = ("gaussian-blobs", "checkerboard", "bandlimited-noise")
 
 MIN_BLOB_STD = 2.0  # keeps the corpus band-limited enough to resample fairly
+NOISE_SIGMA = 2.0  # std in pixels of the Gaussian low-pass applied to white noise
 
 
 def synth_image(kind: str, height: int, width: int, seed: int, cell: int | None = None) -> np.ndarray:
@@ -61,7 +62,7 @@ def _blobs(height, width, seed):
     return image
 
 
-def _checkerboard(height, width, cell, seed=0):
+def _checkerboard(height, width, cell, seed):
     if cell is None:
         cell = max(1, min(height, width) // 8)
     if cell < 1:
@@ -73,12 +74,12 @@ def _checkerboard(height, width, cell, seed=0):
     return ((ys + xs) % 2).astype(np.float64)
 
 
-def _noise(height, width, seed, sigma=2.0):
+def _noise(height, width, seed):
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((height, width))
     fy = np.fft.fftfreq(height)[:, None]
     fx = np.fft.rfftfreq(width)[None, :]
-    transfer = np.exp(-2.0 * np.pi**2 * sigma**2 * (fy * fy + fx * fx))
+    transfer = np.exp(-2.0 * np.pi**2 * NOISE_SIGMA**2 * (fy * fy + fx * fx))
     smooth = np.fft.irfft2(np.fft.rfft2(white) * transfer, s=(height, width))
     lo, hi = smooth.min(), smooth.max()
     return (smooth - lo) / (hi - lo)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ class TestScaleSet:
             ScaleSet((1.0, 0.5))
         with pytest.raises(ValueError, match="positive"):
             ScaleSet((-1.0, 1.0))
+
+    @pytest.mark.parametrize("sigmas", [(math.nan,), (0.5, math.nan), (math.inf,), (0.5, math.inf)])
+    def test_non_finite_sigmas_rejected(self, sigmas):
+        # NaN passes both the sign and the ordering comparisons
+        with pytest.raises(ValueError, match="finite"):
+            ScaleSet(sigmas)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="finite"):
+            scale_set_from_alpha(0.1, 3).scaled(factor)
 
     def test_scaled_preserves_ratios(self):
         ss = scale_set_from_alpha(0.1, 3).scaled(2.4)

@@ -213,6 +213,15 @@ class TestWarpCommand:
         # lossy but correlated
         assert np.corrcoef(rec.ravel(), original.ravel())[0, 1] > 0.5
 
+    @pytest.mark.parametrize("shape", ["5", "5,x", "1,2,3"])
+    def test_malformed_out_shape_is_usage_error_naming_the_flag(self, tmp_path, capsys, geo_files, shape):
+        code = main([
+            "warp", "--image", geo_files["image"], "--mode", "invlogpolar", "--out-shape", shape,
+            "--out", str(tmp_path / "rec.pgm"), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"--out-shape must be two integers H,W, got '{shape}'" in capsys.readouterr().err
+
     def test_missing_geometry_files_is_usage_error(self, tmp_path, geo_files):
         code = main([
             "warp", "--image", geo_files["image"], "--mode", "projective",
@@ -473,6 +482,24 @@ class TestEquivCommand:
                 write_pgm(expected, error_map(stack, image, s, block))
                 written = tmp_path / "maps" / f"error_{kind}_block{block}.pgm"
                 assert written.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("source", ["synthetic", "image_dir"])
+    def test_crop_margin_too_wide_for_the_corpus_fails_before_any_forward(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        calls = []
+        monkeypatch.setattr(sesconv.Stack, "forward", lambda stack, image: calls.append("forward"))
+        monkeypatch.setattr(harness, "build_stack", lambda spec: calls.append("build_stack"))
+        corpus = {"kind": "gaussian-blobs", "count": 1, "height": 8, "width": 8, "seed": 0}
+        if source == "image_dir":
+            images = tmp_path / "images"
+            images.mkdir()
+            write_pgm(images / "a.pgm", synth_image("gaussian-blobs", 8, 8, seed=0))
+            corpus = {"image_dir": str(images)}
+        config = write_json(tmp_path / "config.json", {"corpus": corpus, "crop_margin": 0.45})
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "crop margin 0.45 leaves no pixel of a 8x8 grid" in capsys.readouterr().err
+        assert calls == []
 
     def test_malformed_config_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -86,6 +87,13 @@ class TestTypes:
         assert prof.normalized == pytest.approx(2 * 716.3 / 375.0)
         with pytest.raises(ValueError, match="positive"):
             DatasetFocalProfile(-1.0, 375.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+    @pytest.mark.parametrize("field", ["f_y", "height"])
+    def test_focal_profile_fields_checked(self, field, bad):
+        values = {"f_y": 716.3, "height": 375.0, field: bad}
+        with pytest.raises(ConfigError, match=rf"DatasetFocalProfile\.{field}"):
+            DatasetFocalProfile(**values)
 
 
 class TestProjectiveMapping:

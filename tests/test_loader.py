@@ -14,6 +14,7 @@ from seslab.basis import _BasisKeys
 from seslab.cli import BasisConfig, SweepConfig
 from seslab.errors import dump, load
 from seslab.geometry import _MotionKeys
+from seslab.grid import crop_window
 from seslab.sesconv import KINDS, NONLINEARITIES
 
 BIG = 10**400  # parses from JSON as an int too large for a float
@@ -162,18 +163,32 @@ stacks = st.builds(
     st.integers(0, 3),
 )
 corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(), st.integers(), st.integers(), st.none() | texts)
+
+
+def _window_fits(corpus, margin) -> bool:
+    """Whether EquivConfig takes ``margin`` with ``corpus``: it must leave a pixel of a synthetic corpus."""
+    try:
+        if corpus.image_dir is None:
+            crop_window((corpus.height, corpus.width), margin)
+    except ConfigError:
+        return False
+    return True
+
+
 INSTANCES = {
     "LayerSpec": layers,
     "StackSpec": stacks,
     "CorpusSpec": corpora,
-    "EquivConfig": stacks.flatmap(
-        lambda stack: st.builds(
+    "EquivConfig": st.tuples(stacks, corpora, st.floats(0.0, 0.5, exclude_max=True))
+    .filter(lambda fields: _window_fits(*fields[1:]))
+    .flatmap(
+        lambda fields: st.builds(
             EquivConfig,
-            st.just(stack),
-            corpora,
+            st.just(fields[0]),
+            st.just(fields[1]),
             st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=5),
-            st.lists(st.integers(1, len(stack.layers)), min_size=1, max_size=4),
-            st.floats(0.0, 0.5, exclude_max=True),
+            st.lists(st.integers(1, len(fields[0].layers)), min_size=1, max_size=4),
+            st.just(fields[2]),
         )
     ),
     "BasisConfig": st.builds(BasisConfig, reals, st.integers(1, 3), st.integers(), st.integers(), positive),

@@ -326,7 +326,7 @@ class TestSampleKernel:
         # on the ring; the separable kernel skips them. Signed zeros in the
         # grid make the sign of each zero output part of the comparison.
         image = rng.choice([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0], size=(12, 15))
-        xs, ys = resample.scale_transform_mapping(image.shape, s, None)(
+        xs, ys = resample.scale_transform_mapping(image.shape, s)(
             np.arange(15.0)[np.newaxis, :], np.arange(12.0)[:, np.newaxis]
         )
         out = sample_at(image, xs, ys, BorderPolicy.ZERO)
@@ -357,7 +357,7 @@ class TestSampleKernel:
     def test_sub_window_equals_block_of_stack_transform(self, rng, s, border):
         stack = rng.normal(size=(3, 20, 30))
         full = scale_transform_stack(stack, s, border=border)
-        mapping = resample.scale_transform_mapping(stack.shape, s, None)
+        mapping = resample.scale_transform_mapping(stack.shape, s)
         for rows, cols in [(slice(2, 18), slice(3, 27)), (slice(0, 20), slice(9, 10)), (slice(15, 20), slice(0, 5))]:
             xs = np.arange(30.0)[np.newaxis, cols]
             ys = np.arange(20.0)[rows, np.newaxis]
