@@ -21,7 +21,7 @@ from .fileio import read_pgm, write_json
 from .grid import BorderPolicy, as_grid, crop_window
 from .resample import sample_at, scale_transform, scale_transform_mapping, scale_transform_stack
 from .sesconv import KINDS, Stack, StackSpec, build_stack
-from .synth import synth_corpus
+from .synth import MIN_EXTENT, synth_corpus
 
 THREADS_ENV = "SESLAB_THREADS"
 CSV_HEADER = "kind,block,scale,delta,log10_delta,n"
@@ -49,8 +49,14 @@ class CorpusSpec:
 
     def __post_init__(self):
         check_fields(self)
-        if self.image_dir is None and self.count < 1:
-            raise ConfigError(f"corpus count must be >= 1, got {self.count}")
+        if self.image_dir is None:
+            if self.count < 1:
+                raise ConfigError(f"corpus count must be >= 1, got {self.count}")
+            for name, extent in (("height", self.height), ("width", self.width)):
+                if extent < MIN_EXTENT:
+                    raise ConfigError(
+                        f"corpus {name} must be >= {MIN_EXTENT} for synthetic images, got {extent}"
+                    )
 
     def load(self) -> list:
         if self.image_dir is not None:
@@ -139,9 +145,11 @@ def _delta_ratio(feats, feats_of_scaled, s: float, margin: float, with_map: bool
     """One cell's ratio ||T_s F - F(T_s h)||^2 / ||T_s F||^2 over the cropped
     interior and, ``with_map``, the peak-normalized per-pixel error (else None).
 
-    Without a map, T_s F is sampled on the crop window only. With one, it is
-    sampled in full for the map and the ratio reads a copy of its window.
-    Either way the ratio reduces arrays of the same shape and values.
+    ``feats_of_scaled`` is F(T_s h) over the whole frame with a map, else over
+    the crop window only. Without a map, T_s F is sampled on the crop window
+    only too. With one, it is sampled in full for the map and the ratio reads
+    a copy of its window. Either way the ratio reduces arrays of the same
+    shape and values.
     """
     rows, cols = crop_window(feats.shape, margin)
     err = None
@@ -154,13 +162,14 @@ def _delta_ratio(feats, feats_of_scaled, s: float, margin: float, with_map: bool
         if peak > 0:
             err /= peak
         window = scaled[..., rows, cols].copy()
+        feats_of_scaled = feats_of_scaled[..., rows, cols]
     else:
         h, w = feats.shape[-2:]
         xs = np.arange(w, dtype=np.float64)[np.newaxis, cols]
         ys = np.arange(h, dtype=np.float64)[rows, np.newaxis]
         mapping = scale_transform_mapping(feats.shape, s)
         window = sample_at(feats, *mapping(xs, ys), BorderPolicy.ZERO)
-    num = window - feats_of_scaled[..., rows, cols]
+    num = window - feats_of_scaled
     num *= num
     window *= window
     den_sq = float(np.sum(window))
@@ -171,20 +180,54 @@ def _delta_ratio(feats, feats_of_scaled, s: float, margin: float, with_map: bool
     return float(np.sum(num)) / den_sq, err
 
 
+def _receptive_box(shape: tuple, margin: float, layers) -> tuple:
+    """The part of an [H, W] frame that the outputs of ``layers`` read on the
+    crop window, as slices: the box of the frame, and the window within it.
+
+    The box is the crop window dilated by the reach R = sum((k - 1) // 2)
+    over ``layers`` and clipped to the frame.
+    """
+    reach = sum((layer.k - 1) // 2 for layer in layers)
+    box, window = [], []
+    for extent, inner in zip(shape, crop_window(shape, margin)):
+        start = max(inner.start - reach, 0)
+        box.append(slice(start, min(inner.stop + reach, extent)))
+        window.append(slice(inner.start - start, inner.stop - start))
+    return tuple(box), tuple(window)
+
+
 def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None) -> tuple:
     """Delta cells {(block, s): ratio} of one image, and error maps
-    {block: grid} at the scale factor ``map_scale`` (none if it is None)."""
+    {block: grid} at the scale factor ``map_scale`` (none if it is None).
+
+    F(h) and the map's F(T_s h) run on the whole frame, since T_s F and the
+    map read all of it. Every other F(T_s h) runs on the receptive box of the
+    crop window (:func:`_receptive_box`), a cropped copy of T_s h, and its
+    cells read the crop window out of that smaller output. They get the
+    whole-frame values bit for bit. Zero-fill at a box edge that is a frame
+    edge is what the whole-frame forward pads too; at an edge inside the
+    frame it is wrong, and each layer of extent k carries that error
+    (k - 1) // 2 pixels further in, so at most R pixels into any block
+    output up to max(blocks). The window lies R pixels inside such edges.
+    conv2d sums in an order that does not depend on a pixel's position, and
+    the frozen norm, ReLU and scale projection act pixel by pixel.
+    """
     image = as_grid(image, rank=2, name="image")
     if not np.isfinite(image).all():
         raise SeslabError("image has non-finite pixels; its equivariance error is undefined")
     base = stack.forward(image)
+    box, window = _receptive_box(image.shape, margin, stack.spec.layers[: max(blocks)])
     cells, maps = {}, {}
     for s in scale_factors:
-        scaled = stack.forward(scale_transform(image, s, border=BorderPolicy.ZERO))
+        with_map = s == map_scale
+        scaled_image = scale_transform(image, s, border=BorderPolicy.ZERO)
+        scaled = stack.forward(scaled_image if with_map else scaled_image[box])
         for b in blocks:
-            cells[(b, s)], grid = _delta_ratio(base[b - 1], scaled[b - 1], s, margin, s == map_scale)
+            feats_of_scaled = scaled[b - 1] if with_map else scaled[b - 1][(..., *window)]
+            cells[(b, s)], grid = _delta_ratio(base[b - 1], feats_of_scaled, s, margin, with_map)
             if grid is not None:
                 maps[b] = grid
+        del scaled, feats_of_scaled  # freed before the next forward allocates its own
     return cells, maps
 
 

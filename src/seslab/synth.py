@@ -10,6 +10,7 @@ KINDS = ("gaussian-blobs", "checkerboard", "bandlimited-noise")
 
 MIN_BLOB_STD = 2.0  # keeps the corpus band-limited enough to resample fairly
 NOISE_SIGMA = 2.0  # std in pixels of the Gaussian low-pass applied to white noise
+MIN_EXTENT = 8  # smallest height and width of a synthetic image
 
 
 def synth_image(kind: str, height: int, width: int, seed: int, cell: int | None = None) -> np.ndarray:
@@ -17,8 +18,8 @@ def synth_image(kind: str, height: int, width: int, seed: int, cell: int | None 
 
     ``cell`` selects the checkerboard cell size (default min(h, w) // 8).
     """
-    if height < 8 or width < 8:
-        raise ShapeError(f"synthetic images need extents >= 8, got {height}x{width}")
+    if height < MIN_EXTENT or width < MIN_EXTENT:
+        raise ShapeError(f"synthetic images need extents >= {MIN_EXTENT}, got {height}x{width}")
     if kind == "gaussian-blobs":
         return _blobs(height, width, seed)
     if kind == "checkerboard":

@@ -501,6 +501,18 @@ class TestEquivCommand:
         assert "crop margin 0.45 leaves no pixel of a 8x8 grid" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize(("field", "value"), [("height", -5), ("height", 7), ("width", 0)])
+    def test_synthetic_extent_below_eight_is_config_error_naming_the_field(
+        self, tmp_path, capsys, field, value
+    ):
+        # A negative height was reported as a crop margin leaving no pixel.
+        config = write_json(tmp_path / "config.json", {"corpus": {field: value}})
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: corpus {field} must be >= 8 for synthetic images, got {value}" in err
+        assert "crop margin" not in err
+        assert not (tmp_path / "equiv_report.csv").exists()
+
     def test_malformed_config_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"blocks": [9]}')

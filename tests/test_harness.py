@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from dataclasses import replace
 from seslab import harness
 from seslab.errors import dump
 from seslab.grid import crop
+from seslab.sesconv import Stack
 from oracles import delta_formula
 
 TINY_STACK = StackSpec(layers=(LayerSpec(2, 7), LayerSpec(2, 7)), max_order=2)
@@ -358,6 +360,14 @@ def full_size_cell(feats, feats_of_scaled, s, margin):
     return float(np.sum(num * num)) / float(np.sum(den * den)), (err / peak if peak > 0 else err)
 
 
+def delta_ratio(feats, feats_of_scaled, s, margin, with_map):
+    """``harness._delta_ratio`` given F(T_s h) over the whole frame: without a
+    map it takes the crop window only, as ``_image_cells`` hands it over."""
+    if not with_map:
+        feats_of_scaled = crop(feats_of_scaled, margin)
+    return harness._delta_ratio(feats, feats_of_scaled, s, margin, with_map)
+
+
 class TestCellReduction:
     """``_delta_ratio`` samples only the crop window; it must give the
     full-size path's ratio bit for bit, with and without the error map."""
@@ -381,10 +391,10 @@ class TestCellReduction:
     def test_every_cell_equals_full_size_path(self, features, margin):
         for feats, feats_of_scaled, s in features:
             expected, expected_map = full_size_cell(feats, feats_of_scaled, s, margin)
-            ratio, grid = harness._delta_ratio(feats, feats_of_scaled, s, margin, False)
+            ratio, grid = delta_ratio(feats, feats_of_scaled, s, margin, False)
             assert grid is None
             assert ratio == expected
-            map_ratio, grid = harness._delta_ratio(feats, feats_of_scaled, s, margin, True)
+            map_ratio, grid = delta_ratio(feats, feats_of_scaled, s, margin, True)
             assert map_ratio == ratio
             assert grid.tobytes() == expected_map.tobytes()
 
@@ -404,17 +414,103 @@ class TestCellReduction:
     def test_unit_scale_is_exactly_zero(self, features):
         for feats, _, _ in features:
             for with_map in (False, True):
-                ratio, _ = harness._delta_ratio(feats, feats, 1.0, 0.1, with_map)
+                ratio, _ = delta_ratio(feats, feats, 1.0, 0.1, with_map)
                 assert ratio == 0.0
 
     @pytest.mark.parametrize("with_map", [False, True])
     def test_zero_denominator_raises(self, rng, with_map):
         zero = np.zeros((2, 32, 40))
         with pytest.raises(SeslabError, match="identically zero"):
-            harness._delta_ratio(zero, rng.normal(size=zero.shape), 0.8, 0.1, with_map)
+            delta_ratio(zero, rng.normal(size=zero.shape), 0.8, 0.1, with_map)
         # features only near the border, which T_s at 0.5 moves out of the crop window
         rim = np.zeros((2, 32, 40))
         rim[:, :2] = rim[:, -2:] = rim[:, :, :2] = rim[:, :, -2:] = 1.0
         assert full_size_cell(rim, rim, 0.5, 0.0)[0] > 0.0
         with pytest.raises(SeslabError, match="identically zero"):
-            harness._delta_ratio(rim, rim, 0.5, 0.3, with_map)
+            delta_ratio(rim, rim, 0.5, 0.3, with_map)
+
+
+# Kernel extents 3, 5, 7: the reach R of blocks (1, 3) is 1 + 2 + 3 = 6.
+MIXED_STACK = StackSpec(layers=(LayerSpec(3, 3), LayerSpec(2, 5), LayerSpec(3, 7)), max_order=1)
+
+
+class TestCroppedForward:
+    """Every F(T_s h) but the map's runs on the crop window dilated by the
+    reach R and clipped to the frame; its cells must equal the full-size
+    path bit for bit."""
+
+    SCALES = (0.6, 1.0 / 1.1, 1.0)
+
+    @pytest.fixture(scope="class")
+    def image(self):
+        return synth_image("gaussian-blobs", 37, 101, seed=3)  # odd extents
+
+    @pytest.fixture(scope="class", params=["ses", "vanilla"])
+    def stack(self, request):
+        return build_stack(replace(MIXED_STACK, kind=request.param))
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1, 0.25])
+    @pytest.mark.parametrize("blocks", [(1,), (2,), (1, 3)], ids=str)
+    def test_cells_equal_full_size_path(self, stack, image, blocks, margin):
+        cells, maps = harness._image_cells(stack, image, self.SCALES, blocks, margin, 0.6)
+        assert harness._image_cells(stack, image, self.SCALES, blocks, margin)[0] == cells
+        base = stack.forward(image)
+        for s in self.SCALES:
+            scaled = stack.forward(scale_transform(image, s, border=BorderPolicy.ZERO))
+            for block in blocks:
+                ratio, grid = full_size_cell(base[block - 1], scaled[block - 1], s, margin)
+                assert cells[(block, s)] == ratio
+                if s == 0.6:
+                    assert maps[block].tobytes() == grid.tobytes()
+        assert [cells[(block, 1.0)] for block in blocks] == [0.0] * len(blocks)
+
+    @pytest.mark.parametrize(
+        "shape, margin, layers, box, window",
+        [
+            # window rows 4:33, cols 10:91; R = 6 reaches past the top and bottom rows
+            ((37, 101), 0.1, MIXED_STACK.layers, (0, 37, 4, 97), (4, 33, 6, 87)),
+            ((37, 101), 0.25, MIXED_STACK.layers, (3, 34, 19, 82), (6, 25, 6, 57)),
+            ((37, 101), 0.1, MIXED_STACK.layers[:1], (3, 34, 9, 92), (1, 30, 1, 82)),
+            ((37, 101), 0.0, MIXED_STACK.layers, (0, 37, 0, 101), (0, 37, 0, 101)),
+            ((192, 640), 0.1, (LayerSpec(16, 5),) * 2, (15, 177, 60, 580), (4, 158, 4, 516)),
+            ((96, 320), 0.1, (LayerSpec(4, 11),) * 4, (0, 96, 12, 308), (10, 86, 20, 276)),
+        ],
+    )
+    def test_receptive_box(self, shape, margin, layers, box, window):
+        got_box, got_window = harness._receptive_box(shape, margin, layers)
+        assert [(r.start, r.stop, c.start, c.stop) for r, c in [got_box, got_window]] == [box, window]
+
+    def test_only_the_base_and_map_forwards_run_full_size(self, stack, image, monkeypatch):
+        shapes = []
+        real = Stack.forward
+
+        def recording(self, grid):
+            shapes.append(np.shape(grid))
+            return real(self, grid)
+
+        monkeypatch.setattr(Stack, "forward", recording)
+        harness._image_cells(stack, image, (0.6, 0.8, 1.0), (1, 3), 0.1, 0.8)
+        assert shapes == [(37, 101), (37, 93), (37, 101), (37, 93)]
+
+
+@pytest.mark.parametrize("map_scale", [None, 0.8])
+@pytest.mark.parametrize("margin", [0.0, 0.1])
+def test_image_cells_peak_memory_is_base_plus_one_forward(margin, map_scale):
+    # At margin 0 every forward is full size. Each scale factor's block
+    # outputs must be freed before the next forward allocates its own: kept
+    # alive, they add two block outputs to the peak, past the slack of one.
+    stack = build_stack(StackSpec(layers=(LayerSpec(16, 5), LayerSpec(16, 5)), max_order=2))
+    image = synth_image("bandlimited-noise", 96, 320, seed=0)
+    tracemalloc.start()
+    try:
+        blocks = stack.forward(image)
+        forward = tracemalloc.get_traced_memory()[1]
+        base = sum(block.nbytes for block in blocks)
+        del blocks
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        harness._image_cells(stack, image, (0.8, 0.6), (1, 2), margin, map_scale)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < base + forward + base // 2  # slack: one block output

@@ -162,7 +162,10 @@ stacks = st.builds(
     positive,
     st.integers(0, 3),
 )
-corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(), st.integers(), st.integers(), st.none() | texts)
+# A synthetic corpus needs extents >= 8; an image_dir corpus does not read them.
+corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(8), st.integers(8), st.integers()) | st.builds(
+    CorpusSpec, texts, st.integers(1, 99), st.integers(), st.integers(), st.integers(), texts
+)
 
 
 def _window_fits(corpus, margin) -> bool:

@@ -20,7 +20,6 @@ from seslab import (
     sample_at,
     scale_transform,
     scale_transform_stack,
-    synth_image,
     warp,
 )
 
