@@ -9,6 +9,7 @@ seed-derived coefficients so the comparison isolates the architecture.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, SeslabError, check_fields, dump, load
 from .fileio import read_pgm, write_json
 from .grid import BorderPolicy, as_grid, crop_window
-from .resample import sample_at, scale_transform, scale_transform_mapping, scale_transform_stack
+from .resample import sample_at, scale_transform_mapping
 from .sesconv import KINDS, Stack, StackSpec, build_stack
 from .synth import MIN_EXTENT, synth_corpus
 
@@ -67,6 +68,19 @@ class CorpusSpec:
         return synth_corpus(self.kind, self.count, self.height, self.width, self.seed)
 
 
+def _check_cells(scale_factors, blocks, num_blocks: int) -> None:
+    """Raise ConfigError unless the scale factors are reals in (0, 1] and the block
+    indices integers in 1..num_blocks, one or more of each; bools are neither."""
+    if not scale_factors or any(
+        isinstance(s, bool) or not isinstance(s, numbers.Real) or not 0 < s <= 1 for s in scale_factors
+    ):
+        raise ConfigError(f"scale factors must be one or more reals in (0, 1], got {scale_factors}")
+    if not blocks or any(
+        isinstance(b, bool) or not isinstance(b, numbers.Integral) or not 1 <= b <= num_blocks for b in blocks
+    ):
+        raise ConfigError(f"block indices must be one or more integers in 1..{num_blocks}, got {blocks}")
+
+
 @dataclass(frozen=True)
 class EquivConfig:
     """Full experiment description; deterministic given its values."""
@@ -79,16 +93,7 @@ class EquivConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if not self.scale_factors:
-            raise ConfigError("at least one scale factor is required")
-        if any(not 0.0 < s <= 1.0 for s in self.scale_factors):
-            raise ConfigError(f"scale factors must lie in (0, 1], got {self.scale_factors}")
-        if not self.blocks:
-            raise ConfigError("at least one block index is required")
-        if any(not 1 <= b <= len(self.stack.layers) for b in self.blocks):
-            raise ConfigError(
-                f"block indices must lie in 1..{len(self.stack.layers)}, got {self.blocks}"
-            )
+        _check_cells(self.scale_factors, self.blocks, len(self.stack.layers))
         if self.corpus.image_dir is None:
             crop_window((self.corpus.height, self.corpus.width), self.crop_margin)
 
@@ -141,101 +146,94 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _delta_ratio(feats, feats_of_scaled, s: float, margin: float, with_map: bool) -> tuple:
-    """One cell's ratio ||T_s F - F(T_s h)||^2 / ||T_s F||^2 over the cropped
-    interior and, ``with_map``, the peak-normalized per-pixel error (else None).
+def _sample_scaled(grid, s: float, window) -> np.ndarray:
+    """T_s of an [..., H, W] grid, zero-filled, on the (rows, cols) slices
+    ``window`` of its frame only: the window of the whole-frame T_s, bit for bit."""
+    rows, cols = window
+    h, w = grid.shape[-2:]
+    xs = np.arange(w, dtype=np.float64)[np.newaxis, cols]
+    ys = np.arange(h, dtype=np.float64)[rows, np.newaxis]
+    return sample_at(grid, *scale_transform_mapping(grid.shape, s)(xs, ys), BorderPolicy.ZERO)
 
-    ``feats_of_scaled`` is F(T_s h) over the whole frame with a map, else over
-    the crop window only. Without a map, T_s F is sampled on the crop window
-    only too. With one, it is sampled in full for the map and the ratio reads
-    a copy of its window. Either way the ratio reduces arrays of the same
-    shape and values.
+
+def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
+    """One cell's ratio ||T_s F - F(T_s h)||^2 / ||T_s F||^2 over the crop
+    window and, ``with_map``, the peak-normalized per-pixel error (else None).
+
+    T_s F (``scaled_feats``, squared in place) and F(T_s h) are [C, h, w]
+    readouts of one window; ``crop`` is the crop window within it. The sums
+    read contiguous copies of the crop, which are the arrays themselves when
+    the window is the crop: equal arrays, whichever window a cell reads.
     """
-    rows, cols = crop_window(feats.shape, margin)
-    err = None
+    err = scaled_feats - feats_of_scaled
+    err *= err
+    grid = None
     if with_map:
-        scaled = scale_transform_stack(feats, s, border=BorderPolicy.ZERO)
-        err = scaled - feats_of_scaled
-        err *= err
-        err = np.sum(err, axis=0)
-        peak = err.max()
+        grid = np.sum(err, axis=0)
+        peak = grid.max()
         if peak > 0:
-            err /= peak
-        window = scaled[..., rows, cols].copy()
-        feats_of_scaled = feats_of_scaled[..., rows, cols]
-    else:
-        h, w = feats.shape[-2:]
-        xs = np.arange(w, dtype=np.float64)[np.newaxis, cols]
-        ys = np.arange(h, dtype=np.float64)[rows, np.newaxis]
-        mapping = scale_transform_mapping(feats.shape, s)
-        window = sample_at(feats, *mapping(xs, ys), BorderPolicy.ZERO)
-    num = window - feats_of_scaled
-    num *= num
-    window *= window
-    den_sq = float(np.sum(window))
+            grid /= peak
+    num = np.ascontiguousarray(err[(..., *crop)])
+    den = np.ascontiguousarray(scaled_feats[(..., *crop)])
+    den *= den
+    den_sq = float(np.sum(den))
     if den_sq == 0.0:
-        raise SeslabError(
-            "equivariance error undefined: scaled feature map is identically zero"
-        )
-    return float(np.sum(num)) / den_sq, err
+        raise SeslabError("equivariance error undefined: scaled feature map is identically zero")
+    return float(np.sum(num)) / den_sq, grid
 
 
-def _receptive_box(shape: tuple, margin: float, layers) -> tuple:
+def _within(inner, outer) -> tuple:
+    """The slices ``inner`` relative to the start of the slices ``outer``."""
+    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
+
+
+def _receptive_box(shape: tuple, read, layers) -> tuple:
     """The part of an [H, W] frame that the outputs of ``layers`` read on the
-    crop window, as slices: the box of the frame, and the window within it.
-
-    The box is the crop window dilated by the reach R = sum((k - 1) // 2)
-    over ``layers`` and clipped to the frame.
+    (rows, cols) slices ``read``, as slices: the box, and ``read`` within it.
+    The box is ``read`` dilated by the reach R = sum((k - 1) // 2) over
+    ``layers`` and clipped to the frame; the frame's own box is the frame.
     """
     reach = sum((layer.k - 1) // 2 for layer in layers)
-    box, window = [], []
-    for extent, inner in zip(shape, crop_window(shape, margin)):
-        start = max(inner.start - reach, 0)
-        box.append(slice(start, min(inner.stop + reach, extent)))
-        window.append(slice(inner.start - start, inner.stop - start))
-    return tuple(box), tuple(window)
+    box = tuple(slice(max(r.start - reach, 0), min(r.stop + reach, n)) for n, r in zip(shape, read))
+    return box, _within(read, box)
 
 
 def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None) -> tuple:
     """Delta cells {(block, s): ratio} of one image, and error maps
     {block: grid} at the scale factor ``map_scale`` (none if it is None).
 
-    F(h) and the map's F(T_s h) run on the whole frame, since T_s F and the
-    map read all of it. Every other F(T_s h) runs on the receptive box of the
-    crop window (:func:`_receptive_box`), a cropped copy of T_s h, and its
-    cells read the crop window out of that smaller output. They get the
-    whole-frame values bit for bit. Zero-fill at a box edge that is a frame
-    edge is what the whole-frame forward pads too; at an edge inside the
-    frame it is wrong, and each layer of extent k carries that error
-    (k - 1) // 2 pixels further in, so at most R pixels into any block
-    output up to max(blocks). The window lies R pixels inside such edges.
-    conv2d sums in an order that does not depend on a pixel's position, and
-    the frozen norm, ReLU and scale projection act pixel by pixel.
+    Every cell reads a window: the crop window, or the frame at ``map_scale``.
+    T_s h is sampled on the window's receptive box, F(T_s h) runs there, and
+    T_s F(h) is sampled on the window. F(h) runs on the frame. Only layers up
+    to max(blocks) run; none depends on a later one. A box gives its window
+    the whole-frame values bit for bit: zero-fill at a box edge inside the
+    frame is wrong, but each layer of extent k carries that error only
+    (k - 1) // 2 pixels further in, R in all; conv2d sums in an order that
+    does not depend on a pixel's position; the norm, ReLU and projection act
+    per pixel.
     """
     image = as_grid(image, rank=2, name="image")
     if not np.isfinite(image).all():
         raise SeslabError("image has non-finite pixels; its equivariance error is undefined")
+    crop = crop_window(image.shape, margin)
+    n = max(blocks)
+    spec = replace(stack.spec, layers=stack.spec.layers[:n])
+    stack = replace(stack, spec=spec, banks=stack.banks[:n], norm_stats=stack.norm_stats[: n - 1])
     base = stack.forward(image)
-    box, window = _receptive_box(image.shape, margin, stack.spec.layers[: max(blocks)])
     cells, maps = {}, {}
     for s in scale_factors:
-        with_map = s == map_scale
-        scaled_image = scale_transform(image, s, border=BorderPolicy.ZERO)
-        scaled = stack.forward(scaled_image if with_map else scaled_image[box])
+        read = crop_window(image.shape, 0.0) if s == map_scale else crop
+        box, window = _receptive_box(image.shape, read, spec.layers)
+        scaled = stack.forward(_sample_scaled(image, s, box))
         for b in blocks:
-            feats_of_scaled = scaled[b - 1] if with_map else scaled[b - 1][(..., *window)]
-            cells[(b, s)], grid = _delta_ratio(base[b - 1], feats_of_scaled, s, margin, with_map)
+            cells[(b, s)], grid = _delta_ratio(
+                _sample_scaled(base[b - 1], s, read), scaled[b - 1][(..., *window)],
+                _within(crop, read), s == map_scale,
+            )
             if grid is not None:
                 maps[b] = grid
-        del scaled, feats_of_scaled  # freed before the next forward allocates its own
+        del scaled  # freed before the next forward allocates its own
     return cells, maps
-
-
-def _check_cell(stack: Stack, s: float, block: int) -> None:
-    if not 0.0 < s <= 1.0:
-        raise ConfigError(f"scale factor must lie in (0, 1], got {s}")
-    if not 1 <= block <= stack.num_blocks:
-        raise ConfigError(f"block must lie in 1..{stack.num_blocks}, got {block}")
 
 
 def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: float = 0.1) -> float:
@@ -247,11 +245,13 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
     channel-wise about the feature-map center. A margin of ``crop_margin``
     per side is excluded to keep padding artifacts out.
     """
-    _check_cell(stack, s, block)
+    _check_cells((s,), (block,), stack.num_blocks)
     ratios = [
         _image_cells(stack, image, (s,), (block,), crop_margin)[0][(block, s)]
         for image in images
     ]
+    if not ratios:
+        raise ConfigError("at least one image is required")
     return math.fsum(ratios) / len(ratios)
 
 
@@ -306,5 +306,5 @@ def error_map(stack: Stack, image, s: float, block: int) -> np.ndarray:
     all zero, which is the s = 1 case). Like :func:`equivariance_error`, it
     raises SeslabError when the scaled feature map is identically zero.
     """
-    _check_cell(stack, s, block)
+    _check_cells((s,), (block,), stack.num_blocks)
     return _image_cells(stack, image, (s,), (block,), 0.0, map_scale=s)[1][block]

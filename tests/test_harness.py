@@ -28,9 +28,9 @@ from seslab import (
 )
 from dataclasses import replace
 
-from seslab import harness
+from seslab import harness, sesconv
 from seslab.errors import dump
-from seslab.grid import crop
+from seslab.grid import crop, crop_window
 from seslab.sesconv import Stack
 from oracles import delta_formula
 
@@ -100,14 +100,49 @@ class TestEquivarianceError:
 
     def test_scale_factor_validated(self, tiny_images):
         stack = build_stack(TINY_STACK)
-        for bad in (0.0, 1.2, -0.5):
+        for bad in (0.0, 1.2, -0.5, float("nan"), True, "0.8"):
             with pytest.raises(ConfigError, match="scale factor"):
                 equivariance_error(stack, tiny_images, bad, 1)
 
     def test_block_validated(self, tiny_images):
         stack = build_stack(TINY_STACK)
-        with pytest.raises(ConfigError, match="block"):
-            equivariance_error(stack, tiny_images, 0.8, 3)
+        # 1.0 ended in a TypeError from a slice, and True was measured as block 1
+        for bad in (3, 0, 1.0, True):
+            with pytest.raises(ConfigError, match="block"):
+                equivariance_error(stack, tiny_images, 0.8, bad)
+            with pytest.raises(ConfigError, match="block"):
+                error_map(stack, tiny_images[0], 0.8, bad)
+        expected = equivariance_error(stack, tiny_images, 0.8, 2)
+        assert equivariance_error(stack, tiny_images, 0.8, np.int64(2)) == expected
+        grid = error_map(stack, tiny_images[0], 0.8, 2)
+        assert np.array_equal(error_map(stack, tiny_images[0], 0.8, np.int64(2)), grid)
+
+    def test_no_images_rejected(self):
+        # the mean over no images raised ZeroDivisionError
+        with pytest.raises(ConfigError, match="image is required"):
+            equivariance_error(build_stack(TINY_STACK), [], 0.8, 1)
+
+    def test_margin_leaving_no_pixel_runs_no_forward(self, tiny_images, monkeypatch):
+        stack = build_stack(TINY_STACK)
+        shapes = []
+        monkeypatch.setattr(Stack, "forward", lambda self, grid: shapes.append(np.shape(grid)))
+        with pytest.raises(ConfigError, match="leaves no pixel"):
+            equivariance_error(stack, tiny_images, 0.8, 1, crop_margin=0.49)
+        assert shapes == []
+
+    # The default stack has 3 scales: its first layer is one conv2d, and each
+    # later layer one conv2d per scale.
+    @pytest.mark.parametrize("block, calls", [(1, 2), (2, 8), (4, 20)])
+    def test_forwards_stop_at_the_deepest_block_read(self, monkeypatch, block, calls):
+        stack = build_stack(StackSpec())
+        image = synth_image("gaussian-blobs", 48, 80, seed=0)
+        base = stack.forward(image)[block - 1]
+        scaled = stack.forward(scale_transform(image, 0.8, border=BorderPolicy.ZERO))[block - 1]
+        count = []
+        real = sesconv.conv2d
+        monkeypatch.setattr(sesconv, "conv2d", lambda *args, **kwargs: count.append(1) or real(*args, **kwargs))
+        assert equivariance_error(stack, [image], 0.8, block) == full_size_cell(base, scaled, 0.8, 0.1)[0]
+        assert len(count) == calls
 
 
 @pytest.mark.parametrize(
@@ -361,11 +396,14 @@ def full_size_cell(feats, feats_of_scaled, s, margin):
 
 
 def delta_ratio(feats, feats_of_scaled, s, margin, with_map):
-    """``harness._delta_ratio`` given F(T_s h) over the whole frame: without a
-    map it takes the crop window only, as ``_image_cells`` hands it over."""
-    if not with_map:
-        feats_of_scaled = crop(feats_of_scaled, margin)
-    return harness._delta_ratio(feats, feats_of_scaled, s, margin, with_map)
+    """``harness._delta_ratio`` as ``_image_cells`` calls it, given F(h) and
+    F(T_s h) over the whole frame: the map's cell reads the whole frame,
+    every other cell the crop window."""
+    window = crop_window(feats.shape, margin)
+    read = crop_window(feats.shape, 0.0) if with_map else window
+    scaled_feats = harness._sample_scaled(feats, s, read)
+    within = harness._within(window, read)
+    return harness._delta_ratio(scaled_feats, feats_of_scaled[(..., *read)], within, with_map)
 
 
 class TestCellReduction:
@@ -477,7 +515,7 @@ class TestCroppedForward:
         ],
     )
     def test_receptive_box(self, shape, margin, layers, box, window):
-        got_box, got_window = harness._receptive_box(shape, margin, layers)
+        got_box, got_window = harness._receptive_box(shape, crop_window(shape, margin), layers)
         assert [(r.start, r.stop, c.start, c.stop) for r, c in [got_box, got_window]] == [box, window]
 
     def test_only_the_base_and_map_forwards_run_full_size(self, stack, image, monkeypatch):
