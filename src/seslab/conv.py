@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -16,22 +18,33 @@ def conv2d(
     kernels: np.ndarray,
     border: BorderPolicy = BorderPolicy.ZERO,
     out: np.ndarray | None = None,
+    margins: tuple | None = None,
 ) -> np.ndarray:
     """Correlate a [C, H, W] grid with a [O, C, k, k] kernel stack.
 
-    Stride is 1 and the spatial output size equals the input size ("same"
-    output under the border policy). No kernel flip is applied:
+    Stride is 1. The input is padded under the border policy by ``margins``,
+    (top, bottom, left, right) pixels, each in 0..k//2; the output is then
+    [O, H + top + bottom - k + 1, W + left + right - k + 1]. The default pads
+    k//2 on every side, so the spatial output size equals the input size
+    ("same" output); a side padded by 0 loses k//2 output pixels ("valid" on
+    that side). No kernel flip is applied:
 
-        out[o, u, v] = sum_{c,i,j} image[c, u+i-k//2, v+j-k//2] * kernels[o, c, i, j]
+        out[o, u, v] = sum_{c,i,j} image[c, u+i-top, v+j-left] * kernels[o, c, i, j]
 
     The kernel extent k must be odd and the input channel count must match
     the kernels' channel dimension. With ``out`` given, a C-contiguous float64
-    [O, H, W] array, the result is written into it and ``out`` is returned;
-    ``out`` may be ``image`` itself when O == C.
+    array of the output shape, the result is written into it and ``out`` is
+    returned; ``out`` may share memory with ``image``, even when the output is
+    smaller than the input.
 
     Each output is a sum over the column taps j, in j order, of one dot product
     over (c, i). That order does not depend on the output's position or on the
-    thread count, so circular shifts commute with conv2d bit-exactly.
+    thread count, so circular shifts commute with conv2d bit-exactly, and an
+    output pixel has the same bits in any grid whose padded input around it is
+    the same. For that, every matrix product has a multiple of 8 columns: the
+    BLAS may sum the last N mod 8 columns of an N-column product in another
+    order than the columns before them (OpenBLAS 0.3.31 does), so the patch
+    and accumulators carry zero slack columns, which are discarded.
     """
     image = as_grid(image, rank=3, name="input")
     kernels = as_grid(kernels, rank=4, name="kernels")
@@ -42,44 +55,49 @@ def conv2d(
         raise ShapeError(f"kernel extent must be odd, got {kh}")
     if image.shape[0] != in_ch:
         raise ShapeError(f"channel mismatch: input has {image.shape[0]} channels, kernels expect {in_ch}")
+    margins = (kh // 2,) * 4 if margins is None else tuple(margins)
     _, h, w = image.shape
+    if len(margins) != 4 or not all(isinstance(m, numbers.Integral) and 0 <= m <= kh // 2 for m in margins):
+        raise ShapeError(f"margins must be 4 integers in 0..{kh // 2}, got {margins}")
+    top, bottom, left, right = margins
+    wp = w + left + right
+    shape = (out_ch, ho, wo) = (out_ch, h + top + bottom - kh + 1, wp - kw + 1)
+    if min(ho, wo) < 1:
+        raise ShapeError(f"margins {margins} leave no output pixel of a {h}x{w} input for k = {kh}")
     if out is None:
-        out = np.empty((out_ch, h, w))
-    elif not (isinstance(out, np.ndarray) and out.shape == (out_ch, h, w)
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.shape == shape
               and out.dtype == np.float64 and out.flags.c_contiguous):
-        raise ShapeError(f"out must be a C-contiguous float64 array of shape {(out_ch, h, w)}")
-    padded = pad2d(image, kh // 2, BorderPolicy.coerce(border))
-    if np.may_share_memory(padded, out):  # k = 1 pads nothing; the last block rereads rows
+        raise ShapeError(f"out must be a C-contiguous float64 array of shape {shape}")
+    if any(margins):
+        padded = np.pad(image, [(0, 0), (top, bottom), (left, right)], mode=pad_mode(BorderPolicy.coerce(border)))
+    else:
+        padded = image
+    if np.may_share_memory(padded, out):  # nothing padded; the last block rereads rows
         padded = padded.copy()
     # Flatten each channel of the padded map, of width wp. Output (u, v) of a block of
     # rows starting at r0 is then column t = (u - r0) * wp + v, and tap (c, i, j) reads
     # flat[c, (r0 + i) * wp + j + t]. So one [C*k, rows*wp] patch, whose row (c, i) is
     # the block's rows shifted down by i, serves every column tap j through the view
-    # patch[:, j : j + cols]; columns v >= W are discarded.
-    wp = w + kw - 1
+    # patch[:, j : j + cols]; columns v >= the output width are discarded, and so are
+    # the zero slack columns that make cols a multiple of 8.
     taps = np.ascontiguousarray(kernels.transpose(3, 0, 1, 2)).reshape(kw, out_ch, in_ch * kh)
-    blocks = -(-h // max(1, BLOCK_BYTES // (8 * max(in_ch * kh, out_ch) * wp)))
-    rows = -(-h // blocks)  # equal blocks; the last one may overlap its predecessor
-    span, cols = rows * wp, rows * wp - kw + 1
+    blocks = -(-ho // max(1, BLOCK_BYTES // (8 * max(in_ch * kh, out_ch) * wp)))
+    rows = -(-ho // blocks)  # equal blocks; the last one may overlap its predecessor
+    span = rows * wp
+    cols = -(-(span - kw + 1) // 8) * 8
     windows = sliding_window_view(padded.reshape(in_ch, -1), span, axis=1)
-    patch = np.empty((in_ch, kh, span))
-    rhs = patch.reshape(in_ch * kh, span)
-    # Contiguous accumulators add fastest; their last kw - 1 columns stay 0.
-    acc, tmp = np.zeros((out_ch, span)), np.zeros((out_ch, span))
-    for r0 in range(0, h, rows):
-        r0 = min(r0, h - rows)
-        np.copyto(patch, windows[:, r0 * wp : (r0 + kh) * wp : wp])
+    patch = np.empty((in_ch, kh, cols + kw - 1))
+    patch[:, :, span:] = 0.0
+    rhs = patch.reshape(in_ch * kh, -1)
+    # Contiguous accumulators add fastest; their columns past cols stay 0.
+    acc, tmp = np.zeros((out_ch, max(span, cols))), np.zeros((out_ch, max(span, cols)))
+    for r0 in range(0, ho, rows):
+        r0 = min(r0, ho - rows)
+        np.copyto(patch[:, :, :span], windows[:, r0 * wp : (r0 + kh) * wp : wp])
         np.matmul(taps[0], rhs[:, :cols], out=acc[:, :cols])
         for j in range(1, kw):
             np.matmul(taps[j], rhs[:, j : j + cols], out=tmp[:, :cols])
             acc += tmp
-        out[:, r0 : r0 + rows] = acc.reshape(out_ch, rows, wp)[:, :, :w]
+        out[:, r0 : r0 + rows] = acc[:, :span].reshape(out_ch, rows, wp)[:, :, :wo]
     return out
-
-
-def pad2d(image: np.ndarray, margin: int, border: BorderPolicy) -> np.ndarray:
-    """Pad the trailing two axes by ``margin`` on each side."""
-    if margin == 0:
-        return image
-    spec = [(0, 0)] * (image.ndim - 2) + [(margin, margin), (margin, margin)]
-    return np.pad(image, spec, mode=pad_mode(border))

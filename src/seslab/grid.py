@@ -60,6 +60,33 @@ def crop_window(shape: tuple, margin: float) -> tuple:
     return slice(my, h - my), slice(mx, w - mx)
 
 
+def check_window(shape: tuple, window) -> tuple:
+    """``window``, (rows, cols) slices of a grid with trailing extents ``shape[-2:]``,
+    as slices with explicit bounds inside the grid; the whole grid if it is None.
+
+    Raises ShapeError unless each slice has unit step and keeps at least one pixel.
+    """
+    if window is None:
+        window = (slice(None), slice(None))
+    if not (isinstance(window, tuple) and len(window) == 2 and all(isinstance(s, slice) for s in window)):
+        raise ShapeError(f"window must be a (rows, cols) pair of slices, got {window!r}")
+    spans = [range(n)[s] for n, s in zip(shape[-2:], window)]
+    if any(len(r) == 0 or r.step != 1 for r in spans):
+        raise ShapeError(f"window {window} must keep at least one pixel of a {shape[-2]}x{shape[-1]} grid in unit steps")
+    return tuple(slice(r.start, r.stop) for r in spans)
+
+
+def dilate(shape: tuple, window, reach: int) -> tuple:
+    """The (rows, cols) slices ``window`` widened by ``reach`` pixels on each side and
+    clipped to a grid with trailing extents ``shape[-2:]``."""
+    return tuple(slice(max(s.start - reach, 0), min(s.stop + reach, n)) for n, s in zip(shape[-2:], window))
+
+
+def within(inner, outer) -> tuple:
+    """The slices ``inner`` relative to the start of the slices ``outer``."""
+    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
+
+
 def as_grid(data, rank: int | None = None, name: str = "grid") -> np.ndarray:
     """Return ``data`` as a float64 array with validated rank and extents."""
     arr = np.asarray(data, dtype=np.float64)

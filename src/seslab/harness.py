@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, SeslabError, check_fields, dump, load
 from .fileio import read_pgm, write_json
-from .grid import BorderPolicy, as_grid, crop_window
+from .grid import BorderPolicy, as_grid, crop_window, dilate, within
 from .resample import sample_at, scale_transform_mapping
 from .sesconv import KINDS, Stack, StackSpec, build_stack
 from .synth import MIN_EXTENT, synth_corpus
@@ -68,17 +68,28 @@ class CorpusSpec:
         return synth_corpus(self.kind, self.count, self.height, self.width, self.seed)
 
 
-def _check_cells(scale_factors, blocks, num_blocks: int) -> None:
-    """Raise ConfigError unless the scale factors are reals in (0, 1] and the block
-    indices integers in 1..num_blocks, one or more of each; bools are neither."""
-    if not scale_factors or any(
-        isinstance(s, bool) or not isinstance(s, numbers.Real) or not 0 < s <= 1 for s in scale_factors
-    ):
+def _float(value) -> float:
+    """A real ``value`` as a float (inf past the float range); nan for a bool or a non-real."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _check_cells(scale_factors, blocks, num_blocks: int) -> tuple:
+    """The scale factors as floats. Raises ConfigError unless they are reals whose
+    floats lie in (0, 1] and the block indices integers in 1..num_blocks, one or
+    more of each; bools are neither."""
+    factors = tuple(map(_float, scale_factors))
+    if not factors or not all(0 < s <= 1 for s in factors):
         raise ConfigError(f"scale factors must be one or more reals in (0, 1], got {scale_factors}")
     if not blocks or any(
         isinstance(b, bool) or not isinstance(b, numbers.Integral) or not 1 <= b <= num_blocks for b in blocks
     ):
         raise ConfigError(f"block indices must be one or more integers in 1..{num_blocks}, got {blocks}")
+    return factors
 
 
 @dataclass(frozen=True)
@@ -182,20 +193,14 @@ def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
     return float(np.sum(num)) / den_sq, grid
 
 
-def _within(inner, outer) -> tuple:
-    """The slices ``inner`` relative to the start of the slices ``outer``."""
-    return tuple(slice(i.start - o.start, i.stop - o.start) for i, o in zip(inner, outer))
-
-
 def _receptive_box(shape: tuple, read, layers) -> tuple:
     """The part of an [H, W] frame that the outputs of ``layers`` read on the
     (rows, cols) slices ``read``, as slices: the box, and ``read`` within it.
     The box is ``read`` dilated by the reach R = sum((k - 1) // 2) over
     ``layers`` and clipped to the frame; the frame's own box is the frame.
     """
-    reach = sum((layer.k - 1) // 2 for layer in layers)
-    box = tuple(slice(max(r.start - reach, 0), min(r.stop + reach, n)) for n, r in zip(shape, read))
-    return box, _within(read, box)
+    box = dilate(shape, read, sum((layer.k - 1) // 2 for layer in layers))
+    return box, within(read, box)
 
 
 def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None) -> tuple:
@@ -203,14 +208,11 @@ def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=N
     {block: grid} at the scale factor ``map_scale`` (none if it is None).
 
     Every cell reads a window: the crop window, or the frame at ``map_scale``.
-    T_s h is sampled on the window's receptive box, F(T_s h) runs there, and
-    T_s F(h) is sampled on the window. F(h) runs on the frame. Only layers up
-    to max(blocks) run; none depends on a later one. A box gives its window
-    the whole-frame values bit for bit: zero-fill at a box edge inside the
-    frame is wrong, but each layer of extent k carries that error only
-    (k - 1) // 2 pixels further in, R in all; conv2d sums in an order that
-    does not depend on a pixel's position; the norm, ReLU and projection act
-    per pixel.
+    T_s h is sampled on the window's receptive box, F(T_s h) runs there on the
+    window (see Stack.forward), and T_s F(h) is sampled on the window. F(h)
+    runs on the frame. Only layers up to max(blocks) run; none depends on a
+    later one. The box holds every pixel that the window's outputs read, so
+    they equal the whole-frame values bit for bit.
     """
     image = as_grid(image, rank=2, name="image")
     if not np.isfinite(image).all():
@@ -224,11 +226,10 @@ def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=N
     for s in scale_factors:
         read = crop_window(image.shape, 0.0) if s == map_scale else crop
         box, window = _receptive_box(image.shape, read, spec.layers)
-        scaled = stack.forward(_sample_scaled(image, s, box))
+        scaled = stack.forward(_sample_scaled(image, s, box), window)
         for b in blocks:
             cells[(b, s)], grid = _delta_ratio(
-                _sample_scaled(base[b - 1], s, read), scaled[b - 1][(..., *window)],
-                _within(crop, read), s == map_scale,
+                _sample_scaled(base[b - 1], s, read), scaled[b - 1], within(crop, read), s == map_scale
             )
             if grid is not None:
                 maps[b] = grid
@@ -245,7 +246,7 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
     channel-wise about the feature-map center. A margin of ``crop_margin``
     per side is excluded to keep padding artifacts out.
     """
-    _check_cells((s,), (block,), stack.num_blocks)
+    (s,) = _check_cells((s,), (block,), stack.num_blocks)
     ratios = [
         _image_cells(stack, image, (s,), (block,), crop_margin)[0][(block, s)]
         for image in images
@@ -274,7 +275,8 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     map_scales = [config.scale_factors[0] if maps else None] + [None] * (len(images) - 1)
     rows, grids = [], {}
     for kind in KINDS:
-        stack = build_stack(replace(config.stack, kind=kind))
+        # No layer's weights or frozen statistics depend on a later layer.
+        stack = build_stack(replace(config.stack, kind=kind, layers=config.stack.layers[: max(config.blocks)]))
 
         def job(image, map_scale, _stack=stack):
             return _image_cells(
@@ -306,5 +308,5 @@ def error_map(stack: Stack, image, s: float, block: int) -> np.ndarray:
     all zero, which is the s = 1 case). Like :func:`equivariance_error`, it
     raises SeslabError when the scaled feature map is identically zero.
     """
-    _check_cells((s,), (block,), stack.num_blocks)
+    (s,) = _check_cells((s,), (block,), stack.num_blocks)
     return _image_cells(stack, image, (s,), (block,), 0.0, map_scale=s)[1][block]

@@ -10,7 +10,7 @@ import numpy as np
 from .basis import ScaleSet, SteerableBasis, build_basis, check_scale_count, scale_set_from_alpha
 from .conv import conv2d
 from .errors import ConfigError, SeslabError, ShapeError, check_fields
-from .grid import BorderPolicy, as_grid, crop
+from .grid import BorderPolicy, as_grid, check_window, crop, dilate, within
 from .resample import scale_transform, scale_transform_stack
 from .synth import synth_image
 
@@ -93,17 +93,15 @@ def combine(weights, basis: SteerableBasis, scale_gains=None) -> SesFilterBank:
     )
 
 
-def ses_conv_input(image, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO):
+def ses_conv_input(image, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO, margins=None):
     """Convolve a [C, H, W] grid once per scale, stacking along a new scale axis.
 
     All scales run as one conv2d of the [S*O, C, k, k] kernels, whose output
-    rows are the [S, O, H, W] result.
+    rows are the [S, O, h, w] result; ``margins`` is conv2d's padding.
     """
-    image = as_grid(image, rank=3, name="input")
     kernels = bank.kernels.reshape((-1,) + bank.kernels.shape[2:])
-    out = np.empty((bank.num_scales, bank.out_channels) + image.shape[1:])
-    conv2d(image, kernels, border, out=out.reshape((-1,) + image.shape[1:]))
-    return out
+    out = conv2d(image, kernels, border, margins=margins)
+    return out.reshape((bank.num_scales, bank.out_channels) + out.shape[1:])
 
 
 def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO):
@@ -117,20 +115,18 @@ def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPoli
         raise ShapeError(
             f"feature map has {x.shape[0]} scales, bank has {bank.num_scales}"
         )
-    return _conv_per_scale(x, bank, border)
+    return _conv_per_scale(x, bank, border, np.empty((len(x), bank.out_channels) + x.shape[2:]))
 
 
-def _conv_per_scale(x, bank: SesFilterBank, border, out=None) -> np.ndarray:
-    """Convolve x[s] with the scale-s kernels into out[s], a new [S, O, H, W]
-    array if ``out`` is None, and return ``out``.
+def _conv_per_scale(x, bank: SesFilterBank, border, out, margins=None) -> np.ndarray:
+    """Convolve x[s] with the scale-s kernels and conv2d's ``margins`` into out[s]
+    and return ``out``.
 
-    ``out`` may be ``x`` itself when the bank keeps the channel count: slice s
-    is read only by its own conv2d, which may write into its input.
+    out[s] may share memory with x[s]: slice s is read only by its own conv2d,
+    which may write into its input.
     """
-    if out is None:
-        out = np.empty((len(x), bank.out_channels) + x.shape[2:])
     for kernels, x_s, out_s in zip(bank.kernels, x, out):
-        conv2d(x_s, kernels, border, out=out_s)
+        conv2d(x_s, kernels, border, out=out_s, margins=margins)
     return out
 
 
@@ -287,10 +283,17 @@ class Stack:
     def weight_count(self) -> int:
         return sum(b.weights.size for b in self.banks)
 
-    def forward(self, image) -> list:
-        """Per-block [C, H, W] activations for a rank-2 image."""
+    def forward(self, image, window=None) -> list:
+        """Per-block [C, h, w] activations of a rank-2 image on ``window``, its
+        (rows, cols) slices, or on the whole image if ``window`` is None.
+
+        Each layer runs only where later layers read it: on the window dilated
+        by the reach (k - 1) // 2 of each later layer, clipped to the image. It
+        zero-fills only past the image's edges, so every block equals the
+        window of the whole-image block bit for bit.
+        """
         image = as_grid(image, rank=2, name="image")
-        return _propagate(self.spec, self.banks, image, self.norm_stats)[0]
+        return _propagate(self.spec, self.banks, image, self.norm_stats, window)[0]
 
 
 def _normalize_in_place(x, stats):
@@ -319,32 +322,54 @@ def _channel_stats(x):
     return np.array(mean), np.array(var)
 
 
-def _propagate(spec: StackSpec, banks, image, norm_stats=None) -> tuple:
-    """Per-block scale-projected activations and the norm statistics used.
+def _margins(inner, outer, reach: int) -> tuple:
+    """conv2d's (top, bottom, left, right) margins for a layer of this reach that
+    reads the (rows, cols) slices ``outer`` of a frame and writes ``inner``."""
+    (rows, cols), (in_rows, in_cols) = inner, outer
+    return (
+        reach - (rows.start - in_rows.start), reach - (in_rows.stop - rows.stop),
+        reach - (cols.start - in_cols.start), reach - (in_cols.stop - cols.stop),
+    )
 
-    Every feature map is [S, C, H, W]. A vanilla stack is a single-scale SES
+
+def _propagate(spec: StackSpec, banks, image, norm_stats=None, window=None) -> tuple:
+    """Per-block scale-projected activations on ``window`` (see Stack.forward)
+    and the norm statistics used.
+
+    Every feature map is [S, C, h, w]. A vanilla stack is a single-scale SES
     stack on the largest-scale kernels. With ``norm_stats=None`` each norm
     uses its own input's statistics, which is the calibration pass.
 
-    Each feature map is a new array owned by this call. Its projection is
-    copied into ``blocks``; then the norm and ReLU overwrite it in place, and
-    a layer that keeps the channel count convolves each scale slice back into
-    it, so the forward holds one map. A layer that changes the channel count
-    writes a new one.
+    regions[i] is the part of the image that layer i reads, and regions[i + 1]
+    the part it writes: the window dilated by the reach of every layer from i
+    on, or from i + 1 on. The forward holds one map, in a [S, n] buffer owned
+    by this call. Each layer's projection is a new array, of which ``blocks``
+    keeps the window (a view); then the norm and ReLU overwrite the map in
+    place, and the next layer writes each scale slice's output into the start
+    of that slice's row of the buffer, or of a new buffer if it does not fit.
     """
+    window = check_window(image.shape, window)
+    reaches = [(layer.k - 1) // 2 for layer in spec.layers]
+    regions = [dilate(image.shape, window, sum(reaches[i:])) for i in range(len(reaches) + 1)]
     scales = slice(None) if spec.kind == "ses" else slice(-1, None)
     banks = [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
-    x = ses_conv_input(image[np.newaxis], banks[0])
-    blocks = [scale_projection(x)]
+    x = ses_conv_input(image[(np.newaxis, *regions[0])], banks[0], margins=_margins(regions[1], regions[0], reaches[0]))
+    buf = x.reshape(len(x), -1)
+    blocks = [scale_projection(x)[(..., *within(window, regions[1]))]]
     stats = []
-    for i, (bank, layer) in enumerate(zip(banks[1:], spec.layers[1:])):
-        stats.append(_channel_stats(x) if norm_stats is None else norm_stats[i])
+    for i, (bank, layer) in enumerate(zip(banks[1:], spec.layers[1:]), start=1):
+        stats.append(_channel_stats(x) if norm_stats is None else norm_stats[i - 1])
         _normalize_in_place(x, stats[-1])
         if layer.nonlinearity == "relu":
             relu(x)
-        in_place = bank.out_channels == bank.in_channels
-        x = _conv_per_scale(x, bank, BorderPolicy.ZERO, out=x if in_place else None)
-        blocks.append(scale_projection(x))
+        rows, cols = regions[i + 1]
+        shape = (len(x), bank.out_channels, rows.stop - rows.start, cols.stop - cols.start)
+        size = math.prod(shape[1:])
+        if size > buf.shape[1]:
+            buf = np.empty((len(x), size))
+        margins = _margins(regions[i + 1], regions[i], reaches[i])
+        x = _conv_per_scale(x, bank, BorderPolicy.ZERO, buf[:, :size].reshape(shape), margins)
+        blocks.append(scale_projection(x)[(..., *within(window, regions[i + 1]))])
     return blocks, tuple(stats)
 
 

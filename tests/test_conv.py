@@ -50,14 +50,74 @@ def test_linearity(rng):
     assert np.abs(lhs - rhs).max() <= 1e-10
 
 
-def test_circular_shift_commutes_bit_exactly(rng):
-    image = rng.standard_normal((2, 10, 12))
-    kernels = rng.standard_normal((4, 2, 5, 5))
+# (O, C, k, H, W). The last two put N mod 8 != 0 columns in each product (N = 724
+# and 748), whose tail the BLAS rounds differently from the columns before it.
+@pytest.mark.parametrize(
+    "out_ch, in_ch, k, h, w", [(4, 2, 5, 10, 12), (16, 16, 5, 48, 100), (16, 16, 5, 64, 90)]
+)
+def test_circular_shift_commutes_bit_exactly(rng, out_ch, in_ch, k, h, w):
+    image = rng.standard_normal((in_ch, h, w))
+    kernels = rng.standard_normal((out_ch, in_ch, k, k))
     for shift in [(1, 0), (0, 5), (3, 7)]:
         rolled = np.roll(image, shift, axis=(1, 2))
         lhs = conv2d(rolled, kernels, BorderPolicy.CIRCULAR)
         rhs = np.roll(conv2d(image, kernels, BorderPolicy.CIRCULAR), shift, axis=(1, 2))
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize(
+    "out_ch, in_ch, k",
+    [(16, 16, 5), (4, 4, 11), (5, 7, 7), (1, 16, 5), (3, 2, 1)],
+)
+def test_column_values_do_not_depend_on_the_width(rng, out_ch, in_ch, k):
+    # Every width from k to 140 puts each column at another place in its row
+    # block's products, and changes the product widths mod 8.
+    image = rng.standard_normal((in_ch, 13, 140))
+    kernels = rng.standard_normal((out_ch, in_ch, k, k))
+    full = conv2d(image, kernels)
+    for w in range(k, 141):
+        keep = w - k // 2  # columns whose zero-padded inputs match the full width's
+        assert np.array_equal(conv2d(image[:, :, :w], kernels)[:, :, :keep], full[:, :, :keep]), w
+
+
+@pytest.mark.parametrize("margins", [(0, 0, 0, 0), (2, 0, 1, 2), (0, 2, 2, 0), (1, 1, 0, 1)], ids=str)
+@pytest.mark.parametrize("border", ["zero-fill", "clamp", "circular"])
+def test_margins_crop_the_same_size_output(rng, margins, border):
+    # A side padded by m < k//2 loses k//2 - m output pixels, and the others keep
+    # their bits: the padded values they read are the same under every policy.
+    image = rng.standard_normal((3, 11, 17))
+    kernels = rng.standard_normal((2, 3, 5, 5))
+    top, bottom, left, right = margins
+    out = conv2d(image, kernels, BorderPolicy.coerce(border), margins=margins)
+    same = conv2d(image, kernels, BorderPolicy.coerce(border))
+    assert np.array_equal(out, same[:, 2 - top : 11 - 2 + bottom, 2 - left : 17 - 2 + right])
+    ref = conv2d_loops(image, kernels, border)[:, 2 - top : 11 - 2 + bottom, 2 - left : 17 - 2 + right]
+    assert np.abs(out - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("margins", [(0, 0, 0, 0), (1, 0, 2, 0)], ids=str)
+def test_smaller_out_may_share_the_input_buffer(rng, monkeypatch, margins):
+    # A forward writes each scale slice's smaller output into the start of that
+    # slice's own buffer; blocks of 3 and of 2 rows, the last 2-row one overlapping.
+    monkeypatch.setattr(conv, "BLOCK_BYTES", 8 * 4 * 5 * 14 * 3)
+    image = rng.standard_normal((4, 10, 14))
+    kernels = rng.standard_normal((4, 4, 5, 5))
+    expected = conv2d(image, kernels, margins=margins)
+    out = image.reshape(-1)[: expected.size].reshape(expected.shape)
+    assert conv2d(image, kernels, out=out, margins=margins) is out
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize(
+    "margins",
+    [(3, 0, 0, 0), (0, -1, 0, 0), (0, 1.0, 0, 0), (0, 0, 0), (0, 0, 0, 1)],
+    ids=["wide", "negative", "float", "three", "no-column"],
+)
+def test_bad_margins_rejected(rng, margins):
+    image, kernels = rng.standard_normal((1, 6, 3)), rng.standard_normal((1, 1, 5, 5))
+    assert conv2d(image, kernels, margins=(0, 0, 1, 1)).shape == (1, 2, 1)
+    with pytest.raises(ShapeError, match="margins"):
+        conv2d(image, kernels, margins=margins)
 
 
 def test_even_kernel_rejected(rng):

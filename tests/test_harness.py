@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from seslab import (
 )
 from dataclasses import replace
 
-from seslab import harness, sesconv
+from seslab import grid, harness, sesconv
 from seslab.errors import dump
 from seslab.grid import crop, crop_window
 from seslab.sesconv import Stack
@@ -116,6 +117,21 @@ class TestEquivarianceError:
         assert equivariance_error(stack, tiny_images, 0.8, np.int64(2)) == expected
         grid = error_map(stack, tiny_images[0], 0.8, 2)
         assert np.array_equal(error_map(stack, tiny_images[0], 0.8, np.int64(2)), grid)
+
+    def test_fraction_scale_factor_is_its_float(self, tiny_images):
+        # A Fraction passed the check and ended in a numpy TypeError.
+        stack = build_stack(TINY_STACK)
+        s = Fraction(4, 5)
+        assert equivariance_error(stack, tiny_images, s, 2) == equivariance_error(stack, tiny_images, 0.8, 2)
+        assert np.array_equal(error_map(stack, tiny_images[0], s, 2), error_map(stack, tiny_images[0], 0.8, 2))
+        assert replace(TINY_CONFIG, scale_factors=(s, Fraction(1, 2))).scale_factors == (0.8, 0.5)
+        for bad in (Fraction(1, 10**400), Fraction(10**400)):  # floats 0.0 and past the range
+            with pytest.raises(ConfigError, match="scale factor"):
+                equivariance_error(stack, tiny_images, bad, 1)
+            with pytest.raises(ConfigError, match="scale factor"):
+                error_map(stack, tiny_images[0], bad, 1)
+            with pytest.raises(ConfigError):
+                replace(TINY_CONFIG, scale_factors=(bad,))
 
     def test_no_images_rejected(self):
         # the mean over no images raised ZeroDivisionError
@@ -215,6 +231,19 @@ class TestRunExperiment:
         bare = run_experiment(TINY_CONFIG, maps=False)
         assert bare.maps == {} and not any(with_maps)
         assert bare.to_csv_text() == default.to_csv_text()
+
+    def test_stacks_are_built_only_up_to_the_deepest_block(self, monkeypatch):
+        # Calibrating all 4 layers of the default stack took 14 of 18 conv2d calls.
+        config = EquivConfig(corpus=CorpusSpec(count=1, height=48, width=80), scale_factors=(0.8,), blocks=(1,))
+        count = []
+        real = sesconv.conv2d
+        monkeypatch.setattr(sesconv, "conv2d", lambda *args, **kwargs: count.append(1) or real(*args, **kwargs))
+        report = run_experiment(config, maps=False)
+        assert len(count) == 6  # per kind: calibration, F(h) and F(T_s h), one conv2d each
+        monkeypatch.undo()
+        full = run_experiment(replace(config, blocks=(1, 4)), maps=False)
+        assert report.rows == tuple(row for row in full.rows if row.block == 1)
+        assert report.metadata["config"]["stack"] == dump(StackSpec())
 
     def test_thread_count_does_not_change_output(self, monkeypatch):
         monkeypatch.setenv("SESLAB_THREADS", "1")
@@ -402,7 +431,7 @@ def delta_ratio(feats, feats_of_scaled, s, margin, with_map):
     window = crop_window(feats.shape, margin)
     read = crop_window(feats.shape, 0.0) if with_map else window
     scaled_feats = harness._sample_scaled(feats, s, read)
-    within = harness._within(window, read)
+    within = grid.within(window, read)
     return harness._delta_ratio(scaled_feats, feats_of_scaled[(..., *read)], within, with_map)
 
 
@@ -522,13 +551,45 @@ class TestCroppedForward:
         shapes = []
         real = Stack.forward
 
-        def recording(self, grid):
+        def recording(self, grid, window=None):
             shapes.append(np.shape(grid))
-            return real(self, grid)
+            return real(self, grid, window)
 
         monkeypatch.setattr(Stack, "forward", recording)
         harness._image_cells(stack, image, (0.6, 0.8, 1.0), (1, 3), 0.1, 0.8)
         assert shapes == [(37, 101), (37, 93), (37, 101), (37, 93)]
+
+
+@pytest.mark.parametrize("kind", ["ses", "vanilla"])
+@pytest.mark.parametrize(
+    "spec, shape, regions",
+    [
+        # equiv-ref: a 96x296 box, whose layer outputs shrink to the 76x256 crop window
+        (StackSpec(), (96, 320), [(96, 286), (96, 276), (86, 266), (76, 256)]),
+        # equiv-wide: a 162x520 box
+        (StackSpec(layers=(LayerSpec(16, 5),) * 2, max_order=2), (192, 640), [(158, 516), (154, 512)]),
+    ],
+    ids=["equiv-ref", "equiv-wide"],
+)
+def test_box_forward_layers_shrink_to_the_crop_window(monkeypatch, kind, spec, shape, regions):
+    stack = build_stack(replace(spec, kind=kind))
+    image = synth_image("gaussian-blobs", *shape, seed=0)
+    shapes = []
+    real = sesconv.conv2d
+
+    def recording(image, kernels, border, out=None, margins=None):
+        result = real(image, kernels, border, out=out, margins=margins)
+        shapes.append(result.shape)
+        return result
+
+    monkeypatch.setattr(sesconv, "conv2d", recording)
+    harness._image_cells(stack, image, (0.8,), tuple(range(1, len(spec.layers) + 1)), 0.1)
+    scales = spec.num_scales if kind == "ses" else 1
+    out_ch = [layer.out_channels for layer in spec.layers]
+    expected = [(scales * out_ch[0], *regions[0])]
+    expected += [(o, *region) for o, region in zip(out_ch[1:], regions[1:]) for _ in range(scales)]
+    base = [(scales * out_ch[0], *shape)] + [(o, *shape) for o in out_ch[1:] for _ in range(scales)]
+    assert shapes == base + expected
 
 
 @pytest.mark.parametrize("map_scale", [None, 0.8])

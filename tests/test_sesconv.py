@@ -477,6 +477,64 @@ class TestStack:
             load(StackSpec, {"kind": "ses", "dropout": 0.5})
 
 
+# Layers and max_order of each windowed-forward stack.
+WINDOW_STACKS = {
+    "mixed-k": ((LayerSpec(3, 3), LayerSpec(3, 5), LayerSpec(3, 7, "none")), 1),
+    "channels-change": ((LayerSpec(2, 5), LayerSpec(4, 3), LayerSpec(3, 1), LayerSpec(3, 5)), 0),
+}
+
+
+class TestWindowedForward:
+    """Stack.forward(image, window) runs each layer only where later layers
+    read it; every block must equal the window of the whole-image block."""
+
+    @pytest.fixture(scope="class", params=[(k, n) for k in KINDS for n in WINDOW_STACKS], ids=str)
+    def stack(self, request):
+        kind, name = request.param
+        layers, max_order = WINDOW_STACKS[name]
+        return build_stack(StackSpec(kind=kind, layers=layers, max_order=max_order, seed=2))
+
+    # Widths of every residue mod 8, so the product widths of each region differ
+    # from the whole image's in their tails.
+    @pytest.mark.parametrize("w", [33, 41, 50, 59, 64, 75, 86, 101])
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (slice(9, 20), slice(10, 25)),  # inside: no region reaches an edge
+            (slice(0, 12), slice(3, 30)),  # clipped by the top edge
+            (slice(20, 29), slice(-11, None)),  # clipped by the bottom and right edges
+            (slice(14, 15), slice(16, 17)),  # one pixel
+            (slice(None), slice(None)),  # the whole image
+        ],
+        ids=["inside", "top", "bottom-right", "pixel", "whole"],
+    )
+    def test_blocks_equal_the_whole_image_blocks_on_the_window(self, stack, w, window):
+        image = synth_image("bandlimited-noise", 29, w, seed=w)
+        whole = stack.forward(image)
+        blocks = stack.forward(image, window)
+        assert len(blocks) == len(whole)
+        for block, full in zip(blocks, whole):
+            expected = full[(..., *window)]
+            assert block.shape == expected.shape and block.tobytes() == expected.tobytes()
+
+    def test_row_blocks_of_every_region_equal_the_whole_image(self, stack, monkeypatch):
+        monkeypatch.setattr(conv, "BLOCK_BYTES", 8 * 12 * 60 * 3)  # blocks of a few rows
+        image = synth_image("gaussian-blobs", 40, 57, seed=1)
+        window = (slice(6, 31), slice(0, 44))
+        for block, full in zip(stack.forward(image, window), stack.forward(image)):
+            assert np.array_equal(block, full[(..., *window)])
+
+    @pytest.mark.parametrize(
+        "window",
+        [(slice(0, 10, 2), slice(None)), (slice(5, 5), slice(None)), (slice(0, 4),), (0, slice(None)), [slice(None)] * 2],
+        ids=["step", "empty", "one-slice", "index", "list"],
+    )
+    def test_bad_window_rejected(self, window):
+        stack = build_stack(StackSpec(layers=(LayerSpec(2, 3),), max_order=1))
+        with pytest.raises(ShapeError, match="window"):
+            stack.forward(synth_image("gaussian-blobs", 12, 12, seed=0), window)
+
+
 class TestHeadlineResidue:
     def test_matched_kernels_beat_single_scale(self):
         basis = build_basis(scale_set_from_alpha(0.1, 3).scaled(2.0), max_order=6, k=11)
