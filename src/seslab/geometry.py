@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError, ShapeError, check_fields, load
 from .grid import BorderPolicy, as_grid
-from .resample import PixelMapping, _check_extents, resize, warp
+from .resample import PixelMapping, _blend, _check_extents, _resize_plan, _warp, resize, warp
 from .ssim import ssim
 
 
@@ -288,9 +288,16 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     theta axis wraps circularly.
     """
     lp_image = as_grid(lp_image, rank=2, name="log-polar image")
-    n_theta, n_r = lp_image.shape
+    mapping = _inverse_mapping(lp_image.shape, out_shape, center, r_min)
+    return _theta_wrapped_warp(lp_image, mapping, out_shape)
+
+
+def _inverse_mapping(lp_shape, out_shape, center, r_min) -> PixelMapping:
+    """The map of ``inverse_log_polar`` from output (x, y) to (ln r column,
+    theta row) of a log-polar grid of extents ``lp_shape``."""
+    n_theta, n_r = lp_shape
     if n_r < 2:
-        raise ShapeError(f"log-polar image needs >= 2 radius columns, got {lp_image.shape}")
+        raise ShapeError(f"log-polar image needs >= 2 radius columns, got {lp_shape}")
     h, w = out_shape
     _check_extents("inverse log-polar output", h, w)
     cy, cx = _center_of((h, w), center)
@@ -307,22 +314,40 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
         cols = (np.log(np.maximum(np.hypot(dy, dx), r_min)) - math.log(r_min)) / dlnr
         return cols, thetas * (n_theta / (2.0 * np.pi))
 
-    wrapped = np.vstack([lp_image, lp_image[:1]])  # row n_theta == row 0
-    return warp(wrapped, PixelMapping(fn), BorderPolicy.CLAMP, (h, w))
+    return PixelMapping(fn)
+
+
+def _theta_wrapped_warp(lp_image, mapping, out_shape) -> np.ndarray:
+    """``warp`` of a log-polar grid, clamped, with row 0 read as row n_theta
+    too (theta rows reach n_theta, and pass it where theta rounds to 2 pi)."""
+    n_theta, n_r = lp_image.shape
+    return _warp(lp_image, (n_theta + 1, n_r), mapping, BorderPolicy.CLAMP, out_shape)
 
 
 def log_polar_roundtrip_ssim(image, up_factor: float = 1.0) -> float:
     """SSIM of an image against its upscale, log-polar, inverse, downscale
-    roundtrip; measures what the log-polar discretization loses."""
+    roundtrip; measures what the log-polar discretization loses.
+
+    The inverse is evaluated only on the source rows x columns that the
+    endpoint-aligned downscale reads, and the downscale blends that compact
+    grid with ``resize``'s plan and blend, bit for bit as ``resize`` of the
+    full inverse.
+    """
     if up_factor < 1:
         raise ValueError(f"up_factor must be >= 1, got {up_factor}")
     image = as_grid(image, rank=2, name="image")
     h, w = image.shape
     h2, w2 = round(h * up_factor), round(w * up_factor)
-    big = resize(image, h2, w2) if (h2, w2) != (h, w) else image.copy()
-    lp = log_polar(big)
-    rec = inverse_log_polar(lp, (h2, w2))
-    small = resize(rec, h, w) if (h2, w2) != (h, w) else rec
+    if (h2, w2) == (h, w):
+        return ssim(image, inverse_log_polar(log_polar(image), (h, w)))
+    lp = log_polar(resize(image, h2, w2))  # the upscale is freed before the inverse runs
+    plan = _resize_plan((h2, w2), h, w)
+    cols, plan = plan.compact_columns()
+    rows, cols = plan.rows.astype(np.float64), cols.astype(np.float64)
+    inverse = _inverse_mapping(lp.shape, (h2, w2), None, 1.0)
+    read = PixelMapping(lambda xs, ys: inverse(cols[xs.astype(np.intp)], rows[ys.astype(np.intp)]))
+    small = np.empty((h, w))
+    _blend(_theta_wrapped_warp(lp, read, (rows.size, cols.size)), plan, small)
     return ssim(image, small)
 
 

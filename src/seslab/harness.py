@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -84,11 +85,15 @@ def _check_cells(scale_factors, blocks, num_blocks: int) -> tuple:
     more of each; bools are neither."""
     factors = tuple(map(_float, scale_factors))
     if not factors or not all(0 < s <= 1 for s in factors):
-        raise ConfigError(f"scale factors must be one or more reals in (0, 1], got {scale_factors}")
+        raise ConfigError(
+            f"scale factors must be one or more reals in (0, 1], got {reprlib.repr(scale_factors)}"
+        )
     if not blocks or any(
         isinstance(b, bool) or not isinstance(b, numbers.Integral) or not 1 <= b <= num_blocks for b in blocks
     ):
-        raise ConfigError(f"block indices must be one or more integers in 1..{num_blocks}, got {blocks}")
+        raise ConfigError(
+            f"block indices must be one or more integers in 1..{num_blocks}, got {reprlib.repr(blocks)}"
+        )
     return factors
 
 

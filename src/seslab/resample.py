@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -93,13 +93,15 @@ def _sample_points(flat, shape, xs, ys, border, out):
     """Point kernel: ``out[..., i]`` samples the point (xs[i], ys[i]).
 
     ``flat`` is the ``_point_source`` of a grid whose trailing extents are
-    ``shape``; ``xs`` and ``ys`` are flat. Points are walked in blocks of
-    about ``BLOCK_POINTS`` output values. Per block, floor, fraction and
-    corner indices are worked out once per axis and shared by all slices,
-    the four corners are gathered by flat index, and the blend is written
-    in place into the block's slice of ``out``. The in-place products and
-    sums only commute operands, which rounds the same; the takes use
-    mode="clip", as every index is in range by construction.
+    ``shape``, or one row fewer; ``xs`` and ``ys`` are flat. Points are
+    walked in blocks of about ``BLOCK_POINTS`` output values. Per block,
+    floor, fraction and corner indices are worked out once per axis and
+    shared by all slices, the four corners are gathered by flat index, and
+    the blend is written in place into the block's slice of ``out``. The
+    in-place products and sums only commute operands, which rounds the
+    same. The takes use mode="wrap", which skips the bounds check: an index
+    of the grid is in range by construction, and one into the extra row of
+    a ``shape`` one row taller wraps onto row 0.
     """
     h, w = shape
     row = w + 2 if border is BorderPolicy.ZERO else w
@@ -116,7 +118,7 @@ def _sample_points(flat, shape, xs, ys, border, out):
         r1 *= row
         # top and bottom start as the corners v00 and v10 and are blended in place
         top, v01, bottom, v11 = (
-            np.take(flat, index, axis=-1, mode="clip")
+            np.take(flat, index, axis=-1, mode="wrap")
             for index in (r0 + c0, r0 + c1, r1 + c0, r1 + c1)
         )
         gx = 1.0 - fx
@@ -135,40 +137,23 @@ def _sample_points(flat, shape, xs, ys, border, out):
 def _sample_separable(grid, xs, ys, border):
     """Separable kernel: output (i, j) samples the point (xs[j], ys[i]).
 
-    The x pass blends, once per output column, every source row that some
-    output row reads: ``t = (1 - fx) * g[:, c0] + fx * g[:, c1]``, the point
-    kernel's ``top`` and ``bottom``. The y pass blends rows of t:
-    ``(1 - fy) * t[r0] + fy * t[r1]``. The in-place products and sums only
-    commute operands, which rounds the same. Leading slices go one at a
-    time, so no temporary grows with the channel count. The takes use
-    mode="clip", which skips the bounds check and the buffered ``out`` of
-    the default mode; every index is in range by construction.
+    ``_separable_plan`` works out the rows and corner columns the outputs
+    read, and ``_blend`` blends them. Leading slices go one at a time, so no
+    temporary grows with the channel count.
 
     For ZERO, an output whose four corners all lie on the zero ring blends
     zeros with non-negative weights, which gives +0.0. The output starts as
-    +0.0, and only the window from the first to the last live column and
-    row is sampled, straight into the output, with the same expressions.
+    +0.0, and only the plan's live window is sampled, straight into the
+    output, with the same expressions.
     """
     lead = grid.shape[:-2]
     h, w = grid.shape[-2:]
-    x0f = np.floor(xs)
-    y0f = np.floor(ys)
     shape = (*lead, ys.size, xs.size)
+    plan = _separable_plan(xs, ys, (h, w), border)
+    if plan is None:
+        return np.zeros(shape)
     zero = border is BorderPolicy.ZERO
-    live_rows = live_cols = slice(None)
-    if zero:
-        live_rows, live_cols = _live_window(y0f, h), _live_window(x0f, w)
-        if live_rows is None or live_cols is None:
-            return np.zeros(shape)
-    xs, x0f, ys, y0f = xs[live_cols], x0f[live_cols], ys[live_rows], y0f[live_rows]
-    fx = xs - x0f
-    fy = (ys - y0f)[:, np.newaxis]
-    gx = 1.0 - fx
-    gy = 1.0 - fy
-    c0, c1 = _corner_indices(x0f.astype(np.intp), w, border)
-    r0, r1 = _corner_indices(y0f.astype(np.intp), h, border)
-    rows, at = np.unique(np.concatenate([r0, r1]), return_inverse=True)
-    at0, at1 = at[: ys.size], at[ys.size :]
+    rows = plan.rows
     if zero:
         # rows index the zero-ringed grid, whose ring rows 0 and h + 1 sort to the ends
         src = np.zeros((rows.size, w + 2))
@@ -177,25 +162,82 @@ def _sample_separable(grid, xs, ys, border):
     # Allocated after the buffers above: allocating it first left a glibc
     # heap layout that raised the peak RSS of the next forward pass by 15 MB.
     out = np.zeros(shape) if zero else np.empty(shape)
-    window = out[..., live_rows, live_cols]
+    window = out[(..., *plan.live)]
     for index in np.ndindex(*lead):
         if zero:
             inner[...] = grid[index][rows]
         else:
             src = grid[index][rows]
-        t = np.take(src, c0, axis=1, mode="clip")
-        t *= gx
-        right = np.take(src, c1, axis=1, mode="clip")
-        right *= fx
-        t += right
-        o = window[index]
-        # a take into a window narrower than the output would go through a copy
-        top = np.take(t, at0, axis=0, out=o if o.flags.c_contiguous else None, mode="clip")
-        top *= gy
-        bottom = np.take(t, at1, axis=0, mode="clip")
-        bottom *= fy
-        np.add(top, bottom, out=o)
+        _blend(src, plan, window[index])
     return out
+
+
+@dataclass(frozen=True)
+class _SeparablePlan:
+    """Output (i, j) of the ``live`` window (rows, cols) blends the corner rows
+    ``rows[at0[i]]`` and ``rows[at1[i]]`` and the corner columns ``c0[j]`` and
+    ``c1[j]`` with fractions ``fx[j]`` and ``fy[i, 0]``. For ZERO the rows and
+    columns index the zero-ringed grid."""
+
+    rows: np.ndarray
+    at0: np.ndarray
+    at1: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    live: tuple
+
+    def compact_columns(self) -> tuple:
+        """The source columns the plan reads, ascending, and the plan with
+        ``c0`` and ``c1`` indexing them, for a source of only those columns."""
+        cols, at = np.unique(np.concatenate([self.c0, self.c1]), return_inverse=True)
+        return cols, replace(self, c0=at[: self.c0.size], c1=at[self.c0.size :])
+
+
+def _separable_plan(xs, ys, shape, border):
+    """The ``_SeparablePlan`` of the outputs (xs[j], ys[i]) on a grid of trailing
+    extents ``shape``; None for ZERO when no output has a corner in the grid."""
+    h, w = shape
+    x0f = np.floor(xs)
+    y0f = np.floor(ys)
+    live = (slice(None), slice(None))
+    if border is BorderPolicy.ZERO:
+        live = (_live_window(y0f, h), _live_window(x0f, w))
+        if live[0] is None or live[1] is None:
+            return None
+    live_rows, live_cols = live
+    xs, x0f, ys, y0f = xs[live_cols], x0f[live_cols], ys[live_rows], y0f[live_rows]
+    fx = xs - x0f
+    fy = (ys - y0f)[:, np.newaxis]
+    c0, c1 = _corner_indices(x0f.astype(np.intp), w, border)
+    r0, r1 = _corner_indices(y0f.astype(np.intp), h, border)
+    rows, at = np.unique(np.concatenate([r0, r1]), return_inverse=True)
+    return _SeparablePlan(rows, at[: ys.size], at[ys.size :], c0, c1, fx, fy, live)
+
+
+def _blend(src, plan, o):
+    """Write into ``o`` the plan's blend of ``src``, the grid's rows ``plan.rows``.
+
+    The x pass blends, once per output column, every row of src:
+    ``t = (1 - fx) * src[:, c0] + fx * src[:, c1]``, the point kernel's
+    ``top`` and ``bottom``. The y pass blends rows of t:
+    ``(1 - fy) * t[at0] + fy * t[at1]``. The in-place products and sums only
+    commute operands, which rounds the same. The takes use mode="clip",
+    which skips the bounds check and the buffered ``out`` of the default
+    mode; every index is in range by construction.
+    """
+    t = np.take(src, plan.c0, axis=1, mode="clip")
+    t *= 1.0 - plan.fx
+    right = np.take(src, plan.c1, axis=1, mode="clip")
+    right *= plan.fx
+    t += right
+    # a take into a window narrower than the output would go through a copy
+    top = np.take(t, plan.at0, axis=0, out=o if o.flags.c_contiguous else None, mode="clip")
+    top *= 1.0 - plan.fy
+    bottom = np.take(t, plan.at1, axis=0, mode="clip")
+    bottom *= plan.fy
+    np.add(top, bottom, out=o)
 
 
 def _live_window(i0f, n):
@@ -239,12 +281,23 @@ def warp(
     border = BorderPolicy.coerce(border)
     h, w = out_shape if out_shape is not None else image.shape[-2:]
     _check_extents("warp output", h, w)
+    return _warp(image, image.shape[-2:], mapping, border, (h, w))
+
+
+def _warp(image, shape, mapping, border, out_shape):
+    """``warp`` of ``image`` read as a grid of trailing extents ``shape``.
+
+    ``shape`` is the image's own, or one row taller: then the point
+    kernel's extra last row reads row 0 (the theta wrap of the inverse
+    log-polar), and every map goes through the point kernel.
+    """
+    h, w = out_shape
     lead = image.shape[:-2]
     band = max(1, BLOCK_POINTS // (math.prod(lead) * w))
     xs = np.arange(w, dtype=np.float64)[np.newaxis, :]
     ys = np.arange(h, dtype=np.float64)[:, np.newaxis]
     sx, sy = mapping(xs, ys[:band])
-    if np.shape(sx) == (1, w) and np.shape(sy) == (min(band, h), 1):
+    if shape == image.shape[-2:] and np.shape(sx) == (1, w) and np.shape(sy) == (min(band, h), 1):
         return sample_at(image, *mapping(xs, ys), border)
     flat = _point_source(image, border)
     out = np.empty((*lead, h * w))
@@ -254,7 +307,7 @@ def warp(
             sx, sy = mapping(xs, rows)
         sx, sy = (np.broadcast_to(c, (rows.size, w)).ravel() for c in _finite_coordinates(sx, sy))
         points = out[..., first * w : (first + rows.size) * w]
-        _sample_points(flat, image.shape[-2:], sx, sy, border, points)
+        _sample_points(flat, shape, sx, sy, border, points)
     return out.reshape(*lead, h, w)
 
 
@@ -293,17 +346,22 @@ def resize(image, out_h: int, out_w: int) -> np.ndarray:
     image = as_grid(image, rank=2, name="image")
     _check_extents("resize target", out_h, out_w)
     h, w = image.shape
-    ys = (
-        np.arange(out_h, dtype=np.float64) * ((h - 1) / (out_h - 1))
-        if out_h > 1
-        else np.full(1, (h - 1) / 2.0)
-    )
-    xs = (
-        np.arange(out_w, dtype=np.float64) * ((w - 1) / (out_w - 1))
-        if out_w > 1
-        else np.full(1, (w - 1) / 2.0)
-    )
+    xs, ys = _endpoint_aligned(w, out_w), _endpoint_aligned(h, out_h)
     return sample_at(image, xs[np.newaxis, :], ys[:, np.newaxis])
+
+
+def _resize_plan(shape, out_h: int, out_w: int) -> _SeparablePlan:
+    """The separable plan of ``resize`` from a grid of extents ``shape``."""
+    return _separable_plan(
+        _endpoint_aligned(shape[1], out_w), _endpoint_aligned(shape[0], out_h), shape, BorderPolicy.CLAMP
+    )
+
+
+def _endpoint_aligned(n: int, out_n: int) -> np.ndarray:
+    """``resize``'s sample coordinates along an axis of extent n."""
+    if out_n > 1:
+        return np.arange(out_n, dtype=np.float64) * ((n - 1) / (out_n - 1))
+    return np.full(1, (n - 1) / 2.0)
 
 
 def _check_extents(what, h, w):

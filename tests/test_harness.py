@@ -133,6 +133,17 @@ class TestEquivarianceError:
             with pytest.raises(ConfigError):
                 replace(TINY_CONFIG, scale_factors=(bad,))
 
+    def test_long_arguments_are_abbreviated(self, tiny_images):
+        # The whole 401-digit Fraction went into a 472-character message.
+        stack = build_stack(TINY_STACK)
+        for args, what in (((Fraction(1, 10**400), 1), "scale factor"), ((0.8, 10**400), "block")):
+            with pytest.raises(ConfigError, match=what) as info:
+                equivariance_error(stack, tiny_images, *args)
+            assert len(str(info.value)) < 120
+        with pytest.raises(ConfigError, match="scale factor") as info:
+            replace(TINY_CONFIG, scale_factors=(0.5,) * 1000 + (2.0,))
+        assert len(str(info.value)) < 120
+
     def test_no_images_rejected(self):
         # the mean over no images raised ZeroDivisionError
         with pytest.raises(ConfigError, match="image is required"):

@@ -7,10 +7,12 @@ import pytest
 from seslab import (
     BorderPolicy,
     ShapeError,
+    geometry,
     inverse_log_polar,
     log_polar,
     log_polar_roundtrip_ssim,
     resample,
+    resize,
     sample_at,
     scale_transform,
     ssim,
@@ -125,6 +127,72 @@ class TestRoundtripSsim:
         with pytest.raises(ValueError, match="up_factor"):
             log_polar_roundtrip_ssim(blob_image, 0.5)
 
+    @pytest.mark.parametrize("kind", ["checkerboard", "gaussian-blobs"])
+    @pytest.mark.parametrize("shape", [(50, 50), (51, 51), (37, 64), (64, 41)])
+    @pytest.mark.parametrize("up", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_equals_full_size_composition(self, monkeypatch, kind, shape, up):
+        image = synth_image(kind, *shape, seed=11)
+        h, w = shape
+        h2, w2 = round(h * up), round(w * up)
+        if (h2, w2) == (h, w):
+            expected = inverse_log_polar(log_polar(image), shape)
+        else:
+            expected = resize(inverse_log_polar(log_polar(resize(image, h2, w2)), (h2, w2)), h, w)
+        compared = []
+
+        def recording(a, b):
+            compared.append(b)
+            return ssim(a, b)
+
+        monkeypatch.setattr(geometry, "ssim", recording)
+        value = log_polar_roundtrip_ssim(image, up)
+        assert compared[0].tobytes() == expected.tobytes()
+        assert value.hex() == ssim(image, expected).hex()
+
+    def test_inverse_runs_only_where_the_downscale_reads(self, monkeypatch):
+        image = synth_image("checkerboard", 60, 45, seed=2)
+        h2, w2 = 240, 180
+        points = []
+        real = geometry._inverse_mapping
+
+        def counting(*args):
+            mapping = real(*args)
+
+            def fn(xs, ys):
+                cols, rows = mapping(xs, ys)
+                points.append(np.broadcast(cols, rows).size)
+                return cols, rows
+
+            return resample.PixelMapping(fn)
+
+        monkeypatch.setattr(geometry, "_inverse_mapping", counting)
+        log_polar_roundtrip_ssim(image, 4.0)
+
+        def read(n, out_n):
+            i0 = np.floor(np.arange(out_n) * ((n - 1) / (out_n - 1))).astype(int)
+            return np.unique(np.concatenate([i0, np.minimum(i0 + 1, n - 1)]))
+
+        rows, cols = read(h2, 60), read(w2, 45)
+        assert (rows.size, cols.size) == (119, 89)
+        assert sum(points) == rows.size * cols.size < h2 * w2 // 4
+
+    def test_peak_memory_holds_no_full_size_inverse(self):
+        # At 384x384 and u = 4 a full-size (1536x1536) array is 18 MiB. The
+        # peak is the upscale's resize: its output, one full-size take and
+        # the quarter-size x pass. The full-size inverse, its theta-wrap copy
+        # and the upscale kept alive through the inverse (4 full-size arrays
+        # with the log-polar image) do not fit.
+        image = synth_image("checkerboard", 384, 384, seed=1)
+        full = 1536 * 1536 * 8
+        limit = 2.5 * full + 32 * 8 * resample.BLOCK_POINTS
+        tracemalloc.start()
+        try:
+            log_polar_roundtrip_ssim(image, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
+
 
 def full_coordinate_radius(shape, cy, cx):
     corners = [(0.0, 0.0), (0.0, shape[1] - 1.0), (shape[0] - 1.0, 0.0), (shape[0] - 1.0, shape[1] - 1.0)]
@@ -177,6 +245,18 @@ class TestAsMappings:
         rec = inverse_log_polar(lp, shape, center=center, r_min=r_min)
         assert rec.tobytes() == full_coordinate_inverse(lp, shape, cy, cx, r_min).tobytes()
 
+    def test_theta_rows_past_n_theta_read_row_0(self):
+        # Row 10 lies 2e-15 above the center, so right of the center theta
+        # rounds up to 2 pi, and for n_theta = 56 the row coordinate
+        # 2 pi * (56 / 2 pi) lands past 56, where both corners are row 0.
+        image = synth_image("gaussian-blobs", 56, 64, seed=3)
+        center = (10.000000000000002, 20.0)
+        lp = log_polar(image, center=center)
+        xs, ys = np.arange(64.0)[np.newaxis, :], np.arange(56.0)[:, np.newaxis]
+        assert (geometry._inverse_mapping(lp.shape, image.shape, center, 1.0)(xs, ys)[1] > 56).any()
+        rec = inverse_log_polar(lp, image.shape, center=center)
+        assert rec.tobytes() == full_coordinate_inverse(lp, image.shape, *center).tobytes()
+
     def test_theta_wrap_equals_mod_two_pi(self):
         # arctan2 outputs in [-pi, pi], with +-0.0 (dy = +-0.0) and +-pi (dx < 0, dy = +-0.0)
         values = np.array([-3.0, -1.0, -0.0, 0.0, 1e-300, 2.0])
@@ -189,12 +269,13 @@ class TestAsMappings:
         wrapped += np.where(wrapped < 0.0, 2.0 * np.pi, 0.0)
         assert wrapped.tobytes() == np.mod(thetas, 2.0 * np.pi).tobytes()
 
-    def test_inverse_peak_memory_is_output_plus_wrapped_copy_plus_bands(self):
-        # Allowed: the output, the copy with row 0 appended, and 32 arrays of
-        # BLOCK_POINTS doubles for one band's coordinates and kernel temporaries.
-        # Whole-size coordinate arrays (radii, angles, rows, columns) do not fit.
+    def test_inverse_peak_memory_is_output_plus_bands(self):
+        # Allowed: the output and 32 arrays of BLOCK_POINTS doubles for one
+        # band's coordinates and kernel temporaries. Whole-size coordinate
+        # arrays (radii, angles, rows, columns) do not fit, nor does a copy of
+        # the log-polar image with row 0 appended for the theta wrap.
         lp = np.random.default_rng(5).uniform(size=(1024, 1024))
-        limit = lp.nbytes + (lp.nbytes + 8 * 1024) + 32 * 8 * resample.BLOCK_POINTS
+        limit = lp.nbytes + 32 * 8 * resample.BLOCK_POINTS
         tracemalloc.start()
         try:
             inverse_log_polar(lp, (1024, 1024))

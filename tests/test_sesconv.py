@@ -189,6 +189,16 @@ class TestScaleProjection:
         x = rng.standard_normal((1, 3, 5, 5))
         assert np.array_equal(scale_projection(x), x[0])
 
+    def test_single_scale_is_a_copy_of_the_max(self, rng):
+        # The next layer overwrites x in place, so the projection must own its values.
+        x = rng.standard_normal((1, 3, 5, 5))
+        x[0, 0, 0, :3] = (-0.0, np.nan, -np.inf)
+        out = scale_projection(x)
+        assert out.tobytes() == x[0].tobytes() == x.max(axis=0).tobytes()
+        assert not np.shares_memory(out, x)
+        view = x[:, :, 1:, ::2]  # a strided view projects to its own values too
+        assert scale_projection(view).tobytes() == view.max(axis=0).tobytes()
+
     def test_max_semantics(self):
         x = np.array([-1.0, 0.0, 2.0]).reshape(3, 1, 1, 1)
         assert scale_projection(x)[0, 0, 0] == 2.0
