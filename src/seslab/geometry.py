@@ -4,6 +4,7 @@ log-polar transform pair."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -333,8 +334,8 @@ def log_polar_roundtrip_ssim(image, up_factor: float = 1.0) -> float:
     grid with ``resize``'s plan and blend, bit for bit as ``resize`` of the
     full inverse.
     """
-    if up_factor < 1:
-        raise ValueError(f"up_factor must be >= 1, got {up_factor}")
+    if not (isinstance(up_factor, numbers.Real) and 1 <= up_factor < math.inf):
+        raise ValueError(f"up_factor must be a finite real >= 1, got {up_factor}")
     image = as_grid(image, rank=2, name="image")
     h, w = image.shape
     h2, w2 = round(h * up_factor), round(w * up_factor)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, SeslabError, check_fields, dump, load
 from .fileio import read_pgm, write_json
-from .grid import BorderPolicy, as_grid, crop_window, dilate, within
+from .grid import BorderPolicy, as_grid, crop_window, within
 from .resample import sample_at, scale_transform_mapping
 from .sesconv import KINDS, Stack, StackSpec, build_stack
 from .synth import MIN_EXTENT, synth_corpus
@@ -81,18 +81,18 @@ def _float(value) -> float:
 
 def _check_cells(scale_factors, blocks, num_blocks: int) -> tuple:
     """The scale factors as floats. Raises ConfigError unless they are reals whose
-    floats lie in (0, 1] and the block indices integers in 1..num_blocks, one or
-    more of each; bools are neither."""
+    floats are distinct and lie in (0, 1] and the block indices distinct integers
+    in 1..num_blocks, one or more of each; bools are neither."""
     factors = tuple(map(_float, scale_factors))
-    if not factors or not all(0 < s <= 1 for s in factors):
+    if not factors or not all(0 < s <= 1 for s in factors) or len(set(factors)) < len(factors):
         raise ConfigError(
-            f"scale factors must be one or more reals in (0, 1], got {reprlib.repr(scale_factors)}"
+            f"scale factors must be one or more distinct reals in (0, 1], got {reprlib.repr(scale_factors)}"
         )
     if not blocks or any(
         isinstance(b, bool) or not isinstance(b, numbers.Integral) or not 1 <= b <= num_blocks for b in blocks
-    ):
+    ) or len(set(blocks)) < len(blocks):
         raise ConfigError(
-            f"block indices must be one or more integers in 1..{num_blocks}, got {reprlib.repr(blocks)}"
+            f"block indices must be one or more distinct integers in 1..{num_blocks}, got {reprlib.repr(blocks)}"
         )
     return factors
 
@@ -198,40 +198,28 @@ def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
     return float(np.sum(num)) / den_sq, grid
 
 
-def _receptive_box(shape: tuple, read, layers) -> tuple:
-    """The part of an [H, W] frame that the outputs of ``layers`` read on the
-    (rows, cols) slices ``read``, as slices: the box, and ``read`` within it.
-    The box is ``read`` dilated by the reach R = sum((k - 1) // 2) over
-    ``layers`` and clipped to the frame; the frame's own box is the frame.
-    """
-    box = dilate(shape, read, sum((layer.k - 1) // 2 for layer in layers))
-    return box, within(read, box)
-
-
 def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None) -> tuple:
     """Delta cells {(block, s): ratio} of one image, and error maps
     {block: grid} at the scale factor ``map_scale`` (none if it is None).
 
     Every cell reads a window: the crop window, or the frame at ``map_scale``.
-    T_s h is sampled on the window's receptive box, F(T_s h) runs there on the
-    window (see Stack.forward), and T_s F(h) is sampled on the window. F(h)
-    runs on the frame. Only layers up to max(blocks) run; none depends on a
-    later one. The box holds every pixel that the window's outputs read, so
-    they equal the whole-frame values bit for bit.
+    T_s h is sampled on the frame, F(T_s h) runs on the window (Stack.forward
+    reads only the window's receptive field), and T_s F(h) is sampled on the
+    window. F(h) runs on the frame. Only layers up to max(blocks) run; none
+    depends on a later one.
     """
     image = as_grid(image, rank=2, name="image")
     if not np.isfinite(image).all():
         raise SeslabError("image has non-finite pixels; its equivariance error is undefined")
-    crop = crop_window(image.shape, margin)
+    crop, frame = crop_window(image.shape, margin), crop_window(image.shape, 0.0)
     n = max(blocks)
     spec = replace(stack.spec, layers=stack.spec.layers[:n])
     stack = replace(stack, spec=spec, banks=stack.banks[:n], norm_stats=stack.norm_stats[: n - 1])
     base = stack.forward(image)
     cells, maps = {}, {}
     for s in scale_factors:
-        read = crop_window(image.shape, 0.0) if s == map_scale else crop
-        box, window = _receptive_box(image.shape, read, spec.layers)
-        scaled = stack.forward(_sample_scaled(image, s, box), window)
+        read = frame if s == map_scale else crop
+        scaled = stack.forward(_sample_scaled(image, s, frame), read)
         for b in blocks:
             cells[(b, s)], grid = _delta_ratio(
                 _sample_scaled(base[b - 1], s, read), scaled[b - 1], within(crop, read), s == map_scale

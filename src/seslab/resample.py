@@ -317,12 +317,16 @@ def scale_transform(image, s: float, border: BorderPolicy = BorderPolicy.CLAMP) 
     output(y, x) = image(cy + (y - cy)/s, cx + (x - cx)/s); s > 1 magnifies,
     s < 1 shrinks. T_1 returns a bit-exact copy.
     """
-    return _scale_about(as_grid(image, rank=2, name="image"), s, border)
+    return scale_transform_stack(as_grid(image, rank=2, name="image"), s, border)
 
 
 def scale_transform_stack(stack, s: float, border: BorderPolicy = BorderPolicy.CLAMP) -> np.ndarray:
     """Apply ``scale_transform`` over the trailing two axes of a rank >= 2 grid, as one warp."""
-    return _scale_about(as_grid(stack, name="stack"), s, border)
+    stack = as_grid(stack, name="stack")
+    mapping = scale_transform_mapping(stack.shape, s)
+    if s == 1.0:
+        return stack.copy()
+    return warp(stack, mapping, border)
 
 
 def scale_transform_mapping(shape: tuple, s: float) -> PixelMapping:
@@ -331,13 +335,6 @@ def scale_transform_mapping(shape: tuple, s: float) -> PixelMapping:
     if not np.isfinite(s) or s <= 0:
         raise ValueError(f"scale factor must be positive and finite, got {s}")
     return PixelMapping.scale_about(s, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
-
-
-def _scale_about(grid, s, border):
-    mapping = scale_transform_mapping(grid.shape, s)
-    if s == 1.0:
-        return grid.copy()
-    return warp(grid, mapping, border)
 
 
 def resize(image, out_h: int, out_w: int) -> np.ndarray:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +59,7 @@ class SesFilterBank:
         return self.basis.sigmas.sigmas[index]
 
     def gain(self, index: int) -> float:
-        return self.scale_gains[index % self.num_scales]
+        return self.scale_gains[index]
 
 
 def paper_scale_gains(sigmas) -> tuple:
@@ -427,8 +429,12 @@ def scale_matched_residue(
     amplitude convention: amp = 1 for banks built with the analytic
     1/sigma^2 gains (stacks) and amp = s for plain unit-l2 banks. Both
     convolutions zero-fill, and borders are cropped by ``crop_margin`` per
-    side before comparing.
+    side before comparing. Raises ShapeError unless ``scale_i`` and
+    ``scale_j`` are integers in 0..S-1 for the bank's S scales.
     """
+    for name, index in (("scale_i", scale_i), ("scale_j", scale_j)):
+        if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < bank.num_scales:
+            raise ShapeError(f"{name} must be an integer in 0..{bank.num_scales - 1}, got {reprlib.repr(index)}")
     image = as_grid(image, rank=2, name="image")
     s = bank.sigma(scale_i) / bank.sigma(scale_j)
     amp = s * bank.gain(scale_i) / bank.gain(scale_j)

@@ -513,10 +513,16 @@ class TestEquivCommand:
         assert "crop margin" not in err
         assert not (tmp_path / "equiv_report.csv").exists()
 
-    def test_malformed_config_rejected(self, tmp_path):
+    # Repeated scale factors or blocks wrote a report row per listed cell
+    # and reran its forwards.
+    @pytest.mark.parametrize(
+        "payload", ['{"blocks": [9]}', '{"scale_factors": [0.8, 0.8]}', '{"blocks": [2, 1, 2]}']
+    )
+    def test_malformed_config_rejected(self, tmp_path, payload):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"blocks": [9]}')
+        bad.write_text(payload)
         assert main(["equiv", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
+        assert not (tmp_path / "equiv_report.csv").exists()
 
 
     @pytest.mark.parametrize(

@@ -344,6 +344,13 @@ class TestRunExperiment:
             EquivConfig.from_dict([1, 2])
         with pytest.raises(ConfigError, match="integer"):
             EquivConfig(stack=TINY_STACK, scale_factors=(0.8,), blocks=(1.5,))
+        # Repeats are rejected, also when only their floats or integers are equal.
+        for factors in ((0.8, 0.8), (0.8, Fraction(4, 5))):
+            with pytest.raises(ConfigError, match="scale factors must be one or more distinct"):
+                EquivConfig(stack=TINY_STACK, scale_factors=factors, blocks=(1,))
+        for blocks in ((2, 1, 2), (1, np.int64(1))):
+            with pytest.raises(ConfigError, match="block indices must be one or more distinct"):
+                EquivConfig(stack=TINY_STACK, scale_factors=(0.8,), blocks=blocks)
 
     @pytest.mark.parametrize(
         "payload, field",
@@ -542,65 +549,46 @@ class TestCroppedForward:
                     assert maps[block].tobytes() == grid.tobytes()
         assert [cells[(block, 1.0)] for block in blocks] == [0.0] * len(blocks)
 
-    @pytest.mark.parametrize(
-        "shape, margin, layers, box, window",
-        [
-            # window rows 4:33, cols 10:91; R = 6 reaches past the top and bottom rows
-            ((37, 101), 0.1, MIXED_STACK.layers, (0, 37, 4, 97), (4, 33, 6, 87)),
-            ((37, 101), 0.25, MIXED_STACK.layers, (3, 34, 19, 82), (6, 25, 6, 57)),
-            ((37, 101), 0.1, MIXED_STACK.layers[:1], (3, 34, 9, 92), (1, 30, 1, 82)),
-            ((37, 101), 0.0, MIXED_STACK.layers, (0, 37, 0, 101), (0, 37, 0, 101)),
-            ((192, 640), 0.1, (LayerSpec(16, 5),) * 2, (15, 177, 60, 580), (4, 158, 4, 516)),
-            ((96, 320), 0.1, (LayerSpec(4, 11),) * 4, (0, 96, 12, 308), (10, 86, 20, 276)),
-        ],
-    )
-    def test_receptive_box(self, shape, margin, layers, box, window):
-        got_box, got_window = harness._receptive_box(shape, crop_window(shape, margin), layers)
-        assert [(r.start, r.stop, c.start, c.stop) for r, c in [got_box, got_window]] == [box, window]
-
-    def test_only_the_base_and_map_forwards_run_full_size(self, stack, image, monkeypatch):
-        shapes = []
-        real = Stack.forward
-
-        def recording(self, grid, window=None):
-            shapes.append(np.shape(grid))
-            return real(self, grid, window)
-
-        monkeypatch.setattr(Stack, "forward", recording)
-        harness._image_cells(stack, image, (0.6, 0.8, 1.0), (1, 3), 0.1, 0.8)
-        assert shapes == [(37, 101), (37, 93), (37, 101), (37, 93)]
-
 
 @pytest.mark.parametrize("kind", ["ses", "vanilla"])
 @pytest.mark.parametrize(
-    "spec, shape, regions",
+    "spec, shape, margin, box, regions",
     [
         # equiv-ref: a 96x296 box, whose layer outputs shrink to the 76x256 crop window
-        (StackSpec(), (96, 320), [(96, 286), (96, 276), (86, 266), (76, 256)]),
+        (StackSpec(), (96, 320), 0.1, (96, 296), [(96, 286), (96, 276), (86, 266), (76, 256)]),
         # equiv-wide: a 162x520 box
-        (StackSpec(layers=(LayerSpec(16, 5),) * 2, max_order=2), (192, 640), [(158, 516), (154, 512)]),
+        (StackSpec(layers=(LayerSpec(16, 5),) * 2, max_order=2), (192, 640), 0.1, (162, 520), [(158, 516), (154, 512)]),
+        # crop window rows 4:33, cols 10:91; the reach 6 passes the top and bottom rows
+        (MIXED_STACK, (37, 101), 0.1, (37, 93), [(37, 91), (35, 87), (29, 81)]),
+        (MIXED_STACK, (37, 101), 0.25, (31, 63), [(29, 61), (25, 57), (19, 51)]),
+        (replace(MIXED_STACK, layers=MIXED_STACK.layers[:1]), (37, 101), 0.1, (31, 83), [(29, 81)]),
+        (MIXED_STACK, (37, 101), 0.0, (37, 101), [(37, 101)] * 3),
     ],
-    ids=["equiv-ref", "equiv-wide"],
+    ids=["equiv-ref", "equiv-wide", "mixed", "mixed-margin-0.25", "mixed-first-layer", "mixed-margin-0"],
 )
-def test_box_forward_layers_shrink_to_the_crop_window(monkeypatch, kind, spec, shape, regions):
+def test_box_forward_layers_shrink_to_the_crop_window(monkeypatch, kind, spec, shape, margin, box, regions):
+    # The first conv of the scaled forward reads the crop window's receptive
+    # box: the window dilated by the reach of every layer, clipped to the frame.
     stack = build_stack(replace(spec, kind=kind))
     image = synth_image("gaussian-blobs", *shape, seed=0)
-    shapes = []
+    inputs, shapes = [], []
     real = sesconv.conv2d
 
     def recording(image, kernels, border, out=None, margins=None):
+        inputs.append(image.shape)
         result = real(image, kernels, border, out=out, margins=margins)
         shapes.append(result.shape)
         return result
 
     monkeypatch.setattr(sesconv, "conv2d", recording)
-    harness._image_cells(stack, image, (0.8,), tuple(range(1, len(spec.layers) + 1)), 0.1)
+    harness._image_cells(stack, image, (0.8,), tuple(range(1, len(spec.layers) + 1)), margin)
     scales = spec.num_scales if kind == "ses" else 1
     out_ch = [layer.out_channels for layer in spec.layers]
     expected = [(scales * out_ch[0], *regions[0])]
     expected += [(o, *region) for o, region in zip(out_ch[1:], regions[1:]) for _ in range(scales)]
     base = [(scales * out_ch[0], *shape)] + [(o, *shape) for o in out_ch[1:] for _ in range(scales)]
     assert shapes == base + expected
+    assert [inputs[0], inputs[len(base)]] == [(1, *shape), (1, *box)]
 
 
 @pytest.mark.parametrize("map_scale", [None, 0.8])

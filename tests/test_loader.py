@@ -189,8 +189,8 @@ INSTANCES = {
             EquivConfig,
             st.just(fields[0]),
             st.just(fields[1]),
-            st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=5),
-            st.lists(st.integers(1, len(fields[0].layers)), min_size=1, max_size=4),
+            st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=5, unique=True),
+            st.lists(st.integers(1, len(fields[0].layers)), min_size=1, max_size=4, unique=True),
             st.just(fields[2]),
         )
     ),

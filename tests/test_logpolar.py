@@ -123,9 +123,11 @@ class TestRoundtripSsim:
         )
         assert large >= small
 
-    def test_up_factor_validated(self, blob_image):
+    @pytest.mark.parametrize("up", [0.5, float("nan"), float("inf"), "2"])
+    def test_up_factor_validated(self, blob_image, up):
+        # nan ended in a ValueError converting NaN to an integer, inf in an OverflowError
         with pytest.raises(ValueError, match="up_factor"):
-            log_polar_roundtrip_ssim(blob_image, 0.5)
+            log_polar_roundtrip_ssim(blob_image, up)
 
     @pytest.mark.parametrize("kind", ["checkerboard", "gaussian-blobs"])
     @pytest.mark.parametrize("shape", [(50, 50), (51, 51), (37, 64), (64, 41)])

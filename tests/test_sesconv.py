@@ -69,6 +69,8 @@ class TestCombine:
         assert np.abs(bank.kernels - ref).max() <= 1e-12
         assert bank.gain(2) == 1.0
         assert bank.gain(0) == pytest.approx(1.2)
+        with pytest.raises(IndexError):  # gain(3) was gain(0)
+            bank.gain(3)
 
     def test_linear_in_weights(self, rng, small_basis):
         w1 = rng.standard_normal((2, 1, small_basis.num_basis))
@@ -561,6 +563,16 @@ class TestHeadlineResidue:
             fixed = single_scale_residue(bank, image, s)
             assert matched <= 5e-2
             assert fixed > matched
+
+    @pytest.mark.parametrize(
+        "i, j, name",
+        [(3, 0, "scale_i"), (0, 3, "scale_j"), (-1, 0, "scale_i"), (1.0, 0, "scale_i"), (0, True, "scale_j")],
+    )
+    def test_scale_indices_checked(self, small_basis, i, j, name):
+        # (3, 0) on a 3-scale bank ended in a bare IndexError
+        bank = combine(np.ones((1, 1, small_basis.num_basis)), small_basis)
+        with pytest.raises(ShapeError, match=rf"{name} must be an integer in 0\.\.2"):
+            scale_matched_residue(bank, synth_image("gaussian-blobs", 32, 32, seed=0), i, j)
 
 
 def _forward_out_of_place(stack, image):
