@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,6 +186,10 @@ class SweepConfig:
             raise ConfigError(f"corpus count must be >= 1, got {self.count}")
         if self.width is not None and self.width < 1:
             raise ConfigError(f"width must be >= 1, got {self.width}")
+        for name in ("heights", "up_factors"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must be distinct, got {reprlib.repr(values)}")
 
 
 def cmd_ssim_sweep(args) -> int:

@@ -5,13 +5,26 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError, ShapeError, check_fields, load
 from .grid import BorderPolicy, as_grid
-from .resample import PixelMapping, _blend, _check_extents, _resize_plan, _warp, resize, warp
+from .resample import (
+    BLOCK_POINTS,
+    PixelMapping,
+    _bands,
+    _blend,
+    _check_extents,
+    _corner_indices,
+    _resize_plan,
+    _sample_points,
+    _warp,
+    resize,
+    warp,
+)
 from .ssim import ssim
 
 
@@ -263,22 +276,35 @@ def log_polar(image, center=None, out_shape=None, r_min: float = 1.0) -> np.ndar
     center becomes a column shift by ln(s) / dlnr.
     """
     image = as_grid(image, rank=2, name="image")
-    cy, cx = _center_of(image.shape, center)
-    n_theta, n_r = out_shape if out_shape is not None else image.shape
+    lp_shape = out_shape if out_shape is not None else image.shape
+    mapping = _log_polar_mapping(image.shape, lp_shape, center, r_min)
+    return warp(image, mapping, BorderPolicy.CLAMP, lp_shape)
+
+
+def _log_polar_mapping(shape, lp_shape, center, r_min) -> PixelMapping:
+    """The map of ``log_polar`` from (ln r column, theta row) of a log-polar
+    grid of extents ``lp_shape`` to (x, y) of an image of extents ``shape``.
+
+    Radius, cosine and sine are looked up by integer column and row in 1-D
+    tables, each value computed once as the whole-grid expression computes it.
+    """
+    cy, cx = _center_of(shape, center)
+    n_theta, n_r = lp_shape
     _check_extents("log-polar output", n_theta, n_r)
     if n_r < 2:
-        raise ShapeError(f"log-polar output needs >= 2 columns, got {out_shape}")
-    r_max = _corner_radius(image.shape, cy, cx)
+        raise ShapeError(f"log-polar output needs >= 2 columns, got {lp_shape}")
+    r_max = _corner_radius(shape, cy, cx)
     if not 0 < r_min < r_max:
         raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
     radii = np.exp(np.linspace(math.log(r_min), math.log(r_max), n_r))
+    thetas = np.arange(n_theta, dtype=np.float64) * (2.0 * np.pi / n_theta)
+    cos, sin = np.cos(thetas), np.sin(thetas)
 
     def fn(xs, ys):
-        thetas = ys * (2.0 * np.pi / n_theta)
-        r = radii[xs.astype(np.intp)]
-        return cx + r * np.cos(thetas), cy + r * np.sin(thetas)
+        r, rows = radii[xs.astype(np.intp, copy=False)], ys.astype(np.intp, copy=False)
+        return cx + r * cos[rows], cy + r * sin[rows]
 
-    return warp(image, PixelMapping(fn), BorderPolicy.CLAMP, (n_theta, n_r))
+    return PixelMapping(fn)
 
 
 def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> np.ndarray:
@@ -290,7 +316,10 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     """
     lp_image = as_grid(lp_image, rank=2, name="log-polar image")
     mapping = _inverse_mapping(lp_image.shape, out_shape, center, r_min)
-    return _theta_wrapped_warp(lp_image, mapping, out_shape)
+    # Read as a grid one row taller whose row n_theta reads row 0: theta rows
+    # reach n_theta, and pass it where theta rounds to 2 pi.
+    n_theta, n_r = lp_image.shape
+    return _warp(lp_image, (n_theta + 1, n_r), mapping, BorderPolicy.CLAMP, out_shape)
 
 
 def _inverse_mapping(lp_shape, out_shape, center, r_min) -> PixelMapping:
@@ -318,38 +347,98 @@ def _inverse_mapping(lp_shape, out_shape, center, r_min) -> PixelMapping:
     return PixelMapping(fn)
 
 
-def _theta_wrapped_warp(lp_image, mapping, out_shape) -> np.ndarray:
-    """``warp`` of a log-polar grid, clamped, with row 0 read as row n_theta
-    too (theta rows reach n_theta, and pass it where theta rounds to 2 pi)."""
-    n_theta, n_r = lp_image.shape
-    return _warp(lp_image, (n_theta + 1, n_r), mapping, BorderPolicy.CLAMP, out_shape)
-
-
 def log_polar_roundtrip_ssim(image, up_factor: float = 1.0) -> float:
     """SSIM of an image against its upscale, log-polar, inverse, downscale
     roundtrip; measures what the log-polar discretization loses.
 
-    The inverse is evaluated only on the source rows x columns that the
-    endpoint-aligned downscale reads, and the downscale blends that compact
-    grid with ``resize``'s plan and blend, bit for bit as ``resize`` of the
-    full inverse.
+    Each step is evaluated only where the next one reads it. The inverse
+    runs on the source rows x columns that the endpoint-aligned downscale
+    reads (``_resize_plan``), the forward only on the log-polar cells that
+    the inverse's corners read (``_read_cells``), and the downscale blends
+    the compact grid with ``resize``'s blend, bit for bit as ``resize`` of
+    the full-size composition. Raises ConfigError when the upscale and the
+    log-polar image would not fit in the machine's physical memory.
     """
     if not (isinstance(up_factor, numbers.Real) and 1 <= up_factor < math.inf):
         raise ValueError(f"up_factor must be a finite real >= 1, got {up_factor}")
     image = as_grid(image, rank=2, name="image")
     h, w = image.shape
+    _check_fits_memory(h * up_factor, w * up_factor, up_factor)
     h2, w2 = round(h * up_factor), round(w * up_factor)
     if (h2, w2) == (h, w):
         return ssim(image, inverse_log_polar(log_polar(image), (h, w)))
-    lp = log_polar(resize(image, h2, w2))  # the upscale is freed before the inverse runs
+    return ssim(image, _compact_roundtrip(image, h2, w2))
+
+
+def _compact_roundtrip(image, h2, w2) -> np.ndarray:
+    """``resize(inverse_log_polar(log_polar(resize(image, h2, w2)), (h2, w2)), h, w)``
+    for an image of extents (h, w), computed only where each step is read."""
+    h, w = image.shape
     plan = _resize_plan((h2, w2), h, w)
     cols, plan = plan.compact_columns()
     rows, cols = plan.rows.astype(np.float64), cols.astype(np.float64)
-    inverse = _inverse_mapping(lp.shape, (h2, w2), None, 1.0)
-    read = PixelMapping(lambda xs, ys: inverse(cols[xs.astype(np.intp)], rows[ys.astype(np.intp)]))
+    inverse = _inverse_mapping((h2, w2), (h2, w2), None, 1.0)
+    xs, ys = np.empty((rows.size, cols.size)), np.empty((rows.size, cols.size))
+    for lo, hi in _bands(rows.size, cols.size, BLOCK_POINTS):
+        xs[lo:hi], ys[lo:hi] = inverse(cols[np.newaxis, :], rows[lo:hi, np.newaxis])
+    cells = _read_cells(xs, ys, (h2, w2))
+    forward = _log_polar_mapping((h2, w2), (h2, w2), None, 1.0)
+    flat = resize(image, h2, w2).reshape(-1)
+    values = np.empty(cells.size)
+    for lo in range(0, cells.size, BLOCK_POINTS):
+        theta_rows, r_cols = np.divmod(cells[lo : lo + BLOCK_POINTS], w2)
+        x, y = forward(r_cols, theta_rows)
+        _sample_points(flat, (h2, w2), x, y, BorderPolicy.CLAMP, values[lo : lo + BLOCK_POINTS])
+    del flat  # the upscale is freed before the log-polar image is allocated
+    lp = np.zeros(h2 * w2)
+    lp[cells] = values
+    del cells, values
+    compact = np.empty(xs.size)
+    # the log-polar grid read one row taller, as inverse_log_polar reads it
+    _sample_points(lp, (h2 + 1, w2), xs.reshape(-1), ys.reshape(-1), BorderPolicy.CLAMP, compact)
     small = np.empty((h, w))
-    _blend(_theta_wrapped_warp(lp, read, (rows.size, cols.size)), plan, small)
-    return ssim(image, small)
+    _blend(compact.reshape(xs.shape), plan, small)
+    return small
+
+
+def _read_cells(xs, ys, lp_shape) -> np.ndarray:
+    """Flat indices, ascending, of the cells of an ``lp_shape`` log-polar grid
+    that the clamped point kernel reads at the non-negative (column, row)
+    points (xs, ys), with row n_theta read as row 0.
+
+    Each point's top-left corner is clamped as ``_corner_indices`` clamps
+    it, on the grid one row taller, and marked; dilating the marks by one
+    row and one column adds the other three corners. The coordinates are
+    non-negative, so clamping merges corners only on the last row and
+    column, where the dilation falls off the grid.
+    """
+    n_theta, n_r = lp_shape
+    read = np.zeros((n_theta + 1) * n_r, dtype=bool)
+    xs, ys = xs.reshape(-1), ys.reshape(-1)
+    for lo in range(0, xs.size, BLOCK_POINTS):
+        x, y = xs[lo : lo + BLOCK_POINTS], ys[lo : lo + BLOCK_POINTS]
+        c0, _ = _corner_indices(np.floor(x).astype(np.intp), n_r, BorderPolicy.CLAMP)
+        r0, _ = _corner_indices(np.floor(y).astype(np.intp), n_theta + 1, BorderPolicy.CLAMP)
+        r0 *= n_r
+        r0 += c0
+        read[r0] = True
+    read = read.reshape(n_theta + 1, n_r)
+    read[1:] |= read[:-1]
+    read[:, 1:] |= read[:, :-1]
+    read[0] |= read[n_theta]
+    return np.flatnonzero(read[:n_theta])
+
+
+def _check_fits_memory(h2, w2, up_factor):
+    """Raise ConfigError naming ``up_factor`` unless two h2 x w2 grids of
+    doubles, the upscale and the log-polar image, fit in physical memory."""
+    planned = 16.0 * h2 * w2
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not planned <= physical:
+        raise ConfigError(
+            f"up_factor {up_factor:.6g} plans two {h2:.6g}x{w2:.6g} grids ({planned:.3g} bytes), "
+            f"more than the machine's physical memory ({physical} bytes)"
+        )
 
 
 def focal_correction(src: DatasetFocalProfile, dst: DatasetFocalProfile) -> float:

@@ -226,18 +226,39 @@ def _blend(src, plan, o):
     commute operands, which rounds the same. The takes use mode="clip",
     which skips the bounds check and the buffered ``out`` of the default
     mode; every index is in range by construction.
+
+    The second take of each pass runs in row bands of ``BAND_VALUES``
+    values, so besides ``o`` only t and one band are held, never a second
+    full-size take.
     """
     t = np.take(src, plan.c0, axis=1, mode="clip")
     t *= 1.0 - plan.fx
-    right = np.take(src, plan.c1, axis=1, mode="clip")
-    right *= plan.fx
-    t += right
-    # a take into a window narrower than the output would go through a copy
-    top = np.take(t, plan.at0, axis=0, out=o if o.flags.c_contiguous else None, mode="clip")
-    top *= 1.0 - plan.fy
-    bottom = np.take(t, plan.at1, axis=0, mode="clip")
-    bottom *= plan.fy
-    np.add(top, bottom, out=o)
+    for lo, hi in _bands(*t.shape):
+        right = np.take(src[lo:hi], plan.c1, axis=1, mode="clip")
+        right *= plan.fx
+        t[lo:hi] += right
+        del right  # freed before the next band is taken
+    gy = 1.0 - plan.fy
+    for lo, hi in _bands(*o.shape):
+        band = o[lo:hi]
+        # a take into a window narrower than the output would go through a copy
+        top = np.take(t, plan.at0[lo:hi], axis=0, out=band if band.flags.c_contiguous else None, mode="clip")
+        top *= gy[lo:hi]
+        bottom = np.take(t, plan.at1[lo:hi], axis=0, mode="clip")
+        bottom *= plan.fy[lo:hi]
+        np.add(top, bottom, out=band)
+        del top, bottom
+
+
+# Values per band of ``_blend``'s second takes: a 192x640 window, the widest
+# slice the equivariance harness samples, is one band.
+BAND_VALUES = 1 << 17
+
+
+def _bands(rows, cols, values=BAND_VALUES):
+    """(lo, hi) bands of at most ``values`` values, or one row, of a rows x cols array."""
+    step = max(1, values // cols)
+    return ((lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 def _live_window(i0f, n):

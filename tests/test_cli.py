@@ -387,6 +387,23 @@ class TestSsimSweepCommand:
 
 
     @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        ("field", "flag", "values"),
+        [("heights", "--heights", [48, 32, 48]), ("up_factors", "--up-factors", [2, 1, 2.0])],
+    )
+    def test_repeated_cells_rejected(self, tmp_path, capsys, source, field, flag, values):
+        # Repeats used to exit 0 and write one identical row per repeat.
+        argv = ["ssim-sweep", "--count", "1"]
+        if source == "flag":
+            argv += [flag, ",".join(map(str, values))]
+        else:
+            argv += ["--config", write_json(tmp_path / "config.json", {field: values})]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{field} must be distinct" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_zero_width_rejected(self, tmp_path, capsys, source):
         # A width of 0 used to run square images.
         argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]

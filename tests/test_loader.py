@@ -197,8 +197,8 @@ INSTANCES = {
     "BasisConfig": st.builds(BasisConfig, reals, st.integers(1, 3), st.integers(), st.integers(), positive),
     "SweepConfig": st.builds(
         SweepConfig,
-        st.lists(st.integers(), max_size=4),
-        st.lists(reals, max_size=4),
+        st.lists(st.integers(), max_size=4, unique=True),
+        st.lists(reals, max_size=4, unique=True),
         st.integers(min_value=1),
         texts,
         st.integers(),

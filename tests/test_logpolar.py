@@ -6,6 +6,7 @@ import pytest
 
 from seslab import (
     BorderPolicy,
+    ConfigError,
     ShapeError,
     geometry,
     inverse_log_polar,
@@ -24,6 +25,40 @@ def corner_radius(shape):
     h, w = shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     return math.hypot(cy, cx)
+
+
+def downscale_reads(n, out_n):
+    """Source indices that an endpoint-aligned resize from n to out_n reads."""
+    i0 = np.floor(np.arange(out_n) * ((n - 1) / (out_n - 1))).astype(int)
+    return np.unique(np.concatenate([i0, np.minimum(i0 + 1, n - 1)]))
+
+
+def inverse_coordinates_read_by_downscale(shape, up):
+    """The (ln r column, theta row) coordinates of the roundtrip's inverse at
+    the upscale's pixels that its downscale reads, wrapped with np.mod."""
+    h2, w2 = round(shape[0] * up), round(shape[1] * up)
+    cy, cx = (h2 - 1) / 2.0, (w2 - 1) / 2.0
+    dy = downscale_reads(h2, shape[0])[:, np.newaxis] - cy
+    dx = downscale_reads(w2, shape[1])[np.newaxis, :] - cx
+    dlnr = math.log(corner_radius((h2, w2))) / (w2 - 1)
+    thetas = np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
+    return np.log(np.maximum(np.hypot(dy, dx), 1.0)) / dlnr, thetas * (h2 / (2.0 * np.pi))
+
+
+def log_polar_corners(shape, up):
+    """(row, column) arrays of the four clamped corners that the roundtrip's
+    inverse reads on the log-polar grid one row taller."""
+    h2, w2 = round(shape[0] * up), round(shape[1] * up)
+    xs, ys = inverse_coordinates_read_by_downscale(shape, up)
+    x0, y0 = np.floor(xs).astype(int), np.floor(ys).astype(int)
+    return [(np.clip(r, 0, h2), np.clip(c, 0, w2 - 1)) for r in (y0, y0 + 1) for c in (x0, x0 + 1)]
+
+
+def log_polar_read_cells(shape, up):
+    """Flat indices of the log-polar cells the roundtrip's inverse reads, row
+    n_theta read as row 0."""
+    h2, w2 = round(shape[0] * up), round(shape[1] * up)
+    return np.unique(np.concatenate([((r % h2) * w2 + c).ravel() for r, c in log_polar_corners(shape, up)]))
 
 
 class TestForward:
@@ -131,7 +166,7 @@ class TestRoundtripSsim:
 
     @pytest.mark.parametrize("kind", ["checkerboard", "gaussian-blobs"])
     @pytest.mark.parametrize("shape", [(50, 50), (51, 51), (37, 64), (64, 41)])
-    @pytest.mark.parametrize("up", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("up", [1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.7, 4.0])
     def test_equals_full_size_composition(self, monkeypatch, kind, shape, up):
         image = synth_image(kind, *shape, seed=11)
         h, w = shape
@@ -170,23 +205,89 @@ class TestRoundtripSsim:
         monkeypatch.setattr(geometry, "_inverse_mapping", counting)
         log_polar_roundtrip_ssim(image, 4.0)
 
-        def read(n, out_n):
-            i0 = np.floor(np.arange(out_n) * ((n - 1) / (out_n - 1))).astype(int)
-            return np.unique(np.concatenate([i0, np.minimum(i0 + 1, n - 1)]))
-
-        rows, cols = read(h2, 60), read(w2, 45)
+        rows, cols = downscale_reads(h2, 60), downscale_reads(w2, 45)
         assert (rows.size, cols.size) == (119, 89)
         assert sum(points) == rows.size * cols.size < h2 * w2 // 4
 
+    @pytest.mark.parametrize(("shape", "up"), [((60, 45), 4.0), ((12, 20), 2.8)])
+    def test_forward_runs_only_where_the_inverse_reads(self, monkeypatch, shape, up):
+        image = synth_image("checkerboard", *shape, seed=2)
+        h2, w2 = round(shape[0] * up), round(shape[1] * up)
+        points = []
+        real = geometry._log_polar_mapping
+
+        def counting(*args):
+            mapping = real(*args)
+
+            def fn(xs, ys):
+                points.append(np.broadcast(xs, ys).size)
+                return mapping(xs, ys)
+
+            return resample.PixelMapping(fn)
+
+        monkeypatch.setattr(geometry, "_log_polar_mapping", counting)
+        log_polar_roundtrip_ssim(image, up)
+        assert sum(points) == log_polar_read_cells(shape, up).size
+        if up == 4.0:
+            assert sum(points) < h2 * w2 // 3
+
+    def test_inverse_reading_cells_only_through_the_theta_wrap(self, monkeypatch):
+        # At 12x20 and u = 2.8 (34x56) eight cells of row 0 are read only as
+        # corners on row n_theta, which the theta wrap reads as row 0. The
+        # downscale happens to weight the points that read them by 0, so the
+        # grid the inverse reads is compared too, at every cell it reads.
+        shape, up = (12, 20), 2.8
+        h2, w2 = 34, 56
+        corners = log_polar_corners(shape, up)
+        wrapped = np.unique(np.concatenate([c[r == h2] for r, c in corners]))
+        direct = np.unique(np.concatenate([c[r == 0] for r, c in corners]))
+        assert np.setdiff1d(wrapped, direct).size == 8
+        image = synth_image("gaussian-blobs", *shape, seed=11)
+        lp = log_polar(resize(image, h2, w2))
+        expected = resize(inverse_log_polar(lp, (h2, w2)), *shape)
+        grids, compared = [], []
+        real = geometry._sample_points
+
+        def recording_grids(flat, grid_shape, *args):
+            if grid_shape == (h2 + 1, w2):
+                grids.append(flat.copy())
+            return real(flat, grid_shape, *args)
+
+        def recording(a, b):
+            compared.append(b)
+            return ssim(a, b)
+
+        monkeypatch.setattr(geometry, "_sample_points", recording_grids)
+        monkeypatch.setattr(geometry, "ssim", recording)
+        log_polar_roundtrip_ssim(image, up)
+        cells = log_polar_read_cells(shape, up)
+        assert grids[0][cells].tobytes() == lp.reshape(-1)[cells].tobytes()
+        assert compared[0].tobytes() == expected.tobytes()
+
+    def test_up_factor_too_large_for_memory(self):
+        # Two 16e12 x 16e12 grids need about 4e27 bytes; nothing is allocated.
+        image = synth_image("checkerboard", 16, 16, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="up_factor"):
+                log_polar_roundtrip_ssim(image, 1e12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        with pytest.raises(ConfigError, match="up_factor"):
+            log_polar_roundtrip_ssim(image, 1e308)  # 16 * 1e308, the upscale's height, overflows to inf
+
     def test_peak_memory_holds_no_full_size_inverse(self):
         # At 384x384 and u = 4 a full-size (1536x1536) array is 18 MiB. The
-        # peak is the upscale's resize: its output, one full-size take and
-        # the quarter-size x pass. The full-size inverse, its theta-wrap copy
-        # and the upscale kept alive through the inverse (4 full-size arrays
-        # with the log-polar image) do not fit.
+        # peak is the upscale's resize (its output, its quarter-size x pass
+        # and one band) beside the inverse's coordinates on the compact grid
+        # (two arrays of a quarter each) and the read cells' indices (about a
+        # quarter). The upscale kept alive beside the log-polar image, or a
+        # full-size inverse, does not fit.
         image = synth_image("checkerboard", 384, 384, seed=1)
         full = 1536 * 1536 * 8
-        limit = 2.5 * full + 32 * 8 * resample.BLOCK_POINTS
+        limit = 2.25 * full
         tracemalloc.start()
         try:
             log_polar_roundtrip_ssim(image, 4.0)

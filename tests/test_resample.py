@@ -254,6 +254,45 @@ class TestResize:
         assert np.abs(back - blob_image).max() < 0.06
 
 
+class TestBandedBlend:
+    """The separable kernel's blend takes its second corner in row bands of
+    ``resample.BAND_VALUES`` values, bit for bit as the point kernel."""
+
+    def test_a_harness_slice_is_one_band(self):
+        # 192x640 is the widest slice the equivariance harness samples; its x
+        # pass reads at most two rows more.
+        assert list(resample._bands(192, 640)) == [(0, 192)]
+        assert list(resample._bands(194, 640)) == [(0, 194)]
+
+    @pytest.mark.parametrize(("shape", "out_shape"), [((300, 200), (900, 600)), ((901, 37), (650, 1400))])
+    def test_resize_over_several_bands_equals_point_kernel(self, rng, shape, out_shape):
+        image = rng.normal(size=shape)
+        xs = np.arange(out_shape[1]) * ((shape[1] - 1) / (out_shape[1] - 1))
+        ys = np.arange(out_shape[0]) * ((shape[0] - 1) / (out_shape[0] - 1))
+        yy, xx = np.meshgrid(ys, xs, indexing="ij")
+        assert resize(image, *out_shape).tobytes() == sample_at(image, xx, yy).tobytes()
+
+    def test_zero_fill_window_over_several_bands_equals_point_kernel(self, rng):
+        # At s = 0.7 the live window, about 420x490, is narrower than the output.
+        image = rng.normal(size=(600, 700))
+        mapping = resample.scale_transform_mapping(image.shape, 0.7)
+        yy, xx = np.meshgrid(np.arange(600.0), np.arange(700.0), indexing="ij")
+        expected = sample_at(image, *mapping(xx, yy), BorderPolicy.ZERO)
+        assert scale_transform(image, 0.7, BorderPolicy.ZERO).tobytes() == expected.tobytes()
+
+    def test_upscale_peak_memory_holds_no_second_full_size_take(self, rng):
+        # 384 -> 1536: the output (18 MiB), the x pass (a quarter of it), the
+        # source rows and one band. A second full-size take does not fit.
+        image = rng.uniform(size=(384, 384))
+        tracemalloc.start()
+        try:
+            out = resize(image, 1536, 1536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * out.nbytes
+
+
 def test_sample_at_vectorized_matches_scalar(rng):
     image = rng.uniform(size=(7, 9))
     xs = rng.uniform(-1, 9, size=12)
