@@ -21,6 +21,7 @@ from .geometry import (
     CameraIntrinsics,
     EgoMotion,
     PatchPlane,
+    check_up_factor,
     corollary_deviation,
     inverse_log_polar,
     log_polar,
@@ -190,6 +191,9 @@ class SweepConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} must be distinct, got {reprlib.repr(values)}")
+        for height in self.heights:
+            for up in self.up_factors:
+                check_up_factor((height, height if self.width is None else self.width), up)
 
 
 def cmd_ssim_sweep(args) -> int:

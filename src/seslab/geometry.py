@@ -312,10 +312,13 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
 
     ``out_shape``, ``center``, and ``r_min`` must match the forward
     transform's geometry. Radii below r_min clamp to the first column; the
-    theta axis wraps circularly.
+    theta axis wraps circularly. Raises ConfigError when the output would not
+    fit in the machine's physical memory.
     """
     lp_image = as_grid(lp_image, rank=2, name="log-polar image")
     mapping = _inverse_mapping(lp_image.shape, out_shape, center, r_min)
+    h, w = out_shape
+    _check_fits_memory(float(h) * w, f"out_shape {h}x{w} (one grid)")
     # Read as a grid one row taller whose row n_theta reads row 0: theta rows
     # reach n_theta, and pass it where theta rounds to 2 pi.
     n_theta, n_r = lp_image.shape
@@ -356,14 +359,12 @@ def log_polar_roundtrip_ssim(image, up_factor: float = 1.0) -> float:
     reads (``_resize_plan``), the forward only on the log-polar cells that
     the inverse's corners read (``_read_cells``), and the downscale blends
     the compact grid with ``resize``'s blend, bit for bit as ``resize`` of
-    the full-size composition. Raises ConfigError when the upscale and the
-    log-polar image would not fit in the machine's physical memory.
+    the full-size composition. Raises ConfigError as ``check_up_factor``
+    does.
     """
-    if not (isinstance(up_factor, numbers.Real) and 1 <= up_factor < math.inf):
-        raise ValueError(f"up_factor must be a finite real >= 1, got {up_factor}")
     image = as_grid(image, rank=2, name="image")
     h, w = image.shape
-    _check_fits_memory(h * up_factor, w * up_factor, up_factor)
+    check_up_factor((h, w), up_factor)
     h2, w2 = round(h * up_factor), round(w * up_factor)
     if (h2, w2) == (h, w):
         return ssim(image, inverse_log_polar(log_polar(image), (h, w)))
@@ -429,15 +430,28 @@ def _read_cells(xs, ys, lp_shape) -> np.ndarray:
     return np.flatnonzero(read[:n_theta])
 
 
-def _check_fits_memory(h2, w2, up_factor):
-    """Raise ConfigError naming ``up_factor`` unless two h2 x w2 grids of
-    doubles, the upscale and the log-polar image, fit in physical memory."""
-    planned = 16.0 * h2 * w2
+def check_up_factor(shape, up_factor) -> None:
+    """Raise ConfigError naming ``up_factor`` unless it is a finite real >= 1
+    and the log-polar roundtrip of an image of extents ``shape`` fits in the
+    machine's physical memory: its upscale and log-polar image, two grids of
+    doubles."""
+    if not (isinstance(up_factor, numbers.Real) and 1 <= up_factor < math.inf):
+        raise ConfigError(f"up_factor must be a finite real >= 1, got {up_factor}")
+    try:
+        h2, w2 = shape[0] * up_factor, shape[1] * up_factor
+    except OverflowError:  # an integer extent beyond the float range
+        h2 = w2 = math.inf
+    _check_fits_memory(2.0 * h2 * w2, f"up_factor {up_factor:.6g} (two {h2:.6g}x{w2:.6g} grids)")
+
+
+def _check_fits_memory(values: float, plan: str) -> None:
+    """Raise ConfigError naming ``plan`` unless ``values`` doubles fit in the
+    machine's physical memory; call it before allocating any of them."""
+    planned = 8.0 * values
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not planned <= physical:
         raise ConfigError(
-            f"up_factor {up_factor:.6g} plans two {h2:.6g}x{w2:.6g} grids ({planned:.3g} bytes), "
-            f"more than the machine's physical memory ({physical} bytes)"
+            f"{plan} plans {planned:.3g} bytes, more than the machine's physical memory ({physical} bytes)"
         )
 
 

@@ -109,6 +109,15 @@ def _check_ssim_unity():
     return None
 
 
+def _check_ssim_symmetry():
+    a = synth_image("bandlimited-noise", 24, 31, seed=11)
+    b = synth_image("gaussian-blobs", 24, 31, seed=12)
+    ab, ba = ssim(a, b), ssim(b, a)
+    if ab != ba:
+        return f"ssim(a, b) = {ab!r} but ssim(b, a) = {ba!r}, expected the same bits"
+    return None
+
+
 def run_selftest(corrupt: str | None = None) -> list:
     """Run every check; returns (name, failure-message-or-None) pairs."""
     checks = [
@@ -120,6 +129,7 @@ def run_selftest(corrupt: str | None = None) -> list:
         ("projective-reduces-to-scale", _check_projective_reduction),
         ("delta-zero-at-unit-scale", _check_delta_at_unit_scale),
         ("ssim-self-unity", _check_ssim_unity),
+        ("ssim-symmetric", _check_ssim_symmetry),
     ]
     results = []
     for name, fn in checks:

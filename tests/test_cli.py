@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -222,6 +223,24 @@ class TestWarpCommand:
         assert code == 2
         assert f"--out-shape must be two integers H,W, got '{shape}'" in capsys.readouterr().err
 
+    def test_out_shape_too_large_for_memory_is_usage_error(self, tmp_path, capsys, geo_files):
+        # A 100000x100000 output (74.5 GiB) used to fail inside numpy; the
+        # check fires before anything of that size is allocated.
+        tracemalloc.start()
+        try:
+            code = main([
+                "warp", "--image", geo_files["image"], "--mode", "invlogpolar", "--out-shape", "100000,100000",
+                "--out", str(tmp_path / "out" / "rec.pgm"), "--out-dir", str(tmp_path / "out"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: out_shape 100000x100000" in err and "physical memory" in err
+        assert peak < 1024 * 1024
+        assert not (tmp_path / "out").exists()
+
     def test_missing_geometry_files_is_usage_error(self, tmp_path, geo_files):
         code = main([
             "warp", "--image", geo_files["image"], "--mode", "projective",
@@ -402,6 +421,29 @@ class TestSsimSweepCommand:
         err = capsys.readouterr().err
         assert "invalid configuration" in err and f"{field} must be distinct" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("heights", "up_factors", "message"),
+        [
+            ("16", "2,1e12", "up_factor 1e+12 (two 1.6e+13x1.6e+13 grids)"),
+            ("16", "2,0.5", "finite real >= 1, got 0.5"),
+            ("100000", "1", "up_factor 1 (two 100000x100000 grids)"),
+            (str(10**400), "1", "up_factor 1 (two infxinf grids)"),
+        ],
+        ids=["huge-up", "below-1", "huge-height", "height-past-float"],
+    )
+    def test_bad_cell_rejected_before_any_roundtrip(self, tmp_path, capsys, monkeypatch, heights, up_factors, message):
+        # The first two used to run the u = 2 cell, then exit 2 and leave an
+        # empty --out-dir; the third failed inside numpy; the fourth exited 2
+        # from numpy's random generator and left an empty --out-dir.
+        calls = []
+        monkeypatch.setattr("seslab.cli.log_polar_roundtrip_ssim", lambda *args: calls.append(args) or 0.5)
+        argv = ["ssim-sweep", "--heights", heights, "--up-factors", up_factors, "--count", "1"]
+        assert main(argv + ["--out-dir", str(tmp_path / "o2")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and message in err
+        assert not calls
+        assert not (tmp_path / "o2").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_zero_width_rejected(self, tmp_path, capsys, source):
@@ -712,3 +754,12 @@ class TestSelftestCommand:
         assert main(["selftest", "--corrupt", "basis-norm"]) == 1
         out = capsys.readouterr().out
         assert "FAIL basis-filter-l2-norm" in out
+
+    def test_ssim_symmetry_checked(self, capsys, monkeypatch):
+        assert main(["selftest"]) == 0
+        assert "ok   ssim-symmetric" in capsys.readouterr().out
+        # an order-dependent score fails the check (and only it)
+        monkeypatch.setattr("seslab.selftest.ssim", lambda a, b: 1.0 if a is b else float(a[0, 0] - b[0, 0]))
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL ssim-symmetric" in out and "1 of 9 checks failed" in out

@@ -195,14 +195,16 @@ INSTANCES = {
         )
     ),
     "BasisConfig": st.builds(BasisConfig, reals, st.integers(1, 3), st.integers(), st.integers(), positive),
+    # Every (height, up-factor) cell needs an up-factor >= 1 and a roundtrip
+    # that fits in memory.
     "SweepConfig": st.builds(
         SweepConfig,
-        st.lists(st.integers(), max_size=4, unique=True),
-        st.lists(reals, max_size=4, unique=True),
+        st.lists(st.integers(-256, 256), max_size=4, unique=True),
+        st.lists(st.floats(1.0, 8.0), max_size=4, unique=True),
         st.integers(min_value=1),
         texts,
         st.integers(),
-        st.none() | st.integers(min_value=1),
+        st.none() | st.integers(1, 256),
     ),
     "PatchPlane": st.builds(
         PatchPlane, reals, reals, positive, st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)

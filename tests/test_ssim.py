@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,53 @@ def test_symmetry(rng):
     a = rng.uniform(size=(24, 24))
     b = rng.uniform(0.2, 0.7, size=(24, 24))
     assert abs(ssim(a, b) - ssim(b, a)) <= 1e-12
+
+
+def _pairs(seed, count=40):
+    """Random pairs of non-square images with extents 11 to 40: uniform,
+    negative-valued, correlated, and one constant image of each pair."""
+    r = np.random.default_rng(seed)
+    for trial in range(count):
+        h, w = r.integers(11, 41, size=2)
+        a = r.uniform(size=(h, w))
+        b = np.clip(a + 0.2 * r.standard_normal((h, w)), 0, 1)
+        yield a, b
+        yield a - 3.0, r.uniform(-5.0, -1.0, size=(h, w))
+        yield np.full((h, w), float(r.uniform(-2, 2))), b
+
+
+def test_unity_and_symmetry_are_exact_on_any_shape():
+    for a, b in _pairs(77):
+        assert ssim(a, a) == 1.0
+        assert ssim(b, b) == 1.0
+        assert ssim(a, b) == ssim(b, a)
+        assert ssim(a, b, data_range=0.5) == ssim(b, a, data_range=0.5)
+
+
+def test_matches_window_oracle_on_non_square_shapes():
+    for a, b in _pairs(78, count=6):
+        assert abs(ssim(a, b, data_range=1.0) - ssim_windows(a, b, 1.0)) <= 1e-10
+
+
+def test_transpose_changes_only_the_summation_order():
+    for a, b in _pairs(79):
+        assert abs(ssim(a.T, b.T) - ssim(a, b)) <= 1e-12
+
+
+def test_peak_memory_holds_no_extra_full_size_temporaries():
+    # At 384x384 the peak is the four row-pass maps beside the two product
+    # images (5.9 input-size arrays); the local means and the score exist
+    # only one band at a time. One more full-size temporary does not fit.
+    r = np.random.default_rng(5)
+    a, b = r.uniform(size=(384, 384)), r.uniform(size=(384, 384))
+    ssim(a, b)
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * a.nbytes
 
 
 def test_inverted_checkerboard_is_negative():
