@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .basis import build_basis, check_scale_count, save_basis, scale_set_from_alpha
-from .errors import ConfigError, DegenerateGeometryError, FormatError, SeslabError, check_fields, dump, load
+from .errors import ConfigError, FormatError, SeslabError, as_real, check_fields, dump, load
 from .fileio import read_pgm, write_json, write_pgm
 from .geometry import (
     CameraIntrinsics,
@@ -31,9 +31,11 @@ from .geometry import (
     scale_factor,
     scale_mapping,
 )
+from .grid import check_fits_memory
 from .harness import EquivConfig, run_experiment
 from .resample import warp
-from .synth import synth_corpus
+from .ssim import WINDOW_SIZE
+from .synth import MIN_EXTENT, synth_corpus
 
 
 def _echo_config(out_dir: Path, name: str, payload: dict) -> None:
@@ -172,7 +174,10 @@ def cmd_warp(args) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Settings of ``seslab ssim-sweep``; a width of None makes square images."""
+    """Settings of ``seslab ssim-sweep``; a width of None makes square images.
+
+    Each (height, up-factor) cell plans the corpus of that height and the
+    roundtrip, and all of them must fit in memory before any cell runs."""
 
     heights: tuple[int, ...] = (96, 384)
     up_factors: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0)
@@ -191,9 +196,21 @@ class SweepConfig:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} must be distinct, got {reprlib.repr(values)}")
+        floor = max(WINDOW_SIZE, MIN_EXTENT)
+        extents = self.heights + (() if self.width is None else (self.width,))
+        if min(extents, default=floor) < floor:
+            raise ConfigError(
+                f"heights and width must be >= {floor} (the SSIM window), got {reprlib.repr(extents)}"
+            )
         for height in self.heights:
+            width = height if self.width is None else self.width
+            corpus = as_real(self.count) * as_real(height) * as_real(width)
             for up in self.up_factors:
-                check_up_factor((height, height if self.width is None else self.width), up)
+                check_fits_memory(
+                    corpus + check_up_factor((height, width), up),
+                    f"count x height x width ({reprlib.repr(self.count)} images of "
+                    f"{reprlib.repr(height)}x{reprlib.repr(width)}) with the up_factor {up:.6g} roundtrip",
+                )
 
 
 def cmd_ssim_sweep(args) -> int:
@@ -219,6 +236,7 @@ def cmd_ssim_sweep(args) -> int:
             mean = math.fsum(values) / len(values)
             rows.append({"height": height, "up_factor": up, "mean_ssim": mean, "n": len(values)})
             lines.append(f"{height},{format(up, '.12g')},{format(mean, '.17g')},{len(values)}")
+        del corpus  # freed before the next height's corpus: a cell's plan counts one
     csv_text = "\n".join(lines) + "\n"
     (out_dir / "ssim_sweep.csv").write_text(csv_text)
     if args.format == "json":
@@ -326,10 +344,7 @@ def main(argv=None) -> int:
     except (FormatError, OSError) as exc:
         print(f"seslab: i/o error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DegenerateGeometryError) as exc:
-        print(f"seslab: invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and DegenerateGeometryError among them
         print(f"seslab: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except SeslabError as exc:

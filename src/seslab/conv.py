@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError
+from .errors import ShapeError, is_integer
 from .grid import BorderPolicy, as_grid, pad_mode
 
 BLOCK_BYTES = 1 << 19  # bounds a row block's patch and each of its accumulators: they stay in L2
@@ -57,7 +55,7 @@ def conv2d(
         raise ShapeError(f"channel mismatch: input has {image.shape[0]} channels, kernels expect {in_ch}")
     margins = (kh // 2,) * 4 if margins is None else tuple(margins)
     _, h, w = image.shape
-    if len(margins) != 4 or not all(isinstance(m, numbers.Integral) and 0 <= m <= kh // 2 for m in margins):
+    if len(margins) != 4 or not all(is_integer(m) and 0 <= m <= kh // 2 for m in margins):
         raise ShapeError(f"margins must be 4 integers in 0..{kh // 2}, got {margins}")
     top, bottom, left, right = margins
     wp = w + left + right

@@ -29,6 +29,25 @@ class ConfigError(SeslabError, ValueError):
     """An experiment or CLI configuration is invalid."""
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: an ``Integral`` that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def as_real(value) -> float:
+    """A real ``value`` as a float (+-inf past the float range); nan for a bool or a non-real."""
+    if not _is_real(value):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def load(cls, data, path: str = ""):
     """Build the dataclass ``cls`` from the JSON object ``data``.
 
@@ -111,16 +130,13 @@ def _convert(tp, value, path: str):
     if dataclasses.is_dataclass(tp):
         return value if isinstance(value, tp) else load(tp, value, path)
     if tp is int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise ConfigError(f"{path} must be an integer, got {reprlib.repr(value)}")
         return int(value)
     if tp is float:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not _is_real(value):
             raise ConfigError(f"{path} must be a number, got {reprlib.repr(value)}")
-        try:
-            real = float(value)
-        except OverflowError:
-            real = math.inf
+        real = as_real(value)
         if not math.isfinite(real):
             raise ConfigError(f"{path} must be a finite number, got {reprlib.repr(value)}")
         return real

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import FormatError
 from .grid import as_grid
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+_WHITESPACE = tuple(bytes([c]) for c in b" \t\r\n\x0b\x0c")  # one-byte slices, as a header is read
 # The keys every tensor sidecar holds; write_tensor's ``extra`` adds others.
 HEADER_KEYS = ("shape", "dtype", "order")
 
@@ -40,9 +40,7 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"{path}: invalid image size {width}x{height}")
     if not 1 <= maxval <= 65535:
         raise FormatError(f"{path}: invalid maxval {maxval}")
-    if pos >= len(raw) or raw[pos : pos + 1] not in tuple(
-        bytes([c]) for c in _WHITESPACE
-    ):
+    if pos >= len(raw) or raw[pos : pos + 1] not in _WHITESPACE:
         raise FormatError(f"{path}: missing whitespace before pixel payload")
     payload = raw[pos + 1 :]
     bytes_per = 2 if maxval > 255 else 1
@@ -63,14 +61,12 @@ def _token(raw, pos, path, what):
         if c == b"#":
             while pos < len(raw) and raw[pos : pos + 1] != b"\n":
                 pos += 1
-        elif c in tuple(bytes([b]) for b in _WHITESPACE):
+        elif c in _WHITESPACE:
             pos += 1
         else:
             break
     start = pos
-    while pos < len(raw) and raw[pos : pos + 1] not in tuple(
-        bytes([b]) for b in _WHITESPACE
-    ):
+    while pos < len(raw) and raw[pos : pos + 1] not in _WHITESPACE:
         pos += 1
     if start == pos:
         raise FormatError(f"{path}: truncated header, missing {what}")

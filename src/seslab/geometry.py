@@ -4,14 +4,13 @@ log-polar transform pair."""
 from __future__ import annotations
 
 import math
-import numbers
-import os
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError, ShapeError, check_fields, load
-from .grid import BorderPolicy, as_grid
+from .errors import ConfigError, DegenerateGeometryError, ShapeError, as_real, check_fields, load
+from .grid import BorderPolicy, as_grid, check_fits_memory
 from .resample import (
     BLOCK_POINTS,
     PixelMapping,
@@ -209,9 +208,10 @@ def _check_denominator(mat, intrinsics, plane, motion):
 
 def scale_mapping(intrinsics: CameraIntrinsics, s: float) -> PixelMapping:
     """The pure scale map about the principal point (the Corollary reduction)."""
-    if s <= 0:
-        raise DegenerateGeometryError(f"scale factor must be positive, got {s}")
-    return PixelMapping.scale_about(s, intrinsics.u0, intrinsics.v0)
+    real = as_real(s)
+    if not 0 < real < math.inf:
+        raise DegenerateGeometryError(f"scale factor must be positive and finite, got {s}")
+    return PixelMapping.scale_about(real, intrinsics.u0, intrinsics.v0)
 
 
 def scale_factor(plane: PatchPlane, t_z: float) -> float:
@@ -251,19 +251,18 @@ def corollary_deviation(intrinsics: CameraIntrinsics, plane: PatchPlane, t_z: fl
     return float(np.hypot(pu - au, pv - av).max())
 
 
-def _center_of(shape, center):
-    if center is None:
-        cy, cx = (shape[0] - 1) / 2.0, (shape[1] - 1) / 2.0
-    else:
-        cy, cx = float(center[0]), float(center[1])
-    if not (0 <= cy <= shape[0] - 1 and 0 <= cx <= shape[1] - 1):
-        raise ValueError(f"center ({cy}, {cx}) lies outside a {shape[0]}x{shape[1]} image")
-    return cy, cx
-
-
-def _corner_radius(shape, cy, cx):
-    corners = [(0.0, 0.0), (0.0, shape[1] - 1.0), (shape[0] - 1.0, 0.0), (shape[0] - 1.0, shape[1] - 1.0)]
-    return max(math.hypot(y - cy, x - cx) for y, x in corners)
+def _polar_frame(shape, center, r_min) -> tuple:
+    """(cy, cx, r_max): the log-polar center in an image of extents ``shape``, the
+    image center if ``center`` is None, and its distance to the farthest corner.
+    Raises ValueError unless the center lies in the image and r_min in (0, r_max)."""
+    h, w = shape
+    cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else (float(center[0]), float(center[1]))
+    if not (0 <= cy <= h - 1 and 0 <= cx <= w - 1):
+        raise ValueError(f"center ({cy}, {cx}) lies outside a {h}x{w} image")
+    r_max = max(math.hypot(y - cy, x - cx) for y in (0.0, h - 1.0) for x in (0.0, w - 1.0))
+    if not 0 < r_min < r_max:
+        raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
+    return cy, cx, r_max
 
 
 def log_polar(image, center=None, out_shape=None, r_min: float = 1.0) -> np.ndarray:
@@ -288,14 +287,11 @@ def _log_polar_mapping(shape, lp_shape, center, r_min) -> PixelMapping:
     Radius, cosine and sine are looked up by integer column and row in 1-D
     tables, each value computed once as the whole-grid expression computes it.
     """
-    cy, cx = _center_of(shape, center)
     n_theta, n_r = lp_shape
     _check_extents("log-polar output", n_theta, n_r)
     if n_r < 2:
         raise ShapeError(f"log-polar output needs >= 2 columns, got {lp_shape}")
-    r_max = _corner_radius(shape, cy, cx)
-    if not 0 < r_min < r_max:
-        raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
+    cy, cx, r_max = _polar_frame(shape, center, r_min)
     radii = np.exp(np.linspace(math.log(r_min), math.log(r_max), n_r))
     thetas = np.arange(n_theta, dtype=np.float64) * (2.0 * np.pi / n_theta)
     cos, sin = np.cos(thetas), np.sin(thetas)
@@ -313,12 +309,13 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     ``out_shape``, ``center``, and ``r_min`` must match the forward
     transform's geometry. Radii below r_min clamp to the first column; the
     theta axis wraps circularly. Raises ConfigError when the output would not
-    fit in the machine's physical memory.
+    fit in the machine's physical memory, before anything is computed.
     """
     lp_image = as_grid(lp_image, rank=2, name="log-polar image")
-    mapping = _inverse_mapping(lp_image.shape, out_shape, center, r_min)
     h, w = out_shape
-    _check_fits_memory(float(h) * w, f"out_shape {h}x{w} (one grid)")
+    _check_extents("inverse log-polar output", h, w)
+    check_fits_memory(as_real(h) * as_real(w), f"out_shape {reprlib.repr(h)}x{reprlib.repr(w)} (one grid)")
+    mapping = _inverse_mapping(lp_image.shape, out_shape, center, r_min)
     # Read as a grid one row taller whose row n_theta reads row 0: theta rows
     # reach n_theta, and pass it where theta rounds to 2 pi.
     n_theta, n_r = lp_image.shape
@@ -331,12 +328,7 @@ def _inverse_mapping(lp_shape, out_shape, center, r_min) -> PixelMapping:
     n_theta, n_r = lp_shape
     if n_r < 2:
         raise ShapeError(f"log-polar image needs >= 2 radius columns, got {lp_shape}")
-    h, w = out_shape
-    _check_extents("inverse log-polar output", h, w)
-    cy, cx = _center_of((h, w), center)
-    r_max = _corner_radius((h, w), cy, cx)
-    if not 0 < r_min < r_max:
-        raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
+    cy, cx, r_max = _polar_frame(out_shape, center, r_min)
     dlnr = (math.log(r_max) - math.log(r_min)) / (n_r - 1)
 
     def fn(xs, ys):
@@ -365,7 +357,8 @@ def log_polar_roundtrip_ssim(image, up_factor: float = 1.0) -> float:
     image = as_grid(image, rank=2, name="image")
     h, w = image.shape
     check_up_factor((h, w), up_factor)
-    h2, w2 = round(h * up_factor), round(w * up_factor)
+    u = as_real(up_factor)
+    h2, w2 = round(h * u), round(w * u)
     if (h2, w2) == (h, w):
         return ssim(image, inverse_log_polar(log_polar(image), (h, w)))
     return ssim(image, _compact_roundtrip(image, h2, w2))
@@ -430,29 +423,17 @@ def _read_cells(xs, ys, lp_shape) -> np.ndarray:
     return np.flatnonzero(read[:n_theta])
 
 
-def check_up_factor(shape, up_factor) -> None:
-    """Raise ConfigError naming ``up_factor`` unless it is a finite real >= 1
-    and the log-polar roundtrip of an image of extents ``shape`` fits in the
-    machine's physical memory: its upscale and log-polar image, two grids of
-    doubles."""
-    if not (isinstance(up_factor, numbers.Real) and 1 <= up_factor < math.inf):
-        raise ConfigError(f"up_factor must be a finite real >= 1, got {up_factor}")
-    try:
-        h2, w2 = shape[0] * up_factor, shape[1] * up_factor
-    except OverflowError:  # an integer extent beyond the float range
-        h2 = w2 = math.inf
-    _check_fits_memory(2.0 * h2 * w2, f"up_factor {up_factor:.6g} (two {h2:.6g}x{w2:.6g} grids)")
-
-
-def _check_fits_memory(values: float, plan: str) -> None:
-    """Raise ConfigError naming ``plan`` unless ``values`` doubles fit in the
-    machine's physical memory; call it before allocating any of them."""
-    planned = 8.0 * values
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if not planned <= physical:
-        raise ConfigError(
-            f"{plan} plans {planned:.3g} bytes, more than the machine's physical memory ({physical} bytes)"
-        )
+def check_up_factor(shape, up_factor) -> float:
+    """The doubles that the log-polar roundtrip of an image of extents ``shape``
+    holds: its upscale and log-polar image, two grids. Raises ConfigError naming
+    ``up_factor`` unless it is a finite real >= 1 and they fit in the machine's
+    physical memory."""
+    u = as_real(up_factor)
+    if not 1 <= u < math.inf:
+        raise ConfigError(f"up_factor must be a finite real >= 1, got {reprlib.repr(up_factor)}")
+    h2, w2 = as_real(shape[0]) * u, as_real(shape[1]) * u
+    check_fits_memory(2.0 * h2 * w2, f"up_factor {u:.6g} (two {h2:.6g}x{w2:.6g} grids)")
+    return 2.0 * h2 * w2
 
 
 def focal_correction(src: DatasetFocalProfile, dst: DatasetFocalProfile) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import os
 
 import numpy as np
 
@@ -37,6 +38,17 @@ _PAD_MODES = {
 def pad_mode(border: BorderPolicy) -> str:
     """numpy.pad mode implementing the given border policy."""
     return _PAD_MODES[BorderPolicy.coerce(border)]
+
+
+def check_fits_memory(values: float, plan: str) -> None:
+    """Raise ConfigError naming ``plan`` unless ``values`` doubles fit in the
+    machine's physical memory; call it before allocating any of them."""
+    planned = 8.0 * values
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not planned <= physical:
+        raise ConfigError(
+            f"{plan} plans {planned:.3g} bytes, more than the machine's physical memory ({physical} bytes)"
+        )
 
 
 def crop(arr: np.ndarray, margin: float) -> np.ndarray:

@@ -9,7 +9,6 @@ seed-derived coefficients so the comparison isolates the architecture.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import reprlib
 from concurrent.futures import ThreadPoolExecutor
@@ -18,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SeslabError, check_fields, dump, load
+from .errors import ConfigError, SeslabError, as_real, check_fields, dump, is_integer, load
 from .fileio import read_pgm, write_json
-from .grid import BorderPolicy, as_grid, crop_window, within
+from .grid import BorderPolicy, as_grid, check_fits_memory, crop_window, within
 from .resample import sample_at, scale_transform_mapping
 from .sesconv import KINDS, Stack, StackSpec, build_stack
 from .synth import MIN_EXTENT, synth_corpus
@@ -69,32 +68,34 @@ class CorpusSpec:
         return synth_corpus(self.kind, self.count, self.height, self.width, self.seed)
 
 
-def _float(value) -> float:
-    """A real ``value`` as a float (inf past the float range); nan for a bool or a non-real."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return math.nan
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 def _check_cells(scale_factors, blocks, num_blocks: int) -> tuple:
     """The scale factors as floats. Raises ConfigError unless they are reals whose
     floats are distinct and lie in (0, 1] and the block indices distinct integers
     in 1..num_blocks, one or more of each; bools are neither."""
-    factors = tuple(map(_float, scale_factors))
+    factors = tuple(map(as_real, scale_factors))
     if not factors or not all(0 < s <= 1 for s in factors) or len(set(factors)) < len(factors):
         raise ConfigError(
             f"scale factors must be one or more distinct reals in (0, 1], got {reprlib.repr(scale_factors)}"
         )
-    if not blocks or any(
-        isinstance(b, bool) or not isinstance(b, numbers.Integral) or not 1 <= b <= num_blocks for b in blocks
-    ) or len(set(blocks)) < len(blocks):
+    in_range = all(is_integer(b) and 1 <= b <= num_blocks for b in blocks)
+    if not (blocks and in_range) or len(set(blocks)) < len(blocks):
         raise ConfigError(
             f"block indices must be one or more distinct integers in 1..{num_blocks}, got {reprlib.repr(blocks)}"
         )
     return factors
+
+
+def _check_corpus_fits(stack: StackSpec, corpus: CorpusSpec, depth: int) -> None:
+    """Raise ConfigError naming the corpus fields unless the synthetic corpus,
+    ``count`` images of ``height x width`` doubles, and the largest [S, C, h, w]
+    map of one forward through layers 1..``depth`` fit in physical memory."""
+    channels = max(layer.out_channels for layer in stack.layers[:depth])
+    count, height, width = map(reprlib.repr, (corpus.count, corpus.height, corpus.width))
+    check_fits_memory(
+        as_real(corpus.height) * as_real(corpus.width) * (as_real(corpus.count) + stack.num_scales * channels),
+        f"corpus count x height x width ({count} images of {height}x{width}) "
+        f"and a [{stack.num_scales}, {channels}, {height}, {width}] forward map",
+    )
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,7 @@ class EquivConfig:
         check_fields(self)
         _check_cells(self.scale_factors, self.blocks, len(self.stack.layers))
         if self.corpus.image_dir is None:
+            _check_corpus_fits(self.stack, self.corpus, max(self.blocks))
             crop_window((self.corpus.height, self.corpus.width), self.crop_margin)
 
     @staticmethod

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, as_real, is_integer
 from .grid import BorderPolicy, as_grid
 
 
@@ -353,9 +352,10 @@ def scale_transform_stack(stack, s: float, border: BorderPolicy = BorderPolicy.C
 def scale_transform_mapping(shape: tuple, s: float) -> PixelMapping:
     """The mapping of ``scale_transform`` on a grid whose trailing extents are
     ``shape[-2:]``: T_s about the exact grid center."""
-    if not np.isfinite(s) or s <= 0:
+    real = as_real(s)
+    if not 0 < real < math.inf:
         raise ValueError(f"scale factor must be positive and finite, got {s}")
-    return PixelMapping.scale_about(s, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
+    return PixelMapping.scale_about(real, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
 
 
 def resize(image, out_h: int, out_w: int) -> np.ndarray:
@@ -383,5 +383,5 @@ def _endpoint_aligned(n: int, out_n: int) -> np.ndarray:
 
 
 def _check_extents(what, h, w):
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (h, w)):
+    if not all(is_integer(n) and n >= 1 for n in (h, w)):
         raise ShapeError(f"{what} extents must be integers >= 1, got {h}x{w}")

@@ -7,7 +7,7 @@ import numpy as np
 from .basis import build_basis, hermite, scale_set_from_alpha
 from .conv import conv2d
 from .errors import SeslabError
-from .geometry import CameraIntrinsics, EgoMotion, PatchPlane, projective_mapping, scale_factor, scale_mapping
+from .geometry import CameraIntrinsics, PatchPlane, corollary_deviation
 from .grid import BorderPolicy
 from .harness import equivariance_error
 from .resample import scale_transform
@@ -76,16 +76,7 @@ def _check_scale_identity():
 
 
 def _check_projective_reduction():
-    intr = CameraIntrinsics.centered(707.0, 128, 96)
-    plane = PatchPlane(0.0, 0.0, 1.0, -30.0)
-    t_z = -3.0
-    s = scale_factor(plane, t_z)
-    proj = projective_mapping(intr, plane, EgoMotion.z_translation(t_z))
-    approx = scale_mapping(intr, s)
-    us, vs = np.meshgrid(np.linspace(0, 127, 9), np.linspace(0, 95, 9))
-    pu, pv = proj(us, vs)
-    au, av = approx(us, vs)
-    worst = np.hypot(pu - au, pv - av).max()
+    worst = corollary_deviation(CameraIntrinsics.centered(707.0, 128, 96), PatchPlane(0.0, 0.0, 1.0, -30.0), -3.0)
     if worst > 1e-9:
         return f"projective map deviates from the scale map by {worst:.3g} px"
     return None

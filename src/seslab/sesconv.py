@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 import reprlib
 from dataclasses import dataclass, replace
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from .basis import ScaleSet, SteerableBasis, build_basis, check_scale_count, scale_set_from_alpha
 from .conv import conv2d
-from .errors import ConfigError, SeslabError, ShapeError, check_fields
+from .errors import ConfigError, SeslabError, ShapeError, check_fields, is_integer
 from .grid import BorderPolicy, as_grid, check_window, crop, dilate, within
 from .resample import scale_transform, scale_transform_stack
 from .synth import synth_image
@@ -404,8 +403,12 @@ def build_stack(spec: StackSpec) -> Stack:
     return Stack(spec=spec, banks=tuple(banks), norm_stats=norm_stats)
 
 
-def _relative_l2(lhs: np.ndarray, rhs: np.ndarray, crop_margin: float) -> float:
-    lhs, rhs = crop(lhs, crop_margin), crop(rhs, crop_margin)
+def _residue(image, s, lhs_kernels, rhs_kernels, amp, crop_margin) -> float:
+    """Relative l2 residue of conv(T_s h, lhs_kernels) against
+    amp * T_s conv(h, rhs_kernels), both zero-filled and cropped by ``crop_margin``."""
+    image = as_grid(image, rank=2, name="image")
+    lhs = crop(conv2d(scale_transform(image, s)[np.newaxis], lhs_kernels), crop_margin)
+    rhs = crop(amp * scale_transform_stack(conv2d(image[np.newaxis], rhs_kernels), s), crop_margin)
     denom = float(np.linalg.norm(rhs))
     if denom == 0.0:
         raise SeslabError("relative residue undefined: reference signal is zero")
@@ -433,16 +436,11 @@ def scale_matched_residue(
     ``scale_j`` are integers in 0..S-1 for the bank's S scales.
     """
     for name, index in (("scale_i", scale_i), ("scale_j", scale_j)):
-        if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < bank.num_scales:
+        if not (is_integer(index) and 0 <= index < bank.num_scales):
             raise ShapeError(f"{name} must be an integer in 0..{bank.num_scales - 1}, got {reprlib.repr(index)}")
-    image = as_grid(image, rank=2, name="image")
     s = bank.sigma(scale_i) / bank.sigma(scale_j)
     amp = s * bank.gain(scale_i) / bank.gain(scale_j)
-    scaled = scale_transform(image, s)
-    lhs = conv2d(scaled[np.newaxis], bank.kernels[scale_i])
-    ref = conv2d(image[np.newaxis], bank.kernels[scale_j])
-    rhs = amp * scale_transform_stack(ref, s)
-    return _relative_l2(lhs, rhs, crop_margin)
+    return _residue(image, s, bank.kernels[scale_i], bank.kernels[scale_j], amp, crop_margin)
 
 
 def single_scale_residue(bank: SesFilterBank, image, s: float, crop_margin: float = 0.15) -> float:
@@ -452,8 +450,4 @@ def single_scale_residue(bank: SesFilterBank, image, s: float, crop_margin: floa
     claims conv(T_s h, K) = T_s conv(h, K); the returned residue is the
     relative l2 failure of that claim.
     """
-    image = as_grid(image, rank=2, name="image")
-    kernels = bank.kernels[-1]
-    lhs = conv2d(scale_transform(image, s)[np.newaxis], kernels)
-    rhs = scale_transform_stack(conv2d(image[np.newaxis], kernels), s)
-    return _relative_l2(lhs, rhs, crop_margin)
+    return _residue(image, s, bank.kernels[-1], bank.kernels[-1], 1.0, crop_margin)

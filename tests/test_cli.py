@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -241,6 +242,18 @@ class TestWarpCommand:
         assert peak < 1024 * 1024
         assert not (tmp_path / "out").exists()
 
+    def test_out_shape_past_the_float_range_is_usage_error(self, tmp_path, capsys, geo_files):
+        # A 401-digit height used to exit 1 with an OverflowError traceback:
+        # the mapping floated the extents before the output was planned.
+        code = main([
+            "warp", "--image", geo_files["image"], "--mode", "invlogpolar", "--out-shape", f"{10**400},5",
+            "--out", str(tmp_path / "out" / "rec.pgm"), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: out_shape 1000" in err and "physical memory" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_geometry_files_is_usage_error(self, tmp_path, geo_files):
         code = main([
             "warp", "--image", geo_files["image"], "--mode", "projective",
@@ -458,6 +471,59 @@ class TestSsimSweepCommand:
         assert "invalid configuration" in err and "width must be >= 1, got 0" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--heights", "16,9"], "heights and width must be >= 11 (the SSIM window), got (16, 9)"),
+            (["--heights", "4"], "heights and width must be >= 11 (the SSIM window), got (4,)"),
+            (["--heights", "16", "--width", "10"], "heights and width must be >= 11 (the SSIM window), got (16, 10)"),
+            (["--heights", "1000", "--count", str(10**9)], "count x height x width (1000000000 images of 1000x1000)"),
+        ],
+        ids=["second-height", "only-height", "width", "corpus"],
+    )
+    def test_cell_without_an_ssim_window_or_memory_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        # The first three used to run the cells before the small one, then exit
+        # 2 and leave an empty --out-dir; the corpus was not planned at all.
+        calls = []
+        monkeypatch.setattr("seslab.cli.synth_corpus", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr("seslab.cli.log_polar_roundtrip_ssim", lambda *args: calls.append(args) or 0.5)
+        argv = ["ssim-sweep", "--up-factors", "1", "--count", "1", *flags, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and message in err
+        assert not calls
+        assert not (tmp_path / "out").exists()
+
+    def test_one_corpus_is_held_at_a_time(self, tmp_path, monkeypatch):
+        # A cell's plan counts one corpus. The previous height's corpus used to
+        # stay alive while the next was synthesized: 12.1 MB against 8.9 MB.
+        monkeypatch.setattr("seslab.cli.log_polar_roundtrip_ssim", lambda *args: 0.5)
+        peaks = []
+        for heights in ("300", "200,300"):
+            tracemalloc.start()
+            try:
+                argv = ["ssim-sweep", "--heights", heights, "--up-factors", "1", "--count", "10"]
+                assert main(argv + ["--out-dir", str(tmp_path / heights)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0]
+
+    def test_corpus_and_roundtrip_are_planned_together(self, tmp_path, capsys, monkeypatch):
+        # Each fits on its own; the cell holds both. Nothing is allocated.
+        values = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
+        count = values // (1000 * 1000)  # the corpus alone fits
+        calls = []
+        monkeypatch.setattr("seslab.cli.synth_corpus", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr("seslab.cli.log_polar_roundtrip_ssim", lambda *args: calls.append(args) or 0.5)
+        argv = ["ssim-sweep", "--heights", "1000", "--up-factors", "1", "--count", str(count)]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert f"({count} images of 1000x1000) with the up_factor 1 roundtrip" in capsys.readouterr().err
+        assert not calls
+        assert not (tmp_path / "out").exists()
+
 
 class TestEquivCommand:
     @pytest.fixture
@@ -571,6 +637,34 @@ class TestEquivCommand:
         assert f"invalid configuration: corpus {field} must be >= 8 for synthetic images, got {value}" in err
         assert "crop margin" not in err
         assert not (tmp_path / "equiv_report.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("corpus", "message"),
+        [
+            ({"height": 10**400}, "corpus count x height x width (20 images of 1000"),
+            ({"height": 200000, "width": 200000}, "corpus count x height x width (20 images of 200000x200000)"),
+        ],
+        ids=["height-past-float", "200000-square"],
+    )
+    def test_corpus_too_large_for_memory_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus, message):
+        # The first exited 1 with an OverflowError traceback from the crop
+        # window; the second (298 GiB) failed inside numpy.
+        calls = []
+        monkeypatch.setattr(CorpusSpec, "load", lambda spec: calls.append("load"))
+        monkeypatch.setattr(harness, "build_stack", lambda spec: calls.append("build_stack"))
+        config = write_json(tmp_path / "config.json", {"corpus": corpus})
+        tracemalloc.start()
+        try:
+            code = main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: " + message in err and "physical memory" in err
+        assert peak < 1024 * 1024
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
     # Repeated scale factors or blocks wrote a report row per listed cell
     # and reran its forwards.

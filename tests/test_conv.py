@@ -110,8 +110,8 @@ def test_smaller_out_may_share_the_input_buffer(rng, monkeypatch, margins):
 
 @pytest.mark.parametrize(
     "margins",
-    [(3, 0, 0, 0), (0, -1, 0, 0), (0, 1.0, 0, 0), (0, 0, 0), (0, 0, 0, 1)],
-    ids=["wide", "negative", "float", "three", "no-column"],
+    [(3, 0, 0, 0), (0, -1, 0, 0), (0, 1.0, 0, 0), (0, 0, 0), (0, 0, 0, 1), (True,) * 4],
+    ids=["wide", "negative", "float", "three", "no-column", "bool"],
 )
 def test_bad_margins_rejected(rng, margins):
     image, kernels = rng.standard_normal((1, 6, 3)), rng.standard_normal((1, 1, 5, 5))

@@ -6,7 +6,7 @@ import types
 import typing
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seslab import CameraIntrinsics, ConfigError, CorpusSpec, EgoMotion, EquivConfig, LayerSpec, PatchPlane, StackSpec
@@ -15,6 +15,7 @@ from seslab.cli import BasisConfig, SweepConfig
 from seslab.errors import dump, load
 from seslab.geometry import _MotionKeys
 from seslab.grid import crop_window
+from seslab.harness import _check_corpus_fits
 from seslab.sesconv import KINDS, NONLINEARITIES
 
 BIG = 10**400  # parses from JSON as an int too large for a float
@@ -133,9 +134,22 @@ TARGETS = {
 }
 
 
+class _Drawn:
+    """Stands in for ``st.data()`` in an explicit example: every draw gives ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
 @pytest.mark.parametrize("target", sorted(TARGETS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
+# A corpus extent past the float range used to raise OverflowError from
+# EquivConfig's crop window.
+@example(data=_Drawn({"corpus": {"height": BIG}}))
 def test_any_json_loads_or_is_a_value_error(target, data):
     # A ValueError subclass is what cli.main reports as an invalid
     # configuration with exit 2; anything else would be a traceback.
@@ -168,11 +182,24 @@ corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(8), st.in
 )
 
 
-def _window_fits(corpus, margin) -> bool:
-    """Whether EquivConfig takes ``margin`` with ``corpus``: it must leave a pixel of a synthetic corpus."""
+def _corpus_fits(stack, corpus, margin) -> bool:
+    """Whether EquivConfig takes ``corpus`` and ``margin`` with ``stack``, whatever
+    blocks it reads: a synthetic corpus and a forward through every layer must fit
+    in memory, and the margin must leave a pixel of its images."""
     try:
         if corpus.image_dir is None:
+            _check_corpus_fits(stack, corpus, len(stack.layers))
             crop_window((corpus.height, corpus.width), margin)
+    except ConfigError:
+        return False
+    return True
+
+
+def _sweep_fits(fields) -> bool:
+    """Whether SweepConfig takes ``fields``; of the fields drawn below, only a
+    corpus and roundtrip too large for memory are refused."""
+    try:
+        SweepConfig(*fields)
     except ConfigError:
         return False
     return True
@@ -183,7 +210,7 @@ INSTANCES = {
     "StackSpec": stacks,
     "CorpusSpec": corpora,
     "EquivConfig": st.tuples(stacks, corpora, st.floats(0.0, 0.5, exclude_max=True))
-    .filter(lambda fields: _window_fits(*fields[1:]))
+    .filter(lambda fields: _corpus_fits(*fields))
     .flatmap(
         lambda fields: st.builds(
             EquivConfig,
@@ -195,17 +222,18 @@ INSTANCES = {
         )
     ),
     "BasisConfig": st.builds(BasisConfig, reals, st.integers(1, 3), st.integers(), st.integers(), positive),
-    # Every (height, up-factor) cell needs an up-factor >= 1 and a roundtrip
-    # that fits in memory.
-    "SweepConfig": st.builds(
-        SweepConfig,
-        st.lists(st.integers(-256, 256), max_size=4, unique=True),
+    # Every (height, up-factor) cell needs extents of at least the SSIM window,
+    # an up-factor >= 1, and a corpus and roundtrip that fit in memory.
+    "SweepConfig": st.tuples(
+        st.lists(st.integers(11, 256), max_size=4, unique=True),
         st.lists(st.floats(1.0, 8.0), max_size=4, unique=True),
         st.integers(min_value=1),
         texts,
         st.integers(),
-        st.none() | st.integers(1, 256),
-    ),
+        st.none() | st.integers(11, 256),
+    )
+    .filter(_sweep_fits)
+    .map(lambda fields: SweepConfig(*fields)),
     "PatchPlane": st.builds(
         PatchPlane, reals, reals, positive, st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
     ),

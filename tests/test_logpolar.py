@@ -158,7 +158,7 @@ class TestRoundtripSsim:
         )
         assert large >= small
 
-    @pytest.mark.parametrize("up", [0.5, float("nan"), float("inf"), "2"])
+    @pytest.mark.parametrize("up", [0.5, float("nan"), float("inf"), "2", True])
     def test_up_factor_validated(self, blob_image, up):
         # nan ended in a ValueError converting NaN to an integer, inf in an OverflowError
         with pytest.raises(ValueError, match="up_factor"):

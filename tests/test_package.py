@@ -1,6 +1,7 @@
-"""The package root exports exactly what it imports."""
+"""Package-wide checks: the root exports exactly what it imports, and one module holds the number rule."""
 
 import ast
+import re
 from pathlib import Path
 
 import seslab
@@ -13,3 +14,10 @@ def test_all_lists_exactly_the_imported_names():
     assert len(imported) == len(set(imported))
     assert sorted(seslab.__all__) == sorted(imported)
     assert all(hasattr(seslab, name) for name in seslab.__all__)
+
+
+def test_the_number_rule_is_spelled_out_in_errors_only():
+    # Every other module asks errors.is_integer and errors.as_real.
+    src = Path(seslab.__file__).parent
+    spelled = sorted(p.name for p in src.glob("*.py") if re.search(r"numbers\.(Real|Integral)", p.read_text()))
+    assert spelled == ["errors.py"]

@@ -243,7 +243,7 @@ class TestResize:
         assert out[0, 0] == image[0, 0]
         assert out[-1, -1] == image[-1, -1]
 
-    @pytest.mark.parametrize("target", [(0, 5), (5, -1), (2.5, 3)])
+    @pytest.mark.parametrize("target", [(0, 5), (5, -1), (2.5, 3), (True, 5)])
     def test_bad_target_rejected(self, blob_image, target):
         with pytest.raises(ShapeError, match="integers >= 1"):
             resize(blob_image, *target)
