@@ -13,8 +13,8 @@ from .errors import ConfigError, FormatError, ShapeError, dump, load
 MAX_HERMITE_ORDER = 10
 
 
-def hermite(n: int, x):
-    """Probabilist's Hermite polynomial H_n evaluated elementwise.
+def _hermite_upto(n: int, x) -> list:
+    """[H_0(x), ..., H_n(x)] as float64 arrays of x's shape.
 
     Computed with the recurrence H_{n+1}(x) = x H_n(x) - n H_{n-1}(x),
     starting from H_0 = 1 and H_1 = x.
@@ -24,13 +24,29 @@ def hermite(n: int, x):
     if n > MAX_HERMITE_ORDER:
         raise ValueError(f"Hermite order is capped at {MAX_HERMITE_ORDER}, got {n}")
     arr = np.asarray(x, dtype=np.float64)
-    h_prev = np.ones_like(arr)
-    if n == 0:
-        return float(h_prev) if arr.ndim == 0 else h_prev
-    h = arr.copy()
+    hs = [np.ones_like(arr), arr.copy()]
     for order in range(1, n):
-        h, h_prev = arr * h - order * h_prev, h
-    return float(h) if arr.ndim == 0 else h
+        hs.append(arr * hs[-1] - order * hs[-2])
+    return hs[: n + 1]
+
+
+def hermite(n: int, x):
+    """Probabilist's Hermite polynomial H_n evaluated elementwise; a float for a scalar x."""
+    h = _hermite_upto(n, x)[n]
+    return float(h) if h.ndim == 0 else h
+
+
+def _profiles(sigma: float, orders, u, v) -> list:
+    """The profile of hermite_gaussian for each (n, m) of ``orders`` at one
+    sigma, from one envelope and one Hermite recurrence per axis."""
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    envelope = np.exp(-(u * u + v * v) / (sigma * sigma))
+    hu = _hermite_upto(max(n for n, _ in orders), u / sigma)
+    hv = _hermite_upto(max(m for _, m in orders), v / sigma)
+    return [hu[n] * hv[m] * envelope / (sigma * sigma) for n, m in orders]
 
 
 def hermite_gaussian(sigma: float, n: int, m: int, u, v):
@@ -39,12 +55,16 @@ def hermite_gaussian(sigma: float, n: int, m: int, u, v):
         psi(u, v) = (1 / sigma^2) H_n(u / sigma) H_m(v / sigma)
                     exp(-(u^2 + v^2) / sigma^2)
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    envelope = np.exp(-(u * u + v * v) / (sigma * sigma))
-    return hermite(n, u / sigma) * hermite(m, v / sigma) * envelope / (sigma * sigma)
+    return _profiles(sigma, ((n, m),), u, v)[0]
+
+
+def _basis_filters(sigma: float, orders, k: int) -> list:
+    """The [k, k] filter of basis_filter for each (n, m) of ``orders`` at one sigma."""
+    if k < 1 or k % 2 == 0:
+        raise ShapeError(f"filter extent must be odd and positive, got {k}")
+    half = k // 2
+    offsets = np.arange(-half, half + 1, dtype=np.float64)
+    return [raw / np.linalg.norm(raw) for raw in _profiles(sigma, orders, offsets[:, None], offsets)]
 
 
 def basis_filter(sigma: float, n: int, m: int, k: int) -> np.ndarray:
@@ -54,13 +74,7 @@ def basis_filter(sigma: float, n: int, m: int, k: int) -> np.ndarray:
     grid; n indexes the row axis and m the column axis. Unit normalization
     fixes the otherwise free constant of the analytic formula.
     """
-    if k < 1 or k % 2 == 0:
-        raise ShapeError(f"filter extent must be odd and positive, got {k}")
-    half = k // 2
-    offsets = np.arange(-half, half + 1, dtype=np.float64)
-    uu, vv = np.meshgrid(offsets, offsets, indexing="ij")
-    raw = hermite_gaussian(sigma, n, m, uu, vv)
-    return raw / np.linalg.norm(raw)
+    return _basis_filters(sigma, ((n, m),), k)[0]
 
 
 @dataclass(frozen=True)
@@ -145,11 +159,8 @@ def build_basis(scales: ScaleSet, max_order: int = 6, k: int = 7) -> SteerableBa
             f"basis of {count} members exceeds the {k * k} pixels of a {k}x{k} filter"
         )
     orders = tuple((n, m) for n in range(max_order + 1) for m in range(max_order + 1))
-    filters = np.empty((len(scales), count, k, k))
     with np.errstate(all="ignore"):  # reported below instead
-        for si, sigma in enumerate(scales.sigmas):
-            for bi, (n, m) in enumerate(orders):
-                filters[si, bi] = basis_filter(sigma, n, m, k)
+        filters = np.array([_basis_filters(sigma, orders, k) for sigma in scales.sigmas])
     if not np.isfinite(filters).all():
         raise ConfigError(f"sigmas {scales.sigmas} make the {k}x{k} basis filters non-finite")
     filters.setflags(write=False)

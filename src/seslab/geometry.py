@@ -44,6 +44,12 @@ class CameraIntrinsics:
             raise ValueError(f"focal length must be positive, got {self.f}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image extents must be >= 1, got {self.width}x{self.height}")
+        # projective_mapping checks its denominator on a height x width grid
+        # and that grid's magnitudes.
+        check_fits_memory(
+            2.0 * as_real(self.width) * as_real(self.height),
+            f"intrinsics width x height {reprlib.repr(self.width)}x{reprlib.repr(self.height)} (two grids)",
+        )
         if not 0 <= self.u0 <= self.width:
             raise ValueError(f"u0 = {self.u0} outside [0, {self.width}]")
         if not 0 <= self.v0 <= self.height:
@@ -252,17 +258,19 @@ def corollary_deviation(intrinsics: CameraIntrinsics, plane: PatchPlane, t_z: fl
 
 
 def _polar_frame(shape, center, r_min) -> tuple:
-    """(cy, cx, r_max): the log-polar center in an image of extents ``shape``, the
-    image center if ``center`` is None, and its distance to the farthest corner.
-    Raises ValueError unless the center lies in the image and r_min in (0, r_max)."""
+    """(cy, cx, r_min, r_max) as floats: the log-polar center in an image of
+    extents ``shape``, the image center if ``center`` is None, the radius floor,
+    and the center's distance to the farthest corner. Raises ValueError unless
+    the center is a pair of reals in the image and r_min a real in (0, r_max)."""
     h, w = shape
-    cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else (float(center[0]), float(center[1]))
-    if not (0 <= cy <= h - 1 and 0 <= cx <= w - 1):
-        raise ValueError(f"center ({cy}, {cx}) lies outside a {h}x{w} image")
+    cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else (as_real(center[0]), as_real(center[1]))
+    if not (0 <= cy <= h - 1 and 0 <= cx <= w - 1):  # nan, a bool's or a non-real's, fails
+        raise ValueError(f"center {reprlib.repr(tuple(center))} lies outside a {h}x{w} image")
     r_max = max(math.hypot(y - cy, x - cx) for y in (0.0, h - 1.0) for x in (0.0, w - 1.0))
-    if not 0 < r_min < r_max:
-        raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {r_min}")
-    return cy, cx, r_max
+    real = as_real(r_min)
+    if not 0 < real < r_max:
+        raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {reprlib.repr(r_min)}")
+    return cy, cx, real, r_max
 
 
 def log_polar(image, center=None, out_shape=None, r_min: float = 1.0) -> np.ndarray:
@@ -291,7 +299,7 @@ def _log_polar_mapping(shape, lp_shape, center, r_min) -> PixelMapping:
     _check_extents("log-polar output", n_theta, n_r)
     if n_r < 2:
         raise ShapeError(f"log-polar output needs >= 2 columns, got {lp_shape}")
-    cy, cx, r_max = _polar_frame(shape, center, r_min)
+    cy, cx, r_min, r_max = _polar_frame(shape, center, r_min)
     radii = np.exp(np.linspace(math.log(r_min), math.log(r_max), n_r))
     thetas = np.arange(n_theta, dtype=np.float64) * (2.0 * np.pi / n_theta)
     cos, sin = np.cos(thetas), np.sin(thetas)
@@ -328,7 +336,7 @@ def _inverse_mapping(lp_shape, out_shape, center, r_min) -> PixelMapping:
     n_theta, n_r = lp_shape
     if n_r < 2:
         raise ShapeError(f"log-polar image needs >= 2 radius columns, got {lp_shape}")
-    cy, cx, r_max = _polar_frame(out_shape, center, r_min)
+    cy, cx, r_min, r_max = _polar_frame(out_shape, center, r_min)
     dlnr = (math.log(r_max) - math.log(r_min)) / (n_r - 1)
 
     def fn(xs, ys):

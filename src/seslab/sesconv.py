@@ -295,7 +295,7 @@ class Stack:
         window of the whole-image block bit for bit.
         """
         image = as_grid(image, rank=2, name="image")
-        return _propagate(self.spec, self.banks, image, self.norm_stats, window)[0]
+        return _propagate(self.spec, self.banks, image, self.norm_stats, window)
 
 
 def _normalize_in_place(x, stats):
@@ -324,6 +324,20 @@ def _channel_stats(x):
     return np.array(mean), np.array(var)
 
 
+def _kind_banks(spec: StackSpec, banks) -> list:
+    """The banks as the stack's kind runs them: a vanilla stack is a
+    single-scale SES stack on the largest-scale kernels."""
+    scales = slice(None) if spec.kind == "ses" else slice(-1, None)
+    return [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
+
+
+def _activate(x, stats, layer: LayerSpec):
+    """Apply the frozen norm ``stats`` and the layer's nonlinearity to the
+    [S, C, H, W] input of ``layer`` in place and return it."""
+    _normalize_in_place(x, stats)
+    return relu(x) if layer.nonlinearity == "relu" else x
+
+
 def _margins(inner, outer, reach: int) -> tuple:
     """conv2d's (top, bottom, left, right) margins for a layer of this reach that
     reads the (rows, cols) slices ``outer`` of a frame and writes ``inner``."""
@@ -334,13 +348,10 @@ def _margins(inner, outer, reach: int) -> tuple:
     )
 
 
-def _propagate(spec: StackSpec, banks, image, norm_stats=None, window=None) -> tuple:
-    """Per-block scale-projected activations on ``window`` (see Stack.forward)
-    and the norm statistics used.
+def _propagate(spec: StackSpec, banks, image, norm_stats, window=None) -> list:
+    """Per-block scale-projected activations on ``window`` (see Stack.forward).
 
-    Every feature map is [S, C, h, w]. A vanilla stack is a single-scale SES
-    stack on the largest-scale kernels. With ``norm_stats=None`` each norm
-    uses its own input's statistics, which is the calibration pass.
+    Every feature map is [S, C, h, w]. Each norm applies its frozen statistics.
 
     regions[i] is the part of the image that layer i reads, and regions[i + 1]
     the part it writes: the window dilated by the reach of every layer from i
@@ -353,17 +364,12 @@ def _propagate(spec: StackSpec, banks, image, norm_stats=None, window=None) -> t
     window = check_window(image.shape, window)
     reaches = [(layer.k - 1) // 2 for layer in spec.layers]
     regions = [dilate(image.shape, window, sum(reaches[i:])) for i in range(len(reaches) + 1)]
-    scales = slice(None) if spec.kind == "ses" else slice(-1, None)
-    banks = [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
+    banks = _kind_banks(spec, banks)
     x = ses_conv_input(image[(np.newaxis, *regions[0])], banks[0], margins=_margins(regions[1], regions[0], reaches[0]))
     buf = x.reshape(len(x), -1)
     blocks = [scale_projection(x)[(..., *within(window, regions[1]))]]
-    stats = []
-    for i, (bank, layer) in enumerate(zip(banks[1:], spec.layers[1:]), start=1):
-        stats.append(_channel_stats(x) if norm_stats is None else norm_stats[i - 1])
-        _normalize_in_place(x, stats[-1])
-        if layer.nonlinearity == "relu":
-            relu(x)
+    for i, (bank, layer, stats) in enumerate(zip(banks[1:], spec.layers[1:], norm_stats, strict=True), start=1):
+        _activate(x, stats, layer)
         rows, cols = regions[i + 1]
         shape = (len(x), bank.out_channels, rows.stop - rows.start, cols.stop - cols.start)
         size = math.prod(shape[1:])
@@ -372,7 +378,28 @@ def _propagate(spec: StackSpec, banks, image, norm_stats=None, window=None) -> t
         margins = _margins(regions[i + 1], regions[i], reaches[i])
         x = _conv_per_scale(x, bank, BorderPolicy.ZERO, buf[:, :size].reshape(shape), margins)
         blocks.append(scale_projection(x)[(..., *within(window, regions[i + 1]))])
-    return blocks, tuple(stats)
+    return blocks
+
+
+def _calibrate(spec: StackSpec, banks) -> tuple:
+    """The frozen norm statistics of ``banks``: per layer >= 2, the per-channel
+    statistics of its input when the stack runs on the whole probe image.
+
+    Only layers 1..n-1 run, since no norm reads the last layer's output, and
+    nothing is projected; a one-layer stack runs no convolution.
+    """
+    banks = _kind_banks(spec, banks[:-1])
+    if not banks:
+        return ()
+    # The probe is derived from the stack seed, so both kinds of a shared
+    # spec see the same probe and stay comparable.
+    probe = synth_image("gaussian-blobs", CALIBRATION_SIZE, CALIBRATION_SIZE, seed=spec.seed)
+    x = ses_conv_input(probe[np.newaxis], banks[0])
+    stats = [_channel_stats(x)]
+    for bank, layer in zip(banks[1:], spec.layers[1:]):
+        x = ses_conv_scalewise(_activate(x, stats[-1], layer), bank)
+        stats.append(_channel_stats(x))
+    return tuple(stats)
 
 
 def build_stack(spec: StackSpec) -> Stack:
@@ -396,11 +423,7 @@ def build_stack(spec: StackSpec) -> Stack:
         )
         banks.append(combine(weights, basis, scale_gains=paper_scale_gains(sigmas)))
         in_channels = layer.out_channels
-    # The probe is derived from the stack seed, so both kinds of a shared
-    # spec see the same probe and stay comparable.
-    probe = synth_image("gaussian-blobs", CALIBRATION_SIZE, CALIBRATION_SIZE, seed=spec.seed)
-    _, norm_stats = _propagate(spec, banks, probe)
-    return Stack(spec=spec, banks=tuple(banks), norm_stats=norm_stats)
+    return Stack(spec=spec, banks=tuple(banks), norm_stats=_calibrate(spec, banks))
 
 
 def _residue(image, s, lhs_kernels, rhs_kernels, amp, crop_margin) -> float:

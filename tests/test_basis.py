@@ -211,6 +211,17 @@ class TestBuildBasis:
                 assert smallest > 1e-8
 
 
+@pytest.mark.parametrize(
+    "sigmas, max_order, k",
+    [((2.8,), 0, 1), ((2.8 / 1.2, 2.8 / 1.1, 2.8), 2, 5), ((2.8 / 1.2, 2.8 / 1.1, 2.8), 3, 11), ((0.7, 1.5), 6, 7), ((1.9,), 10, 11)],
+)
+def test_build_basis_equals_basis_filter_calls_bitwise(sigmas, max_order, k):
+    # build_basis shares one envelope and one recurrence per axis across a sigma's members.
+    basis = build_basis(ScaleSet(sigmas), max_order=max_order, k=k)
+    expected = np.array([[basis_filter(s, n, m, k) for n, m in basis.orders] for s in sigmas])
+    assert basis.filters.tobytes() == expected.tobytes()
+
+
 def test_save_load_roundtrip(tmp_path):
     basis = build_basis(scale_set_from_alpha(0.1, 3).scaled(2.0), max_order=2, k=7)
     path = tmp_path / "basis.f64"

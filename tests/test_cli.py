@@ -254,6 +254,29 @@ class TestWarpCommand:
         assert "invalid configuration: out_shape 1000" in err and "physical memory" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["scale", "projective"])
+    @pytest.mark.parametrize("width", [10**400, 10**8], ids=["401-digit", "1e8"])
+    def test_intrinsics_grid_too_large_is_usage_error(self, tmp_path, capsys, geo_files, mode, width):
+        # A 401-digit width used to exit 1 with an OverflowError traceback from
+        # parallel_bound, and projective_mapping's denominator check built a
+        # height x width grid that nothing planned.
+        intrinsics = write_json(tmp_path / "wide.json", {**KITTI_INTRINSICS, "width": width, "height": 10**6})
+        tracemalloc.start()
+        try:
+            code = main([
+                "warp", "--image", geo_files["image"], "--mode", mode,
+                "--plane", geo_files["plane"], "--motion", geo_files["motion"], "--intrinsics", intrinsics,
+                "--out", str(tmp_path / "out" / "w.pgm"), "--out-dir", str(tmp_path / "out"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: intrinsics width x height {str(width)[:3]}" in err and "physical memory" in err
+        assert peak < 1024 * 1024
+        assert not (tmp_path / "out").exists()
+
     def test_missing_geometry_files_is_usage_error(self, tmp_path, geo_files):
         code = main([
             "warp", "--image", geo_files["image"], "--mode", "projective",

@@ -250,7 +250,7 @@ class TestRunExperiment:
         real = sesconv.conv2d
         monkeypatch.setattr(sesconv, "conv2d", lambda *args, **kwargs: count.append(1) or real(*args, **kwargs))
         report = run_experiment(config, maps=False)
-        assert len(count) == 6  # per kind: calibration, F(h) and F(T_s h), one conv2d each
+        assert len(count) == 4  # per kind: F(h) and F(T_s h), one conv2d each; a one-layer stack calibrates none
         monkeypatch.undo()
         full = run_experiment(replace(config, blocks=(1, 4)), maps=False)
         assert report.rows == tuple(row for row in full.rows if row.block == 1)

@@ -10,6 +10,8 @@ import seslab
 from seslab import (
     CameraIntrinsics,
     DegenerateGeometryError,
+    inverse_log_polar,
+    log_polar,
     scale_mapping,
     scale_transform,
     ssim,
@@ -80,3 +82,33 @@ def test_scale_mapping_factor_must_be_positive_and_finite(s):
     # nan used to fail only later, in the sampler.
     with pytest.raises(DegenerateGeometryError, match="scale factor must be positive and finite"):
         scale_mapping(CameraIntrinsics.centered(700.0, 64, 48), s)
+
+
+@pytest.mark.parametrize("r_min", [True, math.nan, BIG, "1"], ids=["True", "nan", "10**400", "str"])
+def test_log_polar_r_min_must_be_a_real_in_range(image, r_min):
+    # True used to run as r_min = 1.0.
+    with pytest.raises(ValueError, match="r_min must lie in"):
+        log_polar(image, r_min=r_min)
+    with pytest.raises(ValueError, match="r_min must lie in"):
+        inverse_log_polar(image, image.shape, r_min=r_min)
+
+
+@pytest.mark.parametrize(
+    "center",
+    [(BIG, 0), (0, -BIG), (True, 3), (5, False), (math.nan, 3), ("5", 3)],
+    ids=["10**400-row", "-10**400-col", "True-row", "False-col", "nan-row", "str-row"],
+)
+def test_log_polar_center_must_be_reals_in_the_image(image, center):
+    # (10**400, 0) used to raise OverflowError.
+    with pytest.raises(ValueError, match="lies outside"):
+        log_polar(image, center=center)
+    with pytest.raises(ValueError, match="lies outside"):
+        inverse_log_polar(image, image.shape, center=center)
+
+
+def test_fraction_center_and_r_min_are_their_floats(image):
+    exact = dict(center=(Fraction(23, 2), Fraction(29, 3)), r_min=Fraction(3, 2))
+    floats = dict(center=(11.5, 29 / 3), r_min=1.5)
+    assert log_polar(image, **exact).tobytes() == log_polar(image, **floats).tobytes()
+    lp = log_polar(image, **floats)
+    assert inverse_log_polar(lp, image.shape, **exact).tobytes() == inverse_log_polar(lp, image.shape, **floats).tobytes()

@@ -489,6 +489,84 @@ class TestStack:
             load(StackSpec, {"kind": "ses", "dropout": 0.5})
 
 
+# Layers of the calibration stacks: the first n of these, for n = 1, 2 and 4.
+CALIBRATION_LAYERS = (LayerSpec(3, 5), LayerSpec(5, 3), LayerSpec(2, 5), LayerSpec(4, 3))
+
+
+def _full_depth_statistics(stack):
+    """Per-channel (mean, var) of every layer's output, the last included, as a
+    full forward of the probe gives them: one conv2d per scale slice, each norm
+    from the statistics of its own input, every sum by math.fsum."""
+    kernels = slice(None) if stack.kind == "ses" else slice(-1, None)
+    probe = synth_image("gaussian-blobs", sesconv.CALIBRATION_SIZE, sesconv.CALIBRATION_SIZE, seed=stack.spec.seed)
+    x = np.stack([conv2d(probe[np.newaxis], k) for k in stack.banks[0].kernels[kernels]])
+    stats = []
+    for i, bank in enumerate(stack.banks[1:] + (None,), start=1):
+        means, variances = [], []
+        for c in range(x.shape[1]):
+            values = x[:, c].ravel()
+            mean = math.fsum(values.tolist()) / values.size
+            centered = values - mean
+            means.append(mean)
+            variances.append(math.fsum((centered * centered).tolist()) / values.size)
+        stats.append((np.array(means), np.array(variances)))
+        if bank is None:
+            return stats
+        x = (x - stats[-1][0].reshape(1, -1, 1, 1)) / np.sqrt(stats[-1][1] + 1e-5).reshape(1, -1, 1, 1)
+        if stack.spec.layers[i].nonlinearity == "relu":
+            x = np.maximum(x, 0.0)
+        x = np.stack([conv2d(x_s, k) for x_s, k in zip(x, bank.kernels[kernels])])
+
+
+class TestCalibration:
+    """build_stack computes only what its frozen norms read: the statistics of
+    layers 1..n-1 on the probe, with no last-layer conv and no projection."""
+
+    @pytest.mark.parametrize("num_scales", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_conv2d_calls(self, monkeypatch, kind, depth, num_scales):
+        spec = StackSpec(kind=kind, layers=CALIBRATION_LAYERS[:depth], num_scales=num_scales, max_order=1)
+        count = []
+        real = sesconv.conv2d
+        monkeypatch.setattr(sesconv, "conv2d", lambda *args, **kwargs: count.append(1) or real(*args, **kwargs))
+        monkeypatch.setattr(sesconv, "scale_projection", lambda x: pytest.fail("calibration projected a map"))
+        build_stack(spec)
+        # SES: one fused conv2d for layer 1, then one per scale for layers 2..n-1.
+        scales = num_scales if kind == "ses" else 1
+        assert len(count) == (0 if depth == 1 else 1 + scales * (depth - 2))
+
+    @pytest.mark.parametrize("nonlinearity", ["relu", "none"])
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_norm_stats_equal_a_full_depth_forward_bitwise(self, kind, depth, nonlinearity):
+        layers = tuple(replace(layer, nonlinearity=nonlinearity) for layer in CALIBRATION_LAYERS[:depth])
+        stack = build_stack(StackSpec(kind=kind, layers=layers, max_order=1, seed=6))
+        expected = _full_depth_statistics(stack)
+        assert len(stack.norm_stats) == len(expected) - 1 == depth - 1
+        for (mean, var), (ref_mean, ref_var) in zip(stack.norm_stats, expected):
+            assert mean.tobytes() == ref_mean.tobytes()
+            assert var.tobytes() == ref_var.tobytes()
+
+    @pytest.mark.parametrize(
+        "kind, bound",
+        # Measured peaks 4.66 and 2.38 MiB; a full calibration forward peaked at
+        # 6.74 and 4.49 MiB.
+        [("ses", 5 * 2**20), ("vanilla", 2.6 * 2**20)],
+    )
+    def test_wide_build_peak_memory(self, kind, bound):
+        # The equiv-wide stack: 2 layers of (16 channels, k=5), max_order 2, 3 scales.
+        spec = StackSpec(kind=kind, layers=(LayerSpec(16, 5), LayerSpec(16, 5)), max_order=2)
+        build_stack(spec)
+        tracemalloc.start()
+        try:
+            build_stack(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
 # Layers and max_order of each windowed-forward stack.
 WINDOW_STACKS = {
     "mixed-k": ((LayerSpec(3, 3), LayerSpec(3, 5), LayerSpec(3, 7, "none")), 1),
