@@ -93,9 +93,7 @@ def cmd_basis(args) -> int:
         k=args.k,
         sigma_base=args.sigma_base,
     )
-    scale_set = scale_set_from_alpha(cfg.alpha, cfg.scales)
-    if cfg.sigma_base != 1.0:
-        scale_set = scale_set.scaled(cfg.sigma_base)
+    scale_set = scale_set_from_alpha(cfg.alpha, cfg.scales).scaled(cfg.sigma_base)
     try:
         basis = build_basis(scale_set, max_order=cfg.order, k=cfg.k)
     except ConfigError as exc:

@@ -110,6 +110,8 @@ class EquivConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.stack.kind != "ses":
+            raise ConfigError(f"stack.kind must be 'ses' (both kinds are run), got {reprlib.repr(self.stack.kind)}")
         _check_cells(self.scale_factors, self.blocks, len(self.stack.layers))
         if self.corpus.image_dir is None:
             _check_corpus_fits(self.stack, self.corpus, max(self.blocks))
@@ -182,22 +184,26 @@ def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
     readouts of one window; ``crop`` is the crop window within it. The sums
     read contiguous copies of the crop, which are the arrays themselves when
     the window is the crop: equal arrays, whichever window a cell reads.
+    Raises SeslabError, before the map is normalized, if either sum is not
+    finite or if T_s F is zero on the crop.
     """
-    err = scaled_feats - feats_of_scaled
-    err *= err
-    grid = None
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        err = scaled_feats - feats_of_scaled
+        err *= err
+        grid = np.sum(err, axis=0) if with_map else None
+        num = np.ascontiguousarray(err[(..., *crop)])
+        den = np.ascontiguousarray(scaled_feats[(..., *crop)])
+        den *= den
+        num_sq, den_sq = float(np.sum(num)), float(np.sum(den))
+    if not (math.isfinite(num_sq) and math.isfinite(den_sq)):
+        raise SeslabError("equivariance error undefined: squared features do not sum to a finite number")
+    if den_sq == 0.0:
+        raise SeslabError("equivariance error undefined: scaled feature map is identically zero")
     if with_map:
-        grid = np.sum(err, axis=0)
         peak = grid.max()
         if peak > 0:
             grid /= peak
-    num = np.ascontiguousarray(err[(..., *crop)])
-    den = np.ascontiguousarray(scaled_feats[(..., *crop)])
-    den *= den
-    den_sq = float(np.sum(den))
-    if den_sq == 0.0:
-        raise SeslabError("equivariance error undefined: scaled feature map is identically zero")
-    return float(np.sum(num)) / den_sq, grid
+    return num_sq / den_sq, grid
 
 
 def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None) -> tuple:

@@ -292,10 +292,14 @@ class Stack:
         Each layer runs only where later layers read it: on the window dilated
         by the reach (k - 1) // 2 of each later layer, clipped to the image. It
         zero-fills only past the image's edges, so every block equals the
-        window of the whole-image block bit for bit.
+        window of the whole-image block bit for bit. Each block is a view of a
+        new projection of its layer's map, taken before the next layer runs.
         """
         image = as_grid(image, rank=2, name="image")
-        return _propagate(self.spec, self.banks, image, self.norm_stats, window)
+        return [
+            scale_projection(x)[(..., *read)]
+            for x, read in _layers(self.spec, self.banks, image, self.norm_stats, window)
+        ]
 
 
 def _normalize_in_place(x, stats):
@@ -324,20 +328,6 @@ def _channel_stats(x):
     return np.array(mean), np.array(var)
 
 
-def _kind_banks(spec: StackSpec, banks) -> list:
-    """The banks as the stack's kind runs them: a vanilla stack is a
-    single-scale SES stack on the largest-scale kernels."""
-    scales = slice(None) if spec.kind == "ses" else slice(-1, None)
-    return [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
-
-
-def _activate(x, stats, layer: LayerSpec):
-    """Apply the frozen norm ``stats`` and the layer's nonlinearity to the
-    [S, C, H, W] input of ``layer`` in place and return it."""
-    _normalize_in_place(x, stats)
-    return relu(x) if layer.nonlinearity == "relu" else x
-
-
 def _margins(inner, outer, reach: int) -> tuple:
     """conv2d's (top, bottom, left, right) margins for a layer of this reach that
     reads the (rows, cols) slices ``outer`` of a frame and writes ``inner``."""
@@ -348,28 +338,31 @@ def _margins(inner, outer, reach: int) -> tuple:
     )
 
 
-def _propagate(spec: StackSpec, banks, image, norm_stats, window=None) -> list:
-    """Per-block scale-projected activations on ``window`` (see Stack.forward).
-
-    Every feature map is [S, C, h, w]. Each norm applies its frozen statistics.
+def _layers(spec: StackSpec, banks, image, norm_stats, window=None):
+    """Run ``banks`` on ``image`` and yield, per layer, its unprojected
+    [S, C, h, w] map and the (rows, cols) slices of ``window`` within it.
 
     regions[i] is the part of the image that layer i reads, and regions[i + 1]
     the part it writes: the window dilated by the reach of every layer from i
-    on, or from i + 1 on. The forward holds one map, in a [S, n] buffer owned
-    by this call. Each layer's projection is a new array, of which ``blocks``
-    keeps the window (a view); then the norm and ReLU overwrite the map in
-    place, and the next layer writes each scale slice's output into the start
-    of that slice's row of the buffer, or of a new buffer if it does not fit.
+    on, or from i + 1 on. The loop holds one map, in a [S, n] buffer it owns.
+    A yielded map is valid until the generator resumes: then the frozen norm
+    norm_stats[i - 1], read only now, and the layer's nonlinearity overwrite it
+    in place, and layer i writes each scale slice's output into the start of
+    that slice's row of the buffer, or of a new buffer if it does not fit. A
+    vanilla stack runs each bank's largest-scale kernels only.
     """
     window = check_window(image.shape, window)
-    reaches = [(layer.k - 1) // 2 for layer in spec.layers]
+    scales = slice(None) if spec.kind == "ses" else slice(-1, None)
+    banks = [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
+    reaches = [(layer.k - 1) // 2 for layer in spec.layers[: len(banks)]]
     regions = [dilate(image.shape, window, sum(reaches[i:])) for i in range(len(reaches) + 1)]
-    banks = _kind_banks(spec, banks)
     x = ses_conv_input(image[(np.newaxis, *regions[0])], banks[0], margins=_margins(regions[1], regions[0], reaches[0]))
     buf = x.reshape(len(x), -1)
-    blocks = [scale_projection(x)[(..., *within(window, regions[1]))]]
-    for i, (bank, layer, stats) in enumerate(zip(banks[1:], spec.layers[1:], norm_stats, strict=True), start=1):
-        _activate(x, stats, layer)
+    yield x, within(window, regions[1])
+    for i, (bank, layer) in enumerate(zip(banks[1:], spec.layers[1:]), start=1):
+        _normalize_in_place(x, norm_stats[i - 1])
+        if layer.nonlinearity == "relu":
+            relu(x)
         rows, cols = regions[i + 1]
         shape = (len(x), bank.out_channels, rows.stop - rows.start, cols.stop - cols.start)
         size = math.prod(shape[1:])
@@ -377,8 +370,7 @@ def _propagate(spec: StackSpec, banks, image, norm_stats, window=None) -> list:
             buf = np.empty((len(x), size))
         margins = _margins(regions[i + 1], regions[i], reaches[i])
         x = _conv_per_scale(x, bank, BorderPolicy.ZERO, buf[:, :size].reshape(shape), margins)
-        blocks.append(scale_projection(x)[(..., *within(window, regions[i + 1]))])
-    return blocks
+        yield x, within(window, regions[i + 1])
 
 
 def _calibrate(spec: StackSpec, banks) -> tuple:
@@ -388,16 +380,13 @@ def _calibrate(spec: StackSpec, banks) -> tuple:
     Only layers 1..n-1 run, since no norm reads the last layer's output, and
     nothing is projected; a one-layer stack runs no convolution.
     """
-    banks = _kind_banks(spec, banks[:-1])
-    if not banks:
+    if len(banks) < 2:
         return ()
     # The probe is derived from the stack seed, so both kinds of a shared
     # spec see the same probe and stay comparable.
     probe = synth_image("gaussian-blobs", CALIBRATION_SIZE, CALIBRATION_SIZE, seed=spec.seed)
-    x = ses_conv_input(probe[np.newaxis], banks[0])
-    stats = [_channel_stats(x)]
-    for bank, layer in zip(banks[1:], spec.layers[1:]):
-        x = ses_conv_scalewise(_activate(x, stats[-1], layer), bank)
+    stats = []
+    for x, _ in _layers(spec, banks[:-1], probe, stats):
         stats.append(_channel_stats(x))
     return tuple(stats)
 

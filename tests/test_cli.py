@@ -649,6 +649,15 @@ class TestEquivCommand:
         assert "crop margin 0.45 leaves no pixel of a 8x8 grid" in capsys.readouterr().err
         assert calls == []
 
+    def test_stack_kind_other_than_ses_is_config_error(self, tmp_path, capsys, tiny_config):
+        # A vanilla kind was accepted, echoed and ignored: both kinds ran.
+        payload = json.loads(Path(tiny_config).read_text())
+        payload["stack"]["kind"] = "vanilla"
+        config = write_json(tmp_path / "vanilla.json", payload)
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "invalid configuration: stack.kind must be 'ses'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(("field", "value"), [("height", -5), ("height", 7), ("width", 0)])
     def test_synthetic_extent_below_eight_is_config_error_naming_the_field(
         self, tmp_path, capsys, field, value

@@ -190,6 +190,24 @@ def test_non_finite_image_rejected_by_measurements(measure, tiny_images):
 @pytest.mark.parametrize(
     "measure",
     [
+        lambda stack, image, block: equivariance_error(stack, [image], 0.8, block),
+        lambda stack, image, block: error_map(stack, image, 0.8, block),
+    ],
+    ids=["equivariance_error", "error_map"],
+)
+@pytest.mark.parametrize("block", [1, 2])
+def test_overflowing_squared_features_rejected_by_measurements(measure, block):
+    # A finite image of huge values gave nan, and error_map a non-finite map
+    # after a RuntimeWarning from its peak normalization.
+    stack = build_stack(StackSpec(layers=(LayerSpec(2, 5), LayerSpec(2, 5))))
+    image = synth_image("gaussian-blobs", 32, 32, seed=0) * 1e300
+    with pytest.raises(SeslabError, match="do not sum to a finite number"):
+        measure(stack, image, block)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
         lambda stack, image, margin: crop(image, margin),
         lambda stack, image, margin: equivariance_error(stack, [image], 0.8, 1, crop_margin=margin),
         lambda stack, image, margin: scale_matched_residue(stack.banks[0], image, 0, 2, crop_margin=margin),
@@ -255,6 +273,16 @@ class TestRunExperiment:
         full = run_experiment(replace(config, blocks=(1, 4)), maps=False)
         assert report.rows == tuple(row for row in full.rows if row.block == 1)
         assert report.metadata["config"]["stack"] == dump(StackSpec())
+
+    def test_every_forward_goes_through_stack_forward(self, monkeypatch):
+        # Stack.forward is the latency target of the bench: per kind, F(h) and
+        # one F(T_s h) per scale factor of every image must call it.
+        calls = []
+        real = sesconv.Stack.forward
+        monkeypatch.setattr(sesconv.Stack, "forward", lambda self, *args: calls.append(self.kind) or real(self, *args))
+        run_experiment(TINY_CONFIG, maps=False)
+        per_kind = TINY_CONFIG.corpus.count * (1 + len(TINY_CONFIG.scale_factors))
+        assert calls == ["ses"] * per_kind + ["vanilla"] * per_kind
 
     def test_thread_count_does_not_change_output(self, monkeypatch):
         monkeypatch.setenv("SESLAB_THREADS", "1")
@@ -338,6 +366,9 @@ class TestRunExperiment:
             EquivConfig(stack=TINY_STACK, scale_factors=(1.5,), blocks=(1,))
         with pytest.raises(ConfigError, match="block indices"):
             EquivConfig(stack=TINY_STACK, scale_factors=(0.8,), blocks=(5,))
+        # Both kinds always run, so a vanilla kind would be echoed and ignored.
+        with pytest.raises(ConfigError, match="stack.kind must be 'ses'"):
+            EquivConfig(stack=replace(TINY_STACK, kind="vanilla"))
         with pytest.raises(ConfigError, match="unknown"):
             EquivConfig.from_dict({"stack": dump(TINY_STACK), "gpus": 4})
         with pytest.raises(ConfigError, match="JSON object"):

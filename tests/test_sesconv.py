@@ -574,6 +574,17 @@ WINDOW_STACKS = {
 }
 
 
+def _unprojected(stack, image, window=None):
+    """Copies of the window of each layer's yielded map, and whether each map
+    shares the buffer of the map before it."""
+    maps, reused, last = [], [], None
+    for x, read in sesconv._layers(stack.spec, stack.banks, image, stack.norm_stats, window):
+        reused.append(last is not None and np.shares_memory(x, last))
+        maps.append(x[(..., *read)].copy())
+        last = x
+    return maps, reused
+
+
 class TestWindowedForward:
     """Stack.forward(image, window) runs each layer only where later layers
     read it; every block must equal the window of the whole-image block."""
@@ -613,6 +624,29 @@ class TestWindowedForward:
         window = (slice(6, 31), slice(0, 44))
         for block, full in zip(stack.forward(image, window), stack.forward(image)):
             assert np.array_equal(block, full[(..., *window)])
+
+    @pytest.mark.parametrize(
+        "window",
+        [(slice(9, 20), slice(10, 25)), (slice(0, 12), slice(3, 30)), (slice(20, 29), slice(-11, None))],
+        ids=["inside", "top", "bottom-right"],
+    )
+    def test_unprojected_maps_equal_the_whole_image_maps_on_the_window(self, stack, window):
+        # Each layer's [S, C, h, w] map, read before the next layer's norm
+        # overwrites it, is the window of the whole-image map bit for bit.
+        image = synth_image("bandlimited-noise", 29, 50, seed=5)
+        whole, reused = _unprojected(stack, image)
+        maps, _ = _unprojected(stack, image, window)
+        scales = stack.spec.num_scales if stack.kind == "ses" else 1
+        channels = [layer.out_channels for layer in stack.spec.layers]
+        assert [m.shape[:2] for m in maps] == [(scales, c) for c in channels]
+        for m, full in zip(maps, whole):
+            expected = full[(..., *window)]
+            assert m.shape == expected.shape and m.tobytes() == expected.tobytes()
+        blocks = stack.forward(image, window)
+        assert all(scale_projection(m).tobytes() == b.tobytes() for m, b in zip(maps, blocks))
+        # On the whole image a layer gets a new buffer only when its channel
+        # count exceeds every earlier one's ("channels-change": 2 -> 4).
+        assert reused == [False] + [c <= max(channels[:i]) for i, c in enumerate(channels) if i]
 
     @pytest.mark.parametrize(
         "window",
