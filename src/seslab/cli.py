@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .basis import build_basis, check_scale_count, save_basis, scale_set_from_alpha
 from .errors import ConfigError, FormatError, SeslabError, as_real, check_fields, dump, load
-from .fileio import read_pgm, write_json, write_pgm
+from .fileio import read_pgm, read_pgm_header, write_json, write_pgm
 from .geometry import (
     CameraIntrinsics,
     EgoMotion,
@@ -107,6 +107,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_warp(args) -> int:
+    height, width = read_pgm_header(args.image)
+    check_fits_memory(2.0 * height * width, f"image {args.image} of {height}x{width} and its warp (two grids)")
     image = read_pgm(args.image)
     out_dir = Path(args.out_dir)
     metrics: dict = {"mode": args.mode}
@@ -246,9 +248,9 @@ def cmd_ssim_sweep(args) -> int:
 
 def cmd_equiv(args) -> int:
     config = _load_config(EquivConfig, args.config)
+    report = run_experiment(config, maps=args.maps)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = run_experiment(config, maps=args.maps)
     report.write_csv(out_dir / "equiv_report.csv")
     if args.format == "json":
         report.write_json(out_dir / "equiv_report.json")

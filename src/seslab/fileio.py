@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,27 @@ def write_pgm(path, image, maxval: int = 255) -> None:
     Path(path).write_bytes(header + payload)
 
 
+def read_pgm_header(path) -> tuple:
+    """(height, width) of a binary PGM (P5) from its header alone; raises
+    FormatError unless the file holds exactly the payload the header declares."""
+    with open(path, "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return _header(b"", path)[:2]
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as raw:
+            return _header(raw, path)[:2]
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a binary PGM (P5) into a [0, 1] float64 grid."""
     raw = Path(path).read_bytes()
+    height, width, maxval, offset = _header(raw, path)
+    img = np.frombuffer(raw, ">u2" if maxval > 255 else "u1", height * width, offset).reshape(height, width)
+    return img.astype(np.float64) / maxval
+
+
+def _header(raw, path) -> tuple:
+    """(height, width, maxval, offset of the payload) of the PGM bytes ``raw``;
+    raises FormatError unless the payload fills the rest of ``raw`` exactly."""
     magic, pos = _token(raw, 0, path, "magic")
     if magic != b"P5":
         raise FormatError(f"{path}: not a binary PGM, magic is {magic!r}")
@@ -42,17 +62,14 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"{path}: invalid maxval {maxval}")
     if pos >= len(raw) or raw[pos : pos + 1] not in _WHITESPACE:
         raise FormatError(f"{path}: missing whitespace before pixel payload")
-    payload = raw[pos + 1 :]
-    bytes_per = 2 if maxval > 255 else 1
-    expected = width * height * bytes_per
-    if len(payload) != expected:
+    got = len(raw) - pos - 1
+    expected = width * height * (2 if maxval > 255 else 1)
+    if got != expected:
         raise FormatError(
             f"{path}: expected {expected} payload bytes for {width}x{height} "
-            f"maxval {maxval}, got {len(payload)}"
+            f"maxval {maxval}, got {got}"
         )
-    dtype = ">u2" if bytes_per == 2 else "u1"
-    img = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return img.astype(np.float64) / maxval
+    return height, width, maxval, pos + 1
 
 
 def _token(raw, pos, path, what):

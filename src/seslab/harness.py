@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import reprlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SeslabError, as_real, check_fields, dump, is_integer, load
-from .fileio import read_pgm, write_json
+from .fileio import read_pgm, read_pgm_header, write_json
 from .grid import BorderPolicy, as_grid, check_fits_memory, crop_window, within
 from .resample import sample_at, scale_transform_mapping
 from .sesconv import KINDS, Stack, StackSpec, build_stack
-from .synth import MIN_EXTENT, synth_corpus
+from .synth import MIN_EXTENT, corpus_seeds, synth_image
 
 THREADS_ENV = "SESLAB_THREADS"
 CSV_HEADER = "kind,block,scale,delta,log10_delta,n"
@@ -59,13 +60,23 @@ class CorpusSpec:
                         f"corpus {name} must be >= {MIN_EXTENT} for synthetic images, got {extent}"
                     )
 
-    def load(self) -> list:
+    def describe(self) -> tuple:
+        """(extents, load): a Counter of the images per (height, width), and
+        load(i), which reads or synthesizes image i. Reads no pixel: an
+        image_dir corpus parses each PGM header alone (fileio.read_pgm_header)."""
         if self.image_dir is not None:
             paths = sorted(Path(self.image_dir).glob("*.pgm"))
             if not paths:
                 raise ConfigError(f"no .pgm images found in {self.image_dir}")
-            return [read_pgm(p) for p in paths]
-        return synth_corpus(self.kind, self.count, self.height, self.width, self.seed)
+            return Counter(map(read_pgm_header, paths)), lambda i: read_pgm(paths[i])
+        return Counter({(self.height, self.width): self.count}), lambda i: synth_image(
+            self.kind, self.height, self.width, int(corpus_seeds(self.seed, i + 1)[i])
+        )
+
+    def load(self) -> list:
+        """Every image of the corpus, in order."""
+        extents, load = self.describe()
+        return [load(i) for i in range(extents.total())]
 
 
 def _check_cells(scale_factors, blocks, num_blocks: int) -> tuple:
@@ -85,19 +96,6 @@ def _check_cells(scale_factors, blocks, num_blocks: int) -> tuple:
     return factors
 
 
-def _check_corpus_fits(stack: StackSpec, corpus: CorpusSpec, depth: int) -> None:
-    """Raise ConfigError naming the corpus fields unless the synthetic corpus,
-    ``count`` images of ``height x width`` doubles, and the largest [S, C, h, w]
-    map of one forward through layers 1..``depth`` fit in physical memory."""
-    channels = max(layer.out_channels for layer in stack.layers[:depth])
-    count, height, width = map(reprlib.repr, (corpus.count, corpus.height, corpus.width))
-    check_fits_memory(
-        as_real(corpus.height) * as_real(corpus.width) * (as_real(corpus.count) + stack.num_scales * channels),
-        f"corpus count x height x width ({count} images of {height}x{width}) "
-        f"and a [{stack.num_scales}, {channels}, {height}, {width}] forward map",
-    )
-
-
 @dataclass(frozen=True)
 class EquivConfig:
     """Full experiment description; deterministic given its values."""
@@ -113,9 +111,6 @@ class EquivConfig:
         if self.stack.kind != "ses":
             raise ConfigError(f"stack.kind must be 'ses' (both kinds are run), got {reprlib.repr(self.stack.kind)}")
         _check_cells(self.scale_factors, self.blocks, len(self.stack.layers))
-        if self.corpus.image_dir is None:
-            _check_corpus_fits(self.stack, self.corpus, max(self.blocks))
-            crop_window((self.corpus.height, self.corpus.width), self.crop_margin)
 
     @staticmethod
     def from_dict(data: dict) -> "EquivConfig":
@@ -257,6 +252,24 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
     return math.fsum(ratios) / len(ratios)
 
 
+def _plan(config: EquivConfig, extents, workers: int) -> None:
+    """Raise ConfigError unless every crop window keeps a pixel and the run fits
+    in physical memory: ``workers`` images of the largest extent, each with one
+    forward's largest [S, C, h, w] map, and the cells of every image."""
+    stack, count = config.stack, extents.total()
+    channels = max(layer.out_channels for layer in stack.layers[: max(config.blocks)])
+    height, width = max(extents, key=lambda extent: as_real(extent[0]) * as_real(extent[1]))
+    cells = len(KINDS) * len(config.blocks) * len(config.scale_factors)
+    n, h, w = map(reprlib.repr, (count, height, width))
+    check_fits_memory(
+        workers * as_real(height) * as_real(width) * (1 + stack.num_scales * channels) + as_real(count) * cells,
+        f"corpus of {n} images (the largest {h}x{w}) on {workers} worker(s), each holding an image "
+        f"and a [{stack.num_scales}, {channels}, {h}, {w}] forward map, and {cells} cells per image",
+    )
+    for extent in extents:
+        crop_window(extent, config.crop_margin)
+
+
 def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     """Evaluate both stack kinds over the corpus; deterministic per config.
 
@@ -264,35 +277,37 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     at the first scale factor; without, ``report.maps`` is empty. The rows do
     not depend on it.
 
-    Corpus items may be evaluated on up to SESLAB_THREADS worker threads, but
-    on no more threads than there are images or CPUs; the reduction into
-    per-cell means runs in image order either way, so the report is
-    byte-identical across thread counts.
+    The corpus is planned before any stack is built or pixel read. A job is one
+    image, loaded, run through each kind's stack and dropped. Jobs run on up to
+    SESLAB_THREADS worker threads, but on no more threads than there are images
+    or CPUs; the reduction into per-cell means runs in image order either way,
+    so the report is byte-identical across thread counts.
     """
-    images = config.corpus.load()
-    for image in images:  # a margin too wide for an image fails before any forward pass
-        crop_window(np.shape(image), config.crop_margin)
-    workers = min(thread_count(), len(images), os.cpu_count() or 1)
-    map_scales = [config.scale_factors[0] if maps else None] + [None] * (len(images) - 1)
+    extents, load = config.corpus.describe()
+    count = extents.total()
+    workers = min(thread_count(), count, os.cpu_count() or 1)
+    _plan(config, extents, workers)
+    # No layer's weights or frozen statistics depend on a later layer.
+    layers = config.stack.layers[: max(config.blocks)]
+    stacks = [build_stack(replace(config.stack, kind=kind, layers=layers)) for kind in KINDS]
+
+    def job(index):
+        image = load(index)
+        map_scale = config.scale_factors[0] if maps and index == 0 else None
+        args = (config.scale_factors, config.blocks, config.crop_margin, map_scale)
+        return [_image_cells(stack, image, *args) for stack in stacks]
+
+    if workers <= 1:
+        results = list(map(job, range(count)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(job, range(count)))
     rows, grids = [], {}
-    for kind in KINDS:
-        # No layer's weights or frozen statistics depend on a later layer.
-        stack = build_stack(replace(config.stack, kind=kind, layers=config.stack.layers[: max(config.blocks)]))
-
-        def job(image, map_scale, _stack=stack):
-            return _image_cells(
-                _stack, image, config.scale_factors, config.blocks, config.crop_margin, map_scale
-            )
-
-        if workers <= 1:
-            results = list(map(job, images, map_scales))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(job, images, map_scales))
-        grids.update({(kind, block): grid for block, grid in results[0][1].items()})
+    for k, kind in enumerate(KINDS):
+        grids.update({(kind, block): grid for block, grid in results[0][k][1].items()})
         for block in config.blocks:
             for s in config.scale_factors:
-                values = [cells[(block, s)] for cells, _ in results]
+                values = [result[k][0][(block, s)] for result in results]
                 delta = math.fsum(values) / len(values)
                 if not math.isfinite(delta):
                     raise SeslabError(f"{kind} block {block} at scale {s}: mean delta is {delta}")

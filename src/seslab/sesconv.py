@@ -273,6 +273,15 @@ class Stack:
     banks: tuple
     norm_stats: tuple  # per layer >= 2: (mean[C], var[C])
 
+    def __post_init__(self):
+        channels = [bank.in_channels for bank in self.banks[1:]]
+        shapes = [tuple(np.shape(a) for a in pair) for pair in self.norm_stats]
+        if shapes != [((c,), (c,)) for c in channels]:
+            raise ShapeError(
+                f"norm_stats must hold one (mean[C], var[C]) pair per layer after the first, "
+                f"C being its input channels {channels}; got shapes {shapes}"
+            )
+
     @property
     def kind(self) -> str:
         return self.spec.kind

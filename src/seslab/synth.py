@@ -86,9 +86,15 @@ def _noise(height, width, seed):
     return (smooth - lo) / (hi - lo)
 
 
+def corpus_seeds(seed: int, count: int) -> np.ndarray:
+    """The seeds of the first ``count`` images of a corpus with master seed
+    ``seed``. Each depends only on ``seed`` and its index, so a longer corpus
+    starts with the same seeds: image i's is ``corpus_seeds(seed, i + 1)[i]``."""
+    return np.random.SeedSequence(seed).generate_state(count)
+
+
 def synth_corpus(kind: str, count: int, height: int, width: int, seed: int) -> list:
     """List of ``count`` images with per-image seeds derived from ``seed``."""
     if count < 1:
         raise ConfigError(f"corpus size must be >= 1, got {count}")
-    children = np.random.SeedSequence(seed).generate_state(count)
-    return [synth_image(kind, height, width, int(s)) for s in children]
+    return [synth_image(kind, height, width, int(s)) for s in corpus_seeds(seed, count)]

@@ -21,6 +21,7 @@ from seslab import (
     synth_image,
     write_pgm,
 )
+from seslab import grid
 from seslab.cli import main
 from seslab.errors import load
 
@@ -275,6 +276,32 @@ class TestWarpCommand:
         err = capsys.readouterr().err
         assert f"invalid configuration: intrinsics width x height {str(width)[:3]}" in err and "physical memory" in err
         assert peak < 1024 * 1024
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["projective", "scale", "logpolar", "invlogpolar"])
+    def test_image_too_large_for_memory_is_refused_from_its_header(
+        self, tmp_path, capsys, monkeypatch, geo_files, mode
+    ):
+        # The image used to be read whole before anything planned the warp.
+        # Its two 96x128 grids take 192 KiB; the budget here is 64 KiB.
+        monkeypatch.setattr(grid.os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 16)
+        reads = []
+        monkeypatch.setattr("seslab.cli.read_pgm", lambda path: reads.append(path))
+        argv = ["warp", "--image", geo_files["image"], "--mode", mode, "--out", str(tmp_path / "out" / "w.pgm")]
+        argv += ["--plane", geo_files["plane"], "--motion", geo_files["motion"], "--intrinsics", geo_files["intrinsics"]]
+        argv += ["--out-shape", "96,128", "--out-dir", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid configuration: image {geo_files['image']} of 96x128 and its warp (two grids)" in err
+        assert "physical memory (65536 bytes)" in err
+        assert peak < 1024 * 1024
+        assert reads == []
         assert not (tmp_path / "out").exists()
 
     def test_missing_geometry_files_is_usage_error(self, tmp_path, geo_files):
@@ -603,25 +630,26 @@ class TestEquivCommand:
         assert not (tmp_path / "bare" / "maps").exists()
 
     def test_maps_reuse_report_forwards(self, tmp_path, tiny_config, monkeypatch):
-        builds, loads = [], []
-        real_build, real_load = sesconv.build_stack, CorpusSpec.load
+        builds, described, loads = [], [], []
+        real_build, real_describe = sesconv.build_stack, CorpusSpec.describe
 
         def counting_build(*args, **kwargs):
             builds.append(1)
             return real_build(*args, **kwargs)
 
-        def counting_load(self):
-            loads.append(1)
-            return real_load(self)
+        def counting_describe(self):
+            described.append(1)
+            extents, load = real_describe(self)
+            return extents, lambda i: loads.append(i) or load(i)
 
         for module in (harness, sesconv):
             monkeypatch.setattr(module, "build_stack", counting_build)
-        monkeypatch.setattr(CorpusSpec, "load", counting_load)
+        monkeypatch.setattr(CorpusSpec, "describe", counting_describe)
         assert main(["equiv", "--config", tiny_config, "--out-dir", str(tmp_path), "--maps"]) == 0
-        assert (len(builds), len(loads)) == (2, 1)
+        assert (len(builds), len(described), loads) == (2, 1, [0, 1])  # each image is loaded once
 
         config = EquivConfig.from_dict(json.loads(Path(tiny_config).read_text()))
-        image = real_load(config.corpus)[0]
+        image = config.corpus.load()[0]
         s = config.scale_factors[0]
         for kind in ("ses", "vanilla"):
             stack = real_build(replace(config.stack, kind=kind))
@@ -645,9 +673,24 @@ class TestEquivCommand:
             write_pgm(images / "a.pgm", synth_image("gaussian-blobs", 8, 8, seed=0))
             corpus = {"image_dir": str(images)}
         config = write_json(tmp_path / "config.json", {"corpus": corpus, "crop_margin": 0.45})
-        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        tracemalloc.start()
+        try:
+            code = main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
         assert "crop margin 0.45 leaves no pixel of a 8x8 grid" in capsys.readouterr().err
+        assert peak < 1024 * 1024
         assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_threads_leave_no_output_directory(self, tmp_path, capsys, monkeypatch, tiny_config):
+        # The directory used to be made before run_experiment read SESLAB_THREADS.
+        monkeypatch.setenv("SESLAB_THREADS", "abc")
+        assert main(["equiv", "--config", tiny_config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "invalid configuration: SESLAB_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_stack_kind_other_than_ses_is_config_error(self, tmp_path, capsys, tiny_config):
         # A vanilla kind was accepted, echoed and ignored: both kinds ran.
@@ -673,17 +716,19 @@ class TestEquivCommand:
     @pytest.mark.parametrize(
         ("corpus", "message"),
         [
-            ({"height": 10**400}, "corpus count x height x width (20 images of 1000"),
-            ({"height": 200000, "width": 200000}, "corpus count x height x width (20 images of 200000x200000)"),
+            ({"height": 10**400}, "corpus of 20 images (the largest 1000"),
+            ({"height": 200000, "width": 200000}, "corpus of 20 images (the largest 200000x200000)"),
+            ({"count": 10**12, "height": 8, "width": 8}, "corpus of 1000000000000 images (the largest 8x8)"),
         ],
-        ids=["height-past-float", "200000-square"],
+        ids=["height-past-float", "200000-square", "count-1e12"],
     )
     def test_corpus_too_large_for_memory_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus, message):
         # The first exited 1 with an OverflowError traceback from the crop
-        # window; the second (298 GiB) failed inside numpy.
+        # window; the second (298 GiB) failed inside numpy. The third is
+        # refused by its cells: no image seed or cell is made.
         calls = []
-        monkeypatch.setattr(CorpusSpec, "load", lambda spec: calls.append("load"))
-        monkeypatch.setattr(harness, "build_stack", lambda spec: calls.append("build_stack"))
+        for name in ("corpus_seeds", "synth_image", "build_stack"):
+            monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
         config = write_json(tmp_path / "config.json", {"corpus": corpus})
         tracemalloc.start()
         try:
@@ -814,6 +859,34 @@ def test_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys, geo_file
     err = capsys.readouterr().err
     assert "invalid configuration" in err and f"{field} must be a finite number" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("raw", "message"),
+    [
+        (b"", "truncated header, missing magic"),
+        (b"P5\n4 4\n255\n" + bytes(15), "expected 16 payload bytes for 4x4 maxval 255, got 15"),
+        (b"P5\n4 4\n255\n" + bytes(17), "expected 16 payload bytes for 4x4 maxval 255, got 17"),
+    ],
+    ids=["empty", "one-byte-short", "one-byte-long"],
+)
+@pytest.mark.parametrize("command", ["warp", "equiv"])
+def test_malformed_pgm_is_io_error_before_any_work(tmp_path, capsys, monkeypatch, command, raw, message):
+    images = tmp_path / "images"
+    images.mkdir()
+    write_pgm(images / "a.pgm", synth_image("gaussian-blobs", 16, 16, seed=0))
+    (images / "b.pgm").write_bytes(raw)
+    calls = []
+    monkeypatch.setattr(harness, "build_stack", lambda spec: calls.append("build_stack"))
+    monkeypatch.setattr("seslab.cli.read_pgm", lambda path: calls.append("read_pgm"))
+    argv = {
+        "warp": ["warp", "--image", str(images / "b.pgm"), "--mode", "logpolar", "--out", str(tmp_path / "out" / "x.pgm")],
+        "equiv": ["equiv", "--config", write_json(tmp_path / "config.json", {"corpus": {"image_dir": str(images)}})],
+    }[command]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    assert f"i/o error: {images / 'b.pgm'}: {message}" in capsys.readouterr().err
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seslab import FormatError, SeslabError, read_pgm, read_tensor, write_pgm, write_tensor
-from seslab.fileio import sidecar_path
+from seslab.fileio import read_pgm_header, sidecar_path
 
 
 class TestTensorFormat:
@@ -126,6 +126,45 @@ class TestPgm:
         with pytest.raises(FormatError, match="truncated header"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_pixels_decode_as_one_division_of_the_samples(self, rng, tmp_path, maxval):
+        # The decode read_pgm has always had; the header parse is split out of it.
+        dtype = ">u2" if maxval > 255 else "u1"
+        samples = rng.integers(0, maxval + 1, size=(7, 11)).astype(dtype).tobytes()
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n# a comment\n11 # width\n7\n# maxval next\n%d\n" % maxval + samples)
+        expected = np.frombuffer(samples, dtype=dtype).reshape(7, 11).astype(np.float64) / maxval
+        assert read_pgm(path).tobytes() == expected.tobytes()
+        assert read_pgm_header(path) == (7, 11)
+
+    @pytest.mark.parametrize(
+        ("raw", "message"),
+        [
+            (b"P2\n2 2\n255\n0 0 0 0\n", "not a binary PGM, magic is b'P2'"),
+            (b"P5\n4 4\n255\n" + bytes(10), "expected 16 payload bytes for 4x4 maxval 255, got 10"),
+            (b"P5\n4", "truncated header, missing height"),
+            (b"", "truncated header, missing magic"),
+            (b"P5\n4 4\n255\n" + bytes(15), "expected 16 payload bytes for 4x4 maxval 255, got 15"),
+            (b"P5\n4 4\n255\n" + bytes(17), "expected 16 payload bytes for 4x4 maxval 255, got 17"),
+            (b"P5\n2 2\n65535\n" + bytes(7), "expected 8 payload bytes for 2x2 maxval 65535, got 7"),
+            (b"P5\n4 x\n255\n", "header field height is not an integer: b'x'"),
+            (b"P5\n0 4\n255\n", "invalid image size 0x4"),
+            (b"P5\n4 4\n70000\n" + bytes(32), "invalid maxval 70000"),
+            (b"P5\n1 1\n255", "missing whitespace before pixel payload"),
+        ],
+        ids=[
+            "wrong-magic", "truncated-payload", "truncated-header", "empty", "one-byte-short", "one-byte-long",
+            "16-bit-one-byte-short", "non-integer-field", "zero-width", "maxval", "no-whitespace",
+        ],
+    )
+    def test_header_parse_refuses_as_read_pgm_does(self, tmp_path, raw, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        for read in (read_pgm, read_pgm_header):
+            with pytest.raises(FormatError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: {message}"
+
     def test_quantization_is_nearest(self, tmp_path):
         image = np.array([[0.0, 0.499 / 255, 0.501 / 255, 1.0]])
         path = tmp_path / "q.pgm"
@@ -182,11 +221,12 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _parses_or_is_seslab_error(read, path):
+def _outcome(read, path):
+    """What ``read`` returns for ``path``, or the message of the SeslabError it raises."""
     try:
-        read(path)
-    except SeslabError:
-        pass
+        return read(path)
+    except SeslabError as exc:
+        return str(exc)
 
 
 @settings(max_examples=300, deadline=None)
@@ -196,7 +236,8 @@ def _parses_or_is_seslab_error(read, path):
 def test_read_pgm_parses_or_raises_seslab_error(fuzz_dir, raw):
     path = fuzz_dir / "fuzz.pgm"
     path.write_bytes(raw)
-    _parses_or_is_seslab_error(read_pgm, path)
+    # The header parse alone takes the same files and refuses them with the same message.
+    assert _outcome(lambda p: read_pgm(p).shape, path) == _outcome(read_pgm_header, path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,4 +248,4 @@ def test_read_tensor_parses_or_raises_seslab_error(fuzz_dir, sidecar, payload):
     path = fuzz_dir / "fuzz.f64"
     path.write_bytes(payload)
     sidecar_path(path).write_bytes(sidecar)
-    _parses_or_is_seslab_error(read_tensor, path)
+    _outcome(read_tensor, path)

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from seslab import (
     combine,
     equivariance_error,
     error_map,
+    read_pgm,
     run_experiment,
     scale_matched_residue,
     scale_transform,
@@ -276,13 +278,14 @@ class TestRunExperiment:
 
     def test_every_forward_goes_through_stack_forward(self, monkeypatch):
         # Stack.forward is the latency target of the bench: per kind, F(h) and
-        # one F(T_s h) per scale factor of every image must call it.
+        # one F(T_s h) per scale factor of every image must call it. A job is
+        # one image, run through the ses stack and then the vanilla stack.
         calls = []
         real = sesconv.Stack.forward
         monkeypatch.setattr(sesconv.Stack, "forward", lambda self, *args: calls.append(self.kind) or real(self, *args))
         run_experiment(TINY_CONFIG, maps=False)
-        per_kind = TINY_CONFIG.corpus.count * (1 + len(TINY_CONFIG.scale_factors))
-        assert calls == ["ses"] * per_kind + ["vanilla"] * per_kind
+        per_image = 1 + len(TINY_CONFIG.scale_factors)
+        assert calls == (["ses"] * per_image + ["vanilla"] * per_image) * TINY_CONFIG.corpus.count
 
     def test_thread_count_does_not_change_output(self, monkeypatch):
         monkeypatch.setenv("SESLAB_THREADS", "1")
@@ -309,12 +312,13 @@ class TestRunExperiment:
         monkeypatch.setenv("SESLAB_THREADS", "64")
         run_experiment(TINY_CONFIG)
         assert TINY_CONFIG.corpus.count == 2
-        assert recorded == [2, 2]
+        assert recorded == [2]  # one pool runs every job, each one image through both kinds
 
     def test_non_finite_image_rejected(self, monkeypatch, tiny_images):
         image = tiny_images[0].copy()
         image[5, 7] = np.nan
-        monkeypatch.setattr(CorpusSpec, "load", lambda self: [tiny_images[1], image])
+        extents = collections.Counter({image.shape: 2})
+        monkeypatch.setattr(CorpusSpec, "describe", lambda self: (extents, [tiny_images[1], image].__getitem__))
         with pytest.raises(SeslabError, match="non-finite"):
             run_experiment(TINY_CONFIG)
 
@@ -340,9 +344,13 @@ class TestRunExperiment:
     def test_image_directory_corpus(self, tmp_path):
         for i, img in enumerate(synth_corpus("gaussian-blobs", 2, 32, 32, 1)):
             write_pgm(tmp_path / f"img{i}.pgm", img)
+        write_pgm(tmp_path / "img0a.pgm", synth_image("checkerboard", 36, 44, 0))  # sorts between them
         config = replace(TINY_CONFIG, corpus=CorpusSpec(image_dir=str(tmp_path)))
+        extents, load = config.corpus.describe()
+        assert list(extents.items()) == [((32, 32), 2), ((36, 44), 1)]
+        assert load(1).tobytes() == read_pgm(tmp_path / "img0a.pgm").tobytes()
         report = run_experiment(config)
-        assert all(r.n == 2 for r in report.rows)
+        assert all(r.n == 3 for r in report.rows)
 
     def test_empty_image_directory_rejected(self, tmp_path):
         config = replace(TINY_CONFIG, corpus=CorpusSpec(image_dir=str(tmp_path)))
@@ -643,3 +651,24 @@ def test_image_cells_peak_memory_is_base_plus_one_forward(margin, map_scale):
     finally:
         tracemalloc.stop()
     assert peak < base + forward + base // 2  # slack: one block output
+
+
+def test_run_holds_one_image_per_worker(tmp_path, monkeypatch):
+    # Each job loads its image and drops it when it ends. The whole corpus
+    # used to be loaded before the first forward: six images held, not one.
+    monkeypatch.setenv("SESLAB_THREADS", "1")
+    images = synth_corpus("gaussian-blobs", 6, 64, 96, 2)
+    peaks = []
+    for count in (2, 6):
+        corpus = tmp_path / str(count)
+        corpus.mkdir()
+        for i, image in enumerate(images[:count]):
+            write_pgm(corpus / f"{i}.pgm", image)
+        config = replace(TINY_CONFIG, corpus=CorpusSpec(image_dir=str(corpus)))
+        tracemalloc.start()
+        try:
+            run_experiment(config, maps=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < images[0].nbytes

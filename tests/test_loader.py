@@ -14,8 +14,6 @@ from seslab.basis import _BasisKeys
 from seslab.cli import BasisConfig, SweepConfig
 from seslab.errors import dump, load
 from seslab.geometry import _MotionKeys
-from seslab.grid import crop_window
-from seslab.harness import _check_corpus_fits
 from seslab.sesconv import KINDS, NONLINEARITIES
 
 BIG = 10**400  # parses from JSON as an int too large for a float
@@ -182,19 +180,6 @@ corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(8), st.in
 )
 
 
-def _corpus_fits(stack, corpus, margin) -> bool:
-    """Whether EquivConfig takes ``corpus`` and ``margin`` with ``stack``, whatever
-    blocks it reads: a synthetic corpus and a forward through every layer must fit
-    in memory, and the margin must leave a pixel of its images."""
-    try:
-        if corpus.image_dir is None:
-            _check_corpus_fits(stack, corpus, len(stack.layers))
-            crop_window((corpus.height, corpus.width), margin)
-    except ConfigError:
-        return False
-    return True
-
-
 def _sweep_fits(fields) -> bool:
     """Whether SweepConfig takes ``fields``; of the fields drawn below, only a
     corpus and roundtrip too large for memory are refused."""
@@ -209,11 +194,11 @@ INSTANCES = {
     "LayerSpec": layers,
     "StackSpec": stacks,
     "CorpusSpec": corpora,
-    # EquivConfig runs both kinds and takes only the default kind "ses".
+    # EquivConfig runs both kinds and takes only the default kind "ses". It
+    # takes any corpus and margin: run_experiment plans them against the images.
     "EquivConfig": st.tuples(
         stacks.map(lambda stack: dataclasses.replace(stack, kind="ses")), corpora, st.floats(0.0, 0.5, exclude_max=True)
     )
-    .filter(lambda fields: _corpus_fits(*fields))
     .flatmap(
         lambda fields: st.builds(
             EquivConfig,

@@ -566,6 +566,22 @@ class TestCalibration:
             tracemalloc.stop()
         assert peak <= bound
 
+    @pytest.mark.parametrize("depth", [1, 2, 4])
+    def test_stack_refuses_norm_stats_not_one_pair_per_later_layer(self, depth):
+        # One pair too few raised IndexError on the first forward; extra pairs
+        # were ignored.
+        stack = build_stack(StackSpec(layers=CALIBRATION_LAYERS[:depth], max_order=1))
+        pair = (np.zeros(CALIBRATION_LAYERS[0].out_channels),) * 2
+        bad = [stack.norm_stats + (pair,)]
+        if depth > 1:
+            bad.append(stack.norm_stats[:-1])
+            mean, var = stack.norm_stats[0]
+            bad.append(((mean[:-1], var),) + stack.norm_stats[1:])
+        for norm_stats in bad:
+            with pytest.raises(ShapeError, match="norm_stats must hold one"):
+                replace(stack, norm_stats=norm_stats)
+        replace(stack, norm_stats=stack.norm_stats)  # the built statistics pass
+
 
 # Layers and max_order of each windowed-forward stack.
 WINDOW_STACKS = {

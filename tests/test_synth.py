@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from seslab import ConfigError, ShapeError, render_gaussian_blobs, synth_corpus, synth_image
+from seslab import ConfigError, CorpusSpec, ShapeError, render_gaussian_blobs, synth_corpus, synth_image
+from seslab.synth import corpus_seeds
 
 
 @pytest.mark.parametrize("kind", ["gaussian-blobs", "checkerboard", "bandlimited-noise"])
@@ -67,6 +68,19 @@ def test_corpus_derives_distinct_images():
         assert not np.array_equal(corpus[i], corpus[i + 1])
     again = synth_corpus("gaussian-blobs", 4, 16, 16, seed=0)
     assert all(np.array_equal(a, b) for a, b in zip(corpus, again))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+def test_image_drawn_alone_equals_the_corpus_image_bitwise(seed):
+    # A job synthesizes only its own image, from its own seed.
+    count = 12
+    seeds = corpus_seeds(seed, count)
+    assert [corpus_seeds(seed, i + 1)[i] for i in range(count)] == list(seeds)
+    spec = CorpusSpec(kind="bandlimited-noise", count=count, height=16, width=24, seed=seed)
+    extents, load = spec.describe()
+    assert extents == {(16, 24): count}
+    corpus = synth_corpus("bandlimited-noise", count, 16, 24, seed)
+    assert [load(i).tobytes() for i in range(count)] == [image.tobytes() for image in corpus]
 
 
 def test_corpus_count_validated():
