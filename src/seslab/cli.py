@@ -190,6 +190,8 @@ class SweepConfig:
         check_fields(self)
         if self.count < 1:
             raise ConfigError(f"corpus count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
         if self.width is not None and self.width < 1:
             raise ConfigError(f"width must be >= 1, got {self.width}")
         for name in ("heights", "up_factors"):

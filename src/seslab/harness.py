@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 import reprlib
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -51,6 +52,8 @@ class CorpusSpec:
 
     def __post_init__(self):
         check_fields(self)
+        if self.seed < 0:
+            raise ConfigError(f"corpus seed must be >= 0, got {reprlib.repr(self.seed)}")
         if self.image_dir is None:
             if self.count < 1:
                 raise ConfigError(f"corpus count must be >= 1, got {self.count}")
@@ -63,15 +66,22 @@ class CorpusSpec:
     def describe(self) -> tuple:
         """(extents, load): a Counter of the images per (height, width), and
         load(i), which reads or synthesizes image i. Reads no pixel: an
-        image_dir corpus parses each PGM header alone (fileio.read_pgm_header)."""
+        image_dir corpus parses each PGM header alone (fileio.read_pgm_header),
+        and a synthetic corpus derives its image seeds on the first load."""
         if self.image_dir is not None:
             paths = sorted(Path(self.image_dir).glob("*.pgm"))
             if not paths:
                 raise ConfigError(f"no .pgm images found in {self.image_dir}")
             return Counter(map(read_pgm_header, paths)), lambda i: read_pgm(paths[i])
-        return Counter({(self.height, self.width): self.count}), lambda i: synth_image(
-            self.kind, self.height, self.width, int(corpus_seeds(self.seed, i + 1)[i])
-        )
+        lock, seeds = threading.Lock(), []
+
+        def load(i):
+            with lock:  # one derivation, whichever worker loads first
+                if not seeds:
+                    seeds.append(corpus_seeds(self.seed, self.count))
+            return synth_image(self.kind, self.height, self.width, int(seeds[0][i]))
+
+        return Counter({(self.height, self.width): self.count}), load
 
     def load(self) -> list:
         """Every image of the corpus, in order."""
@@ -255,16 +265,20 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
 def _plan(config: EquivConfig, extents, workers: int) -> None:
     """Raise ConfigError unless every crop window keeps a pixel and the run fits
     in physical memory: ``workers`` images of the largest extent, each with one
-    forward's largest [S, C, h, w] map, and the cells of every image."""
+    forward's largest [S, C, h, w] map, and the cells of every image, plus its
+    4-byte seed if the corpus is synthetic."""
     stack, count = config.stack, extents.total()
     channels = max(layer.out_channels for layer in stack.layers[: max(config.blocks)])
     height, width = max(extents, key=lambda extent: as_real(extent[0]) * as_real(extent[1]))
     cells = len(KINDS) * len(config.blocks) * len(config.scale_factors)
+    synthetic = config.corpus.image_dir is None  # then each image has a 4-byte seed, half a double
     n, h, w = map(reprlib.repr, (count, height, width))
     check_fits_memory(
-        workers * as_real(height) * as_real(width) * (1 + stack.num_scales * channels) + as_real(count) * cells,
+        workers * as_real(height) * as_real(width) * (1 + stack.num_scales * channels)
+        + as_real(count) * (cells + 0.5 * synthetic),
         f"corpus of {n} images (the largest {h}x{w}) on {workers} worker(s), each holding an image "
-        f"and a [{stack.num_scales}, {channels}, {h}, {w}] forward map, and {cells} cells per image",
+        f"and a [{stack.num_scales}, {channels}, {h}, {w}] forward map, and {cells} cells"
+        f"{' and a seed' * synthetic} per image",
     )
     for extent in extents:
         crop_window(extent, config.crop_margin)
@@ -277,11 +291,11 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     at the first scale factor; without, ``report.maps`` is empty. The rows do
     not depend on it.
 
-    The corpus is planned before any stack is built or pixel read. A job is one
-    image, loaded, run through each kind's stack and dropped. Jobs run on up to
-    SESLAB_THREADS worker threads, but on no more threads than there are images
-    or CPUs; the reduction into per-cell means runs in image order either way,
-    so the report is byte-identical across thread counts.
+    The corpus is planned before any stack is built or pixel read. The run
+    holds one [count, kinds, blocks, scales] array of cells, as planned, and
+    up to SESLAB_THREADS workers (no more than images or CPUs): worker w loads
+    images w, w + workers, ... in turn and runs each through both stacks. Cell
+    means sum in image order, so reports are byte-identical across thread counts.
     """
     extents, load = config.corpus.describe()
     count = extents.total()
@@ -290,29 +304,36 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     # No layer's weights or frozen statistics depend on a later layer.
     layers = config.stack.layers[: max(config.blocks)]
     stacks = [build_stack(replace(config.stack, kind=kind, layers=layers)) for kind in KINDS]
+    factors, blocks = config.scale_factors, config.blocks
+    deltas = np.empty((count, len(KINDS), len(blocks), len(factors)))
+    grids, rows, failed = {}, [], []
 
-    def job(index):
-        image = load(index)
-        map_scale = config.scale_factors[0] if maps and index == 0 else None
-        args = (config.scale_factors, config.blocks, config.crop_margin, map_scale)
-        return [_image_cells(stack, image, *args) for stack in stacks]
+    def share(w):
+        for index in range(w, count, workers):
+            if failed:  # another share raised; the pool cannot stop a running share
+                return
+            try:
+                image, map_scale = load(index), (factors[0] if maps and index == 0 else None)
+                for k, stack in enumerate(stacks):
+                    cells, kind_maps = _image_cells(stack, image, factors, blocks, config.crop_margin, map_scale)
+                    deltas[index, k] = [[cells[(b, s)] for s in factors] for b in blocks]
+                    grids.update({(stack.kind, b): grid for b, grid in kind_maps.items()})
+            except BaseException:
+                failed.append(index)
+                raise
+            del image  # freed before the next load: a worker holds one image
 
     if workers <= 1:
-        results = list(map(job, range(count)))
+        share(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, range(count)))
-    rows, grids = [], {}
-    for k, kind in enumerate(KINDS):
-        grids.update({(kind, block): grid for block, grid in results[0][k][1].items()})
-        for block in config.blocks:
-            for s in config.scale_factors:
-                values = [result[k][0][(block, s)] for result in results]
-                delta = math.fsum(values) / len(values)
-                if not math.isfinite(delta):
-                    raise SeslabError(f"{kind} block {block} at scale {s}: mean delta is {delta}")
-                log10 = math.log10(delta) if delta > 0.0 else float("-inf")
-                rows.append(ReportRow(kind, block, float(s), delta, log10, len(values)))
+            list(pool.map(share, range(workers)))
+    for k, i, j in np.ndindex(deltas.shape[1:]):
+        kind, block, s = KINDS[k], blocks[i], factors[j]
+        delta = math.fsum(deltas[:, k, i, j]) / count
+        if not math.isfinite(delta):
+            raise SeslabError(f"{kind} block {block} at scale {s}: mean delta is {delta}")
+        rows.append(ReportRow(kind, block, float(s), delta, math.log10(delta) if delta > 0.0 else -math.inf, count))
     metadata = {"config": dump(config), "kinds": list(KINDS)}
     return EquivReport(rows=tuple(rows), metadata=metadata, maps=grids)
 

@@ -237,6 +237,8 @@ class StackSpec:
             raise ConfigError(f"stack kind must be one of {KINDS}, got {self.kind!r}")
         if not self.layers:
             raise ConfigError("stack needs at least one layer")
+        if self.seed < 0:
+            raise ConfigError(f"stack seed must be >= 0, got {reprlib.repr(self.seed)}")
         if not self.base_sigma > 0:
             raise ConfigError(f"base_sigma must be positive, got {self.base_sigma}")
         if self.max_order < 0:

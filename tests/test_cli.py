@@ -509,6 +509,22 @@ class TestSsimSweepCommand:
         assert not (tmp_path / "o2").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_rejected_before_any_corpus(self, tmp_path, capsys, monkeypatch, source):
+        # numpy refused it inside the first corpus, naming no field, and the
+        # empty --out-dir was left behind.
+        calls = []
+        monkeypatch.setattr("seslab.cli.synth_corpus", lambda *args: calls.append(args) or [])
+        argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            argv += ["--config", write_json(tmp_path / "config.json", {"seed": -1})]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert "invalid configuration: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not calls
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_zero_width_rejected(self, tmp_path, capsys, source):
         # A width of 0 used to run square images.
         argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]
@@ -699,6 +715,21 @@ class TestEquivCommand:
         config = write_json(tmp_path / "vanilla.json", payload)
         assert main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
         assert "invalid configuration: stack.kind must be 'ses'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec", ["corpus", "stack"])
+    def test_negative_seed_is_config_error_before_any_stack(self, tmp_path, capsys, monkeypatch, tiny_config, spec):
+        # numpy refused it only after both stacks were built (a corpus seed)
+        # or while building the first (a stack seed), naming no field.
+        calls = []
+        for name in ("corpus_seeds", "build_stack"):
+            monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
+        payload = json.loads(Path(tiny_config).read_text())
+        payload[spec]["seed"] = -1
+        config = write_json(tmp_path / "negative.json", payload)
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"invalid configuration: {spec} seed must be >= 0, got -1" in capsys.readouterr().err
+        assert calls == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(("field", "value"), [("height", -5), ("height", 7), ("width", 0)])

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -278,8 +279,8 @@ class TestRunExperiment:
 
     def test_every_forward_goes_through_stack_forward(self, monkeypatch):
         # Stack.forward is the latency target of the bench: per kind, F(h) and
-        # one F(T_s h) per scale factor of every image must call it. A job is
-        # one image, run through the ses stack and then the vanilla stack.
+        # one F(T_s h) per scale factor of every image must call it. Each image
+        # runs through the ses stack and then the vanilla stack.
         calls = []
         real = sesconv.Stack.forward
         monkeypatch.setattr(sesconv.Stack, "forward", lambda self, *args: calls.append(self.kind) or real(self, *args))
@@ -300,19 +301,57 @@ class TestRunExperiment:
             run_experiment(TINY_CONFIG)
 
     def test_workers_capped_by_image_count(self, monkeypatch):
-        recorded = []
+        recorded, tasks = [], []
 
         class RecordingPool(harness.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 recorded.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
+            def map(self, fn, shares):
+                tasks.append(list(shares))
+                return super().map(fn, tasks[-1])
+
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
         monkeypatch.setenv("SESLAB_THREADS", "64")
         run_experiment(TINY_CONFIG)
         assert TINY_CONFIG.corpus.count == 2
-        assert recorded == [2]  # one pool runs every job, each one image through both kinds
+        assert recorded == [2]  # one pool runs every share, each through both kinds
+        # One task per worker, not per image: a 5-image corpus on 3 workers makes 3.
+        monkeypatch.setenv("SESLAB_THREADS", "3")
+        run_experiment(replace(TINY_CONFIG, corpus=replace(TINY_CONFIG.corpus, count=5)), maps=False)
+        assert (recorded, tasks) == ([2, 3], [[0, 1], [0, 1, 2]])
+
+    def test_uneven_shares_give_identical_reports_and_maps(self, monkeypatch, tmp_path):
+        # 5 images on 2 workers split 3 + 2, on 3 workers 2 + 2 + 1.
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        config = replace(TINY_CONFIG, corpus=replace(TINY_CONFIG.corpus, count=5))
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("SESLAB_THREADS", threads)
+            report = run_experiment(config)
+            report.write_json(tmp_path / f"{threads}.json")
+            maps = {key: grid.tobytes() for key, grid in report.maps.items()}
+            outputs.append((report.to_csv_text(), (tmp_path / f"{threads}.json").read_bytes(), maps))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert all(row.n == 5 for row in report.rows) and len(outputs[0][2]) == 4
+
+    @pytest.mark.parametrize("threads", ["1", "8"])
+    def test_corpus_seeds_are_derived_once_per_run(self, monkeypatch, threads):
+        # Each image derived the seeds of every image before it: O(count^2).
+        # The sleep holds the first derivation open while the other workers
+        # make their first loads, more workers than this machine has cores.
+        calls = []
+        real = harness.corpus_seeds
+        monkeypatch.setattr(harness, "corpus_seeds", lambda *args: calls.append(args) or time.sleep(0.05) or real(*args))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("SESLAB_THREADS", threads)
+        config = replace(TINY_CONFIG, corpus=replace(TINY_CONFIG.corpus, count=8, seed=7))
+        report = run_experiment(config, maps=False)
+        assert calls == [(7, 8)]
+        monkeypatch.undo()
+        assert report.rows == run_experiment(config, maps=False).rows
 
     def test_non_finite_image_rejected(self, monkeypatch, tiny_images):
         image = tiny_images[0].copy()
@@ -321,6 +360,33 @@ class TestRunExperiment:
         monkeypatch.setattr(CorpusSpec, "describe", lambda self: (extents, [tiny_images[1], image].__getitem__))
         with pytest.raises(SeslabError, match="non-finite"):
             run_experiment(TINY_CONFIG)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_a_failing_image_stops_every_share(self, monkeypatch, bad):
+        # The other share ran to its end before the error surfaced: 21 of 40
+        # images were loaded. Image 1 fails in share 1 while share 0 runs on.
+        loads = []
+        real = CorpusSpec.describe
+
+        def describe(self):
+            extents, load = real(self)
+
+            def loading(i):
+                loads.append(i)
+                image = load(i)
+                if i == bad:
+                    image[3, 3] = np.nan
+                return image
+
+            return extents, loading
+
+        monkeypatch.setattr(CorpusSpec, "describe", describe)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        monkeypatch.setenv("SESLAB_THREADS", "2")
+        config = replace(TINY_CONFIG, corpus=replace(TINY_CONFIG.corpus, count=40))
+        with pytest.raises(SeslabError, match="non-finite"):
+            run_experiment(config, maps=False)
+        assert bad in loads and len(loads) <= 10
 
     def test_non_finite_cell_mean_rejected(self, monkeypatch):
         # math.log10 was skipped for a NaN mean, so the report read log10_delta -inf
@@ -653,8 +719,53 @@ def test_image_cells_peak_memory_is_base_plus_one_forward(margin, map_scale):
     assert peak < base + forward + base // 2  # slack: one block output
 
 
+def test_plan_counts_each_image_cells_and_synthetic_seed(monkeypatch):
+    planned = []
+    monkeypatch.setattr(harness, "check_fits_memory", lambda values, plan: planned.append((values, plan)))
+    image_dir = replace(TINY_CONFIG, corpus=CorpusSpec(image_dir="unread"))
+    for config in (TINY_CONFIG, image_dir):
+        for count in (2, 1002):
+            harness._plan(config, collections.Counter({(32, 40): count}), 1)
+    cells = 2 * len(TINY_CONFIG.blocks) * len(TINY_CONFIG.scale_factors)
+    assert planned[1][0] - planned[0][0] == 1000 * (cells + 0.5)  # a 4-byte seed is half a double
+    assert planned[3][0] - planned[2][0] == 1000 * cells
+    assert f"{cells} cells and a seed per image" in planned[0][1]
+    assert f"{cells} cells per image" in planned[2][1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_holds_the_planned_cells_per_image(monkeypatch, threads):
+    # The plan counts a double per cell and a 4-byte seed per synthetic image.
+    # Per-image result dicts held about 1.7 KB per image for these 10 cells.
+    # The fake returns fresh cells as _image_cells does, without its forwards:
+    # tracemalloc reads numpy's as_strided as about 48 B of growth per call
+    # that the process's RSS does not show, and 1000 images stay fast.
+    def cells(stack, image, scale_factors, blocks, crop_margin, map_scale=None):
+        return {(b, s): float(image[0, 0]) + s for s in scale_factors for b in blocks}, {}
+
+    monkeypatch.setattr(harness, "_image_cells", cells)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("SESLAB_THREADS", threads)
+    config = EquivConfig(
+        stack=StackSpec(layers=(LayerSpec(2, 5),), max_order=2),
+        corpus=CorpusSpec(height=8, width=8),
+        scale_factors=(0.9, 0.8, 0.7, 0.6, 0.5),
+        blocks=(1,),
+    )
+    planned = 8 * 2 * len(config.blocks) * len(config.scale_factors)
+    peaks = []
+    for count in (100, 1100):
+        tracemalloc.start()
+        try:
+            run_experiment(replace(config, corpus=replace(config.corpus, count=count)), maps=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 1000 <= 2 * planned
+
+
 def test_run_holds_one_image_per_worker(tmp_path, monkeypatch):
-    # Each job loads its image and drops it when it ends. The whole corpus
+    # A worker loads each image and drops it before the next. The whole corpus
     # used to be loaded before the first forward: six images held, not one.
     monkeypatch.setenv("SESLAB_THREADS", "1")
     images = synth_corpus("gaussian-blobs", 6, 64, 96, 2)

@@ -170,13 +170,13 @@ stacks = st.builds(
     st.lists(layers, min_size=1, max_size=4),
     st.floats(0.05, 1.0),
     st.integers(1, 3),
-    st.integers(),
+    st.integers(0),
     positive,
     st.integers(0, 3),
 )
 # A synthetic corpus needs extents >= 8; an image_dir corpus does not read them.
-corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(8), st.integers(8), st.integers()) | st.builds(
-    CorpusSpec, texts, st.integers(1, 99), st.integers(), st.integers(), st.integers(), texts
+corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(8), st.integers(8), st.integers(0)) | st.builds(
+    CorpusSpec, texts, st.integers(1, 99), st.integers(), st.integers(), st.integers(0), texts
 )
 
 
@@ -217,7 +217,7 @@ INSTANCES = {
         st.lists(st.floats(1.0, 8.0), max_size=4, unique=True),
         st.integers(min_value=1),
         texts,
-        st.integers(),
+        st.integers(0),
         st.none() | st.integers(11, 256),
     )
     .filter(_sweep_fits)
