@@ -153,8 +153,11 @@ def _exact_sum(flat: np.ndarray) -> float:
     power of two q below 2**26 q, and the lo parts multiples of q / 2**27
     below q. So any partial sum of fewer than 2**26 of them is exact, in any
     order, and fsum of the few nonzero bin sums is the correctly rounded total.
-    The result is inf or nan if a value is not finite, or if the values of
-    one sign and binade, or all of them, sum past the float64 range.
+    Where fsum's running sum of the bin sums overflows though the total need
+    not, the bin sums are added as integers in units of 2**-1074 and divided
+    once, which rounds correctly too. The result is inf or nan if a value is
+    not finite, or if the values of one sign and binade, or all of them, sum
+    past the float64 range.
     """
     sums = np.zeros((-(-flat.size // _EXACT_COUNT), 2, _BINS))
     for start in range(0, flat.size, _SUM_BLOCK):
@@ -164,9 +167,17 @@ def _exact_sum(flat: np.ndarray) -> float:
         run = sums[start // _EXACT_COUNT]
         run[0] += np.bincount(bins, hi, minlength=_BINS)
         run[1] += np.bincount(bins, np.subtract(block, hi, out=hi), minlength=_BINS)
+    terms = sums[sums != 0].tolist()
     try:
-        return math.fsum(sums[sums != 0].tolist())
-    except (OverflowError, ValueError):  # an overflowing total, or inf - inf
+        return math.fsum(terms)
+    except ValueError:  # inf - inf
+        return math.nan
+    except OverflowError:  # a running sum of finite terms overflowed
+        pass
+    units = sum(n << (1075 - d.bit_length()) for n, d in map(float.as_integer_ratio, terms))
+    try:
+        return units / (1 << 1074)
+    except OverflowError:  # the total is past the float64 range
         return math.nan
 
 

@@ -293,6 +293,8 @@ class TestExactSum:
     @example([5e-324] * 7 + [-2.2250738585072014e-308])
     @example([1.7976931348623157e308, -1.7976931348623157e308, 1.0, 2.0**-1074])
     @example([1e150, 1e-300, -1e150, 3.0])
+    # finite, but the positive bin sums alone pass the float64 range
+    @example([8.929238260162874e299] + [8.929238459746905e299] * 2 + [-(2.0**1023), 1.7976931080746007e308])
     def test_equals_fsum_bit_for_bit(self, values):
         try:
             ref = math.fsum(values)
