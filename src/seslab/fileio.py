@@ -23,10 +23,12 @@ def write_pgm(path, image, maxval: int = 255) -> None:
     image = as_grid(image, rank=2, name="image")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"PGM maxval must lie in 1..65535, got {maxval}")
-    q = np.rint(np.clip(image, 0.0, 1.0) * maxval)
-    payload = q.astype(">u2" if maxval > 255 else "u1").tobytes()
-    header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii")
-    Path(path).write_bytes(header + payload)
+    q = np.clip(image, 0.0, 1.0, out=np.empty(image.shape))
+    q *= maxval
+    np.rint(q, out=q)
+    with open(path, "wb") as f:
+        f.write(f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii"))
+        f.write(q.astype(">u2" if maxval > 255 else "u1"))
 
 
 def read_pgm_header(path) -> tuple:
@@ -44,7 +46,7 @@ def read_pgm(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     height, width, maxval, offset = _header(raw, path)
     img = np.frombuffer(raw, ">u2" if maxval > 255 else "u1", height * width, offset).reshape(height, width)
-    return img.astype(np.float64) / maxval
+    return img / maxval  # true division of integers decodes straight into float64
 
 
 def _header(raw, path) -> tuple:

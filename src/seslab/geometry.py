@@ -44,11 +44,14 @@ class CameraIntrinsics:
             raise ValueError(f"focal length must be positive, got {self.f}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image extents must be >= 1, got {self.width}x{self.height}")
-        # projective_mapping checks its denominator on a height x width grid
-        # and that grid's magnitudes.
+        # corollary_deviation holds up to ten arrays on its sample grid of one
+        # point per 16 pixels, and projective_mapping's denominator search
+        # about twelve of the height.
+        points = as_real(max(2, -(-self.width // 16))) * as_real(max(2, -(-self.height // 16)))
         check_fits_memory(
-            2.0 * as_real(self.width) * as_real(self.height),
-            f"intrinsics width x height {reprlib.repr(self.width)}x{reprlib.repr(self.height)} (two grids)",
+            10.0 * points + 12.0 * as_real(self.height),
+            f"intrinsics width x height {reprlib.repr(self.width)}x{reprlib.repr(self.height)} "
+            "(the corollary sample grid and the denominator search)",
         )
         if not 0 <= self.u0 <= self.width:
             raise ValueError(f"u0 = {self.u0} outside [0, {self.width}]")
@@ -196,20 +199,59 @@ def projective_mapping(
 
 
 def _check_denominator(mat, intrinsics, plane, motion):
-    us = np.arange(intrinsics.width, dtype=np.float64) - intrinsics.u0
-    vs = np.arange(intrinsics.height, dtype=np.float64) - intrinsics.v0
-    den = (
-        mat[2, 0] * us[np.newaxis, :]
-        + mat[2, 1] * vs[:, np.newaxis]
-        + mat[2, 2] * intrinsics.f
-    )
-    worst = np.unravel_index(np.argmin(np.abs(den)), den.shape)
-    if abs(den[worst]) < 1e-9 * intrinsics.f:
-        raise DegenerateGeometryError(
-            f"projective denominator vanishes at pixel (u={worst[1]}, v={worst[0]}): "
-            f"plane ({plane.m}, {plane.n}, {plane.o}, {plane.p}), "
-            f"t = {motion.translation.tolist()}"
-        )
+    where = f"plane ({plane.m}, {plane.n}, {plane.o}, {plane.p}), t = {motion.translation.tolist()}"
+    least = _least_denominator(mat, intrinsics)
+    if least is None:
+        raise DegenerateGeometryError(f"projective denominator is not finite at a corner pixel: {where}")
+    u, v, magnitude = least
+    if magnitude < 1e-9 * intrinsics.f:
+        raise DegenerateGeometryError(f"projective denominator vanishes at pixel (u={u}, v={v}): {where}")
+
+
+def _least_denominator(mat, intrinsics):
+    """(u, v, |den|) of the first smallest ``|den|`` in row-major order over
+    the intrinsics' grid, where ``den = (a * (u - u0) + b * (v - v0)) + c * f``
+    is the map's denominator at column u and row v; None unless every den is
+    finite.
+
+    Each rounding is monotone, so along a row ``e = +-den`` (the sign of a
+    flipped away) never decreases in u: ``|den|`` falls until the row's first
+    ``e >= 0`` and rises from there. Bisection over every row at once finds
+    that column, and again the first column of the negative value before it
+    when that one is the smaller or ties, so only O(height) values are held.
+    ``den`` is evaluated as the grid expression would, at the probed columns.
+    """
+    a, b, cf = mat[2, 0], mat[2, 1], mat[2, 2] * intrinsics.f
+    w, h = intrinsics.width, intrinsics.height
+    sign = -1.0 if a < 0 else 1.0
+    bv = b * (np.arange(h, dtype=np.float64) - intrinsics.v0)
+
+    def e(cols):
+        return sign * ((a * (cols.astype(np.float64) - intrinsics.u0) + bv) + cf)
+
+    # Every den lies between its row's ends, and den is monotone down the
+    # columns too, so a den that is not finite makes a corner's not finite.
+    if not (np.isfinite(e(np.zeros(h, dtype=np.int64))).all() and np.isfinite(e(np.full(h, w - 1))).all()):
+        return None
+
+    def first_at_least(target):
+        lo, hi = np.zeros(h, dtype=np.int64), np.full(h, w, dtype=np.int64)
+        for _ in range(w.bit_length()):
+            mid = (lo + hi) // 2
+            up = e(np.minimum(mid, w - 1)) >= target
+            active = lo < hi
+            hi = np.where(active & up, mid, hi)
+            lo = np.where(active & ~up, mid + 1, lo)
+        return lo
+
+    k = first_at_least(0.0)
+    below = np.where(k > 0, -e(np.maximum(k - 1, 0)), np.inf)  # |den| of the last e < 0
+    above = np.where(k < w, e(np.minimum(k, w - 1)), np.inf)
+    left = below <= above
+    cols = np.where(left, first_at_least(np.where(left, -below, 0.0)), k)
+    mins = np.minimum(below, above)
+    row = int(np.argmin(mins))
+    return int(cols[row]), row, float(mins[row])
 
 
 def scale_mapping(intrinsics: CameraIntrinsics, s: float) -> PixelMapping:
@@ -432,16 +474,27 @@ def _read_cells(xs, ys, lp_shape) -> np.ndarray:
 
 
 def check_up_factor(shape, up_factor) -> float:
-    """The doubles that the log-polar roundtrip of an image of extents ``shape``
-    holds: its upscale and log-polar image, two grids. Raises ConfigError naming
-    ``up_factor`` unless it is a finite real >= 1 and they fit in the machine's
-    physical memory."""
+    """The doubles that the log-polar roundtrip of an h x w image of extents
+    ``shape`` may hold, counted as if all were alive at once. With H x W the
+    upscale's extents and the compact grid the source rows x columns that the
+    downscale reads (at most two per output pixel along each axis), these are
+    one H x W grid (the upscale or the log-polar image, one at a time) and the
+    upscale's h x W x pass; the inverse's coordinates ``xs`` and ``ys`` and its
+    output on the compact grid; the read mask, a byte per cell; the read
+    cells' indices and values, at most four per compact point; SSIM's maps,
+    seven h x w images; and the point kernel's and SSIM's blocks. Raises
+    ConfigError naming ``up_factor`` unless it is a finite real >= 1 and they
+    fit in the machine's physical memory."""
     u = as_real(up_factor)
     if not 1 <= u < math.inf:
         raise ConfigError(f"up_factor must be a finite real >= 1, got {reprlib.repr(up_factor)}")
-    h2, w2 = as_real(shape[0]) * u, as_real(shape[1]) * u
-    check_fits_memory(2.0 * h2 * w2, f"up_factor {u:.6g} (two {h2:.6g}x{w2:.6g} grids)")
-    return 2.0 * h2 * w2
+    h, w = as_real(shape[0]), as_real(shape[1])
+    h2, w2 = h * u, w * u
+    full, compact = h2 * w2, min(h2, 2 * h) * min(w2, 2 * w)
+    values = full + h * w2 + 3 * compact + (h2 + 1) * w2 / 8 + 2 * min(full, 4 * compact) + 7 * h * w
+    values += 20 * BLOCK_POINTS
+    check_fits_memory(values, f"up_factor {u:.6g} (a roundtrip through {h2:.6g}x{w2:.6g} grids)")
+    return values
 
 
 def focal_correction(src: DatasetFocalProfile, dst: DatasetFocalProfile) -> float:

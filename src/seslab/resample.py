@@ -273,11 +273,14 @@ def _corner_indices(i0, n, border):
     For ZERO they index the padded axis of extent n + 2, where indices
     outside [0, n) land on the zero ring.
     """
+    i1 = i0 + 1
     if border is BorderPolicy.CIRCULAR:
-        return i0 % n, (i0 + 1) % n
+        i1 %= n
+        return i0 % n, i1
     if border is BorderPolicy.ZERO:
-        return np.clip(i0 + 1, 0, n + 1), np.clip(i0 + 2, 0, n + 1)
-    return np.clip(i0, 0, n - 1), np.clip(i0 + 1, 0, n - 1)
+        i2 = i1 + 1
+        return np.clip(i1, 0, n + 1, out=i1), np.clip(i2, 0, n + 1, out=i2)
+    return np.clip(i0, 0, n - 1), np.clip(i1, 0, n - 1, out=i1)
 
 
 def warp(

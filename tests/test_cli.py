@@ -304,6 +304,30 @@ class TestWarpCommand:
         assert reads == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mode", ["projective", "logpolar", "invlogpolar"])
+    def test_point_kernel_warp_holds_its_frames_only(self, tmp_path, geo_files, mode):
+        # A 375x1242 warp holds its input, its output and the encoder's float
+        # buffer. The denominator grids and the encoder's quantization
+        # temporaries took the peak to 4.01 frames.
+        height, width = 375, 1242
+        frame = tmp_path / "frame.pgm"
+        write_pgm(frame, synth_image("gaussian-blobs", height, width, seed=2))
+        intrinsics = write_json(tmp_path / "kitti.json", {"f": 707.0, "u0": 621.0, "v0": 187.5, "width": width, "height": height})
+        image = str(frame)
+        if mode == "invlogpolar":
+            image = str(tmp_path / "lp.pgm")
+            assert main(["warp", "--image", str(frame), "--mode", "logpolar", "--out", image, "--out-dir", str(tmp_path)]) == 0
+        argv = ["warp", "--image", image, "--mode", mode, "--out", str(tmp_path / "w.pgm"), "--out-dir", str(tmp_path)]
+        argv += ["--plane", geo_files["tilted"], "--motion", geo_files["motion"], "--intrinsics", intrinsics]
+        argv += ["--out-shape", f"{height},{width}"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * height * width * 8
+
     def test_missing_geometry_files_is_usage_error(self, tmp_path, geo_files):
         code = main([
             "warp", "--image", geo_files["image"], "--mode", "projective",
@@ -488,10 +512,10 @@ class TestSsimSweepCommand:
     @pytest.mark.parametrize(
         ("heights", "up_factors", "message"),
         [
-            ("16", "2,1e12", "up_factor 1e+12 (two 1.6e+13x1.6e+13 grids)"),
+            ("16", "2,1e12", "up_factor 1e+12 (a roundtrip through 1.6e+13x1.6e+13 grids)"),
             ("16", "2,0.5", "finite real >= 1, got 0.5"),
-            ("100000", "1", "up_factor 1 (two 100000x100000 grids)"),
-            (str(10**400), "1", "up_factor 1 (two infxinf grids)"),
+            ("100000", "1", "up_factor 1 (a roundtrip through 100000x100000 grids)"),
+            (str(10**400), "1", "up_factor 1 (a roundtrip through infxinf grids)"),
         ],
         ids=["huge-up", "below-1", "huge-height", "height-past-float"],
     )

@@ -174,6 +174,17 @@ class TestPgm:
         assert back[0, 1] == 0.0
         assert back[0, 2] == pytest.approx(1.0 / 255)
         assert back[0, 3] == 1.0
+        # The bytes: the header, then each value clipped to [0, 1], scaled and
+        # rounded half to even. Values below 0, above 1 and at rounding ties;
+        # a transposed view is written in row-major order.
+        for maxval in (1, 255, 256, 65535):
+            ties = (np.arange(6) + 0.5) / maxval
+            values = np.concatenate([[-1e300, -0.5, -0.0, 0.0, 1.0, 1.0 + 1e-16, 1.5, 1e300], ties, np.linspace(0, 1, 10)])
+            image = values.reshape(4, 6).T
+            write_pgm(path, image, maxval)
+            header = f"P5\n4 6\n{maxval}\n".encode("ascii")
+            payload = np.rint(np.clip(image, 0, 1) * maxval).astype(">u2" if maxval > 255 else "u1").tobytes()
+            assert path.read_bytes() == header + payload
 
 
 # Fuzz: any header, payload or sidecar either parses or raises a SeslabError.

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from seslab import geometry
 from seslab import (
     CameraIntrinsics,
     ConfigError,
@@ -161,6 +163,71 @@ class TestProjectiveMapping:
         plane = PatchPlane(0.0, 0.0, 1.0, -10.0)
         with pytest.raises(DegenerateGeometryError, match="pixel"):
             projective_mapping(KITTI, plane, EgoMotion.z_translation(10.0))
+
+    def test_overflowing_denominator_is_degenerate(self):
+        # p near 0 puts the camera on the plane: o / p overflows
+        plane = PatchPlane(0.0, 0.0, 1.0, -1e-310)
+        with np.errstate(all="ignore"), pytest.raises(DegenerateGeometryError, match="not finite at a corner"):
+            projective_mapping(KITTI, plane, EgoMotion.z_translation(-3.0))
+
+    def test_denominator_check_holds_no_row_of_the_frame(self):
+        # A 10^7 x 3 frame: the grid of the check, or one row of it, takes 80 MB.
+        intrinsics = CameraIntrinsics(707.0, 5e6, 1.0, 10**7, 3)
+        tracemalloc.start()
+        try:
+            projective_mapping(intrinsics, PatchPlane(-1e-6, 1e-6, 1.0, -30.0), EgoMotion.z_translation(-3.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def grid_least_denominator(mat, intrinsics):
+    """The oracle: (u, v, |den|) of np.argmin over the whole denominator grid."""
+    us = np.arange(intrinsics.width, dtype=np.float64) - intrinsics.u0
+    vs = np.arange(intrinsics.height, dtype=np.float64) - intrinsics.v0
+    den = mat[2, 0] * us[np.newaxis, :] + mat[2, 1] * vs[:, np.newaxis] + mat[2, 2] * intrinsics.f
+    v, u = np.unravel_index(np.argmin(np.abs(den)), den.shape)
+    return int(u), int(v), float(abs(den[v, u]))
+
+
+def denominator_case(rng, kind):
+    """Intrinsics of 1-300 px and a matrix whose last row (a, b, c) is of ``kind``."""
+    width, height = (int(n) for n in rng.integers(1, 301, size=2))
+    f = float(rng.uniform(1.0, 2000.0))
+    if kind == "ties":  # integer dens: equal values across rows and columns
+        u0, v0 = float(rng.integers(0, width + 1)), float(rng.integers(0, height + 1))
+        intrinsics = CameraIntrinsics(f, u0, v0, width, height)
+        a, b = (float(x) for x in rng.integers(-2, 3, size=2))
+        return intrinsics, np.array([[1, 0, 0], [0, 1, 0], [a, b, float(rng.integers(-400, 401)) / f]])
+    intrinsics = CameraIntrinsics(f, float(rng.uniform(0, width)), float(rng.uniform(0, height)), width, height)
+    if kind == "plane":
+        plane = PatchPlane(*rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.05, 2.0), -rng.uniform(0.5, 50.0))
+        tbar = random_rotation(rng, 0.3).T @ (rng.uniform(-1.0, 1.0, size=3) * np.array([2.0, 2.0, 60.0]))
+        return intrinsics, np.eye(3) + np.outer(tbar, plane.normal / plane.p)
+    a, b = rng.uniform(-1.0, 1.0, size=2)
+    if kind == "flat-a":
+        a = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -11.0)
+    elif kind == "a=0":
+        a = rng.choice([0.0, -0.0])
+    elif kind == "b=0":
+        b = 0.0
+    # the zero line through a drawn pixel; then c is set so the grid reaches it
+    j, i = rng.integers(0, width), rng.integers(0, height)
+    c = -(a * (j - intrinsics.u0) + b * (i - intrinsics.v0)) / f
+    if kind in ("flat-a", "a=0", "b=0") and rng.random() < 0.5:
+        c = rng.uniform(-1.0, 1.0)
+    return intrinsics, np.array([[1, 0, 0], [0, 1, 0], [a, b, c]])
+
+
+@pytest.mark.parametrize("kind", ["plane", "zero-line", "flat-a", "a=0", "b=0", "ties"])
+def test_denominator_search_matches_the_grid(kind):
+    # The search must name the grid's pixel (its first minimum in row-major
+    # order) and |den|, bit for bit, without building the grid.
+    rng = np.random.default_rng(["plane", "zero-line", "flat-a", "a=0", "b=0", "ties"].index(kind))
+    for _ in range(700):
+        intrinsics, mat = denominator_case(rng, kind)
+        assert geometry._least_denominator(mat, intrinsics) == grid_least_denominator(mat, intrinsics)
 
 
 class TestScaleFactor:

@@ -296,6 +296,20 @@ class TestRoundtripSsim:
             tracemalloc.stop()
         assert peak < limit
 
+    @pytest.mark.parametrize("size", [96, 384])
+    @pytest.mark.parametrize("up", [1.0, 2.0, 3.0, 4.0])
+    def test_peak_memory_within_the_plan(self, size, up):
+        # The plan counted the upscale and the log-polar image only: at 384x384
+        # it planned 2.25 MiB at u = 1, where SSIM's maps alone take 6.
+        image = synth_image("checkerboard", size, size, seed=1)
+        tracemalloc.start()
+        try:
+            log_polar_roundtrip_ssim(image, up)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * geometry.check_up_factor(image.shape, up)
+
 
 def full_coordinate_radius(shape, cy, cx):
     corners = [(0.0, 0.0), (0.0, shape[1] - 1.0), (shape[0] - 1.0, 0.0), (shape[0] - 1.0, shape[1] - 1.0)]

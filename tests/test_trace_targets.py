@@ -7,9 +7,14 @@ runs. This test catches that without running the benchmark.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import seslab
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -35,3 +40,15 @@ def test_trace_target_resolves(module_name, path):
     for part in outer:
         owner = getattr(owner, part)
     assert callable(owner.__dict__.get(attr)), f"seslab.{module_name}.{path} is not defined"
+
+
+def test_package_import_loads_every_target_module():
+    # The tracer looks each target's module up in sys.modules after a fresh
+    # `import seslab, seslab.cli`, so a module that import leaves unloaded
+    # stops every benchmark run with a KeyError.
+    modules = sorted({f"seslab.{name}" for name, _ in (*spans.TRACE_TARGETS, *spans.LATENCY_TARGETS)})
+    code = f"import sys, seslab, seslab.cli; print([m for m in {modules!r} if m not in sys.modules])"
+    src = str(Path(seslab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
