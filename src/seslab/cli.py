@@ -33,9 +33,9 @@ from .geometry import (
 )
 from .grid import check_fits_memory
 from .harness import EquivConfig, run_experiment
-from .resample import warp
+from .resample import BLOCK_POINTS, warp
 from .ssim import WINDOW_SIZE
-from .synth import MIN_EXTENT, synth_corpus
+from .synth import KINDS, MIN_EXTENT, synth_corpus
 
 
 def _echo_config(out_dir: Path, name: str, payload: dict) -> None:
@@ -108,7 +108,23 @@ def cmd_basis(args) -> int:
 
 def cmd_warp(args) -> int:
     height, width = read_pgm_header(args.image)
-    check_fits_memory(2.0 * height * width, f"image {args.image} of {height}x{width} and its warp (two grids)")
+    h, w = height, width
+    if args.mode == "invlogpolar":
+        if not args.out_shape:
+            raise ConfigError("mode invlogpolar needs --out-shape H,W")
+        try:
+            h, w = _ints(args.out_shape)
+        except ValueError:  # not two integers
+            raise ConfigError(f"--out-shape must be two integers H,W, got {args.out_shape!r}") from None
+    # The output and the encoder's float buffer; the scale mode's separable
+    # sampler also holds a copy of the source rows and its x pass, each at
+    # most a frame, while the output is filled.
+    frames = 3 if args.mode == "scale" else 2
+    check_fits_memory(
+        as_real(height) * as_real(width) + frames * as_real(h) * as_real(w) + 20 * BLOCK_POINTS,
+        f"out_shape {reprlib.repr(h)}x{reprlib.repr(w)} of the {args.mode} warp of image {args.image} of "
+        f"{height}x{width} (the input, {frames} output frames and the sampler's blocks)",
+    )
     image = read_pgm(args.image)
     out_dir = Path(args.out_dir)
     metrics: dict = {"mode": args.mode}
@@ -140,12 +156,6 @@ def cmd_warp(args) -> int:
     elif args.mode == "logpolar":
         result = log_polar(image, center=center, r_min=args.r_min)
     elif args.mode == "invlogpolar":
-        if not args.out_shape:
-            raise ConfigError("mode invlogpolar needs --out-shape H,W")
-        try:
-            h, w = _ints(args.out_shape)
-        except ValueError:  # not two integers
-            raise ConfigError(f"--out-shape must be two integers H,W, got {args.out_shape!r}") from None
         result = inverse_log_polar(image, (h, w), center=center, r_min=args.r_min)
     else:
         raise ConfigError(f"unknown warp mode {args.mode!r}")
@@ -190,6 +200,8 @@ class SweepConfig:
         check_fields(self)
         if self.count < 1:
             raise ConfigError(f"corpus count must be >= 1, got {self.count}")
+        if self.kind not in KINDS:
+            raise ConfigError(f"kind must be one of {KINDS}, got {reprlib.repr(self.kind)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
         if self.width is not None and self.width < 1:
@@ -269,7 +281,7 @@ def cmd_equiv(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run_selftest
 
-    results = run_selftest(corrupt=args.corrupt)
+    results = run_selftest()
     failures = [(name, msg) for name, msg in results if msg is not None]
     for name, msg in results:
         print(f"{'FAIL' if msg else 'ok':4s} {name}" + (f": {msg}" if msg else ""))
@@ -331,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("selftest", help="run the fast invariant suite")
-    p.add_argument("--corrupt", choices=["basis-norm"], default=None,
-                   help="test hook: corrupt an invariant to verify detection")
     p.set_defaults(fn=cmd_selftest)
 
     return parser

@@ -19,10 +19,14 @@ HEADER_KEYS = ("shape", "dtype", "order")
 
 
 def write_pgm(path, image, maxval: int = 255) -> None:
-    """Write a [0, 1] rank-2 grid as binary PGM (P5), quantized to ``maxval``."""
+    """Write a [0, 1] rank-2 grid as binary PGM (P5), quantized to ``maxval``;
+    values outside [0, 1] clip to it, and a NaN pixel raises ValueError."""
     image = as_grid(image, rank=2, name="image")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"PGM maxval must lie in 1..65535, got {maxval}")
+    if np.isnan(image.max()):  # max propagates NaN, without a full-frame mask
+        row, col = np.unravel_index(np.argmax(np.isnan(image)), image.shape)
+        raise ValueError(f"image pixel (row {row}, col {col}) is NaN, which PGM cannot represent")
     q = np.clip(image, 0.0, 1.0, out=np.empty(image.shape))
     q *= maxval
     np.rint(q, out=q)
@@ -42,10 +46,15 @@ def read_pgm_header(path) -> tuple:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) into a [0, 1] float64 grid."""
+    """Read a binary PGM (P5) into a [0, 1] float64 grid; raises FormatError
+    naming the first sample above the header's maxval."""
     raw = Path(path).read_bytes()
     height, width, maxval, offset = _header(raw, path)
     img = np.frombuffer(raw, ">u2" if maxval > 255 else "u1", height * width, offset).reshape(height, width)
+    # no byte exceeds 255, nor a two-byte sample 65535
+    if maxval not in (255, 65535) and img.max() > maxval:
+        row, col = np.unravel_index(np.argmax(img > maxval), img.shape)
+        raise FormatError(f"{path}: sample {img[row, col]} at (row {row}, col {col}) exceeds maxval {maxval}")
     return img / maxval  # true division of integers decodes straight into float64
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -13,7 +14,6 @@ from .errors import ConfigError, DegenerateGeometryError, ShapeError, as_real, c
 from .grid import BorderPolicy, as_grid, check_fits_memory
 from .resample import (
     BLOCK_POINTS,
-    PixelMapping,
     _bands,
     _blend,
     _check_extents,
@@ -22,6 +22,7 @@ from .resample import (
     _sample_points,
     _warp,
     resize,
+    scale_about,
     warp,
 )
 from .ssim import ssim
@@ -171,7 +172,7 @@ def projective_mapping(
     intrinsics: CameraIntrinsics,
     plane: PatchPlane,
     motion: EgoMotion,
-) -> PixelMapping:
+) -> Callable:
     """Exact planar-patch map from first-image pixels to second-image pixels.
 
     With tbar = R^T t, the map applies M = R^T + tbar (m, n, o)^T / p to the
@@ -195,7 +196,7 @@ def projective_mapping(
         return u0 + f * nu / den, v0 + f * nv / den
 
     _check_denominator(mat, intrinsics, plane, motion)
-    return PixelMapping(fn)
+    return fn
 
 
 def _check_denominator(mat, intrinsics, plane, motion):
@@ -254,12 +255,12 @@ def _least_denominator(mat, intrinsics):
     return int(cols[row]), row, float(mins[row])
 
 
-def scale_mapping(intrinsics: CameraIntrinsics, s: float) -> PixelMapping:
+def scale_mapping(intrinsics: CameraIntrinsics, s: float) -> Callable:
     """The pure scale map about the principal point (the Corollary reduction)."""
     real = as_real(s)
     if not 0 < real < math.inf:
         raise DegenerateGeometryError(f"scale factor must be positive and finite, got {s}")
-    return PixelMapping.scale_about(real, intrinsics.u0, intrinsics.v0)
+    return scale_about(real, intrinsics.u0, intrinsics.v0)
 
 
 def scale_factor(plane: PatchPlane, t_z: float) -> float:
@@ -330,7 +331,7 @@ def log_polar(image, center=None, out_shape=None, r_min: float = 1.0) -> np.ndar
     return warp(image, mapping, BorderPolicy.CLAMP, lp_shape)
 
 
-def _log_polar_mapping(shape, lp_shape, center, r_min) -> PixelMapping:
+def _log_polar_mapping(shape, lp_shape, center, r_min) -> Callable:
     """The map of ``log_polar`` from (ln r column, theta row) of a log-polar
     grid of extents ``lp_shape`` to (x, y) of an image of extents ``shape``.
 
@@ -350,7 +351,7 @@ def _log_polar_mapping(shape, lp_shape, center, r_min) -> PixelMapping:
         r, rows = radii[xs.astype(np.intp, copy=False)], ys.astype(np.intp, copy=False)
         return cx + r * cos[rows], cy + r * sin[rows]
 
-    return PixelMapping(fn)
+    return fn
 
 
 def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> np.ndarray:
@@ -372,7 +373,7 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     return _warp(lp_image, (n_theta + 1, n_r), mapping, BorderPolicy.CLAMP, out_shape)
 
 
-def _inverse_mapping(lp_shape, out_shape, center, r_min) -> PixelMapping:
+def _inverse_mapping(lp_shape, out_shape, center, r_min) -> Callable:
     """The map of ``inverse_log_polar`` from output (x, y) to (ln r column,
     theta row) of a log-polar grid of extents ``lp_shape``."""
     n_theta, n_r = lp_shape
@@ -389,7 +390,7 @@ def _inverse_mapping(lp_shape, out_shape, center, r_min) -> PixelMapping:
         cols = (np.log(np.maximum(np.hypot(dy, dx), r_min)) - math.log(r_min)) / dlnr
         return cols, thetas * (n_theta / (2.0 * np.pi))
 
-    return PixelMapping(fn)
+    return fn
 
 
 def log_polar_roundtrip_ssim(image, up_factor: float = 1.0) -> float:

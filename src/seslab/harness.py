@@ -24,7 +24,7 @@ from .fileio import read_pgm, read_pgm_header, write_json
 from .grid import BorderPolicy, as_grid, check_fits_memory, crop_window, within
 from .resample import sample_at, scale_transform_mapping
 from .sesconv import KINDS, Stack, StackSpec, build_stack
-from .synth import MIN_EXTENT, corpus_seeds, synth_image
+from .synth import KINDS as IMAGE_KINDS, MIN_EXTENT, corpus_seeds, synth_image
 
 THREADS_ENV = "SESLAB_THREADS"
 CSV_HEADER = "kind,block,scale,delta,log10_delta,n"
@@ -55,6 +55,8 @@ class CorpusSpec:
         if self.seed < 0:
             raise ConfigError(f"corpus seed must be >= 0, got {reprlib.repr(self.seed)}")
         if self.image_dir is None:
+            if self.kind not in IMAGE_KINDS:
+                raise ConfigError(f"corpus kind must be one of {IMAGE_KINDS}, got {reprlib.repr(self.kind)}")
             if self.count < 1:
                 raise ConfigError(f"corpus count must be >= 1, got {self.count}")
             for name, extent in (("height", self.height), ("width", self.width)):

@@ -12,36 +12,6 @@ from .errors import ShapeError, as_real, is_integer
 from .grid import BorderPolicy, as_grid
 
 
-@dataclass(frozen=True)
-class PixelMapping:
-    """Closed-form map from an output pixel (x, y) to source coordinates.
-
-    ``fn`` receives broadcastable arrays of x (column) and y (row)
-    coordinates and returns the source (x, y) arrays. The map must be total
-    on the output domain; coordinates falling outside the source grid are
-    handled by the border policy at sampling time.
-    """
-
-    fn: Callable[[np.ndarray, np.ndarray], tuple]
-
-    def __call__(self, xs, ys):
-        return self.fn(xs, ys)
-
-    @staticmethod
-    def identity() -> "PixelMapping":
-        return PixelMapping(lambda xs, ys: (xs, ys))
-
-    @staticmethod
-    def shift(dx: float, dy: float) -> "PixelMapping":
-        """Move content by (+dx, +dy): output(x, y) samples image(x - dx, y - dy)."""
-        return PixelMapping(lambda xs, ys: (xs - dx, ys - dy))
-
-    @staticmethod
-    def scale_about(s: float, cx: float, cy: float) -> "PixelMapping":
-        """The scale transform T_s about (cx, cy); s > 1 magnifies."""
-        return PixelMapping(lambda xs, ys: (cx + (xs - cx) / s, cy + (ys - cy) / s))
-
-
 # Output values per block of the point kernel. A block's temporaries are about
 # twenty arrays of at most BLOCK_POINTS 8-byte values (about 2.5 MiB), so
 # they stay in cache and peak memory does not grow with the point count.
@@ -285,20 +255,21 @@ def _corner_indices(i0, n, border):
 
 def warp(
     image,
-    mapping: PixelMapping,
+    mapping: Callable,
     border: BorderPolicy = BorderPolicy.CLAMP,
     out_shape: tuple | None = None,
 ) -> np.ndarray:
     """Inverse-mapping resampler over the trailing two axes of an ``[..., H, W]`` grid:
-    output[..., y, x] = sample(image, mapping(x, y)).
+    output[..., y, x] = sample(image, mapping(x, y)), where ``mapping`` is any
+    function from broadcastable output (x, y) arrays to source (x, y) arrays.
 
     The mapping is first evaluated on a band of output rows. If it returns
     an open grid, ``(1, W)`` columns and ``(rows, 1)`` rows as an
-    axis-aligned map (``scale_about``, ``shift``, identity) does, it is
-    evaluated once over all rows and sampled by the separable kernel. Any
-    other map is evaluated and sampled one band of
-    ``max(1, BLOCK_POINTS // (prod(lead) * W))`` rows at a time, straight
-    into that band of the output, so no full-size coordinate array is built.
+    axis-aligned map such as ``scale_about`` does, it is evaluated once over
+    all rows and sampled by the separable kernel. Any other map is evaluated
+    and sampled one band of ``max(1, BLOCK_POINTS // (prod(lead) * W))`` rows
+    at a time, straight into that band of the output, so no full-size
+    coordinate array is built.
     """
     image = as_grid(image, name="image")
     border = BorderPolicy.coerce(border)
@@ -352,13 +323,18 @@ def scale_transform_stack(stack, s: float, border: BorderPolicy = BorderPolicy.C
     return warp(stack, mapping, border)
 
 
-def scale_transform_mapping(shape: tuple, s: float) -> PixelMapping:
+def scale_about(s: float, cx: float, cy: float) -> Callable:
+    """The pixel mapping of the scale transform T_s about (cx, cy); s > 1 magnifies."""
+    return lambda xs, ys: (cx + (xs - cx) / s, cy + (ys - cy) / s)
+
+
+def scale_transform_mapping(shape: tuple, s: float) -> Callable:
     """The mapping of ``scale_transform`` on a grid whose trailing extents are
     ``shape[-2:]``: T_s about the exact grid center."""
     real = as_real(s)
     if not 0 < real < math.inf:
         raise ValueError(f"scale factor must be positive and finite, got {s}")
-    return PixelMapping.scale_about(real, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
+    return scale_about(real, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
 
 
 def resize(image, out_h: int, out_w: int) -> np.ndarray:

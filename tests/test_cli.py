@@ -21,7 +21,7 @@ from seslab import (
     synth_image,
     write_pgm,
 )
-from seslab import grid
+from seslab import grid, selftest
 from seslab.cli import main
 from seslab.errors import load
 
@@ -283,7 +283,7 @@ class TestWarpCommand:
         self, tmp_path, capsys, monkeypatch, geo_files, mode
     ):
         # The image used to be read whole before anything planned the warp.
-        # Its two 96x128 grids take 192 KiB; the budget here is 64 KiB.
+        # Its 96x128 frames take 96 KiB each; the budget here is 64 KiB.
         monkeypatch.setattr(grid.os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 16)
         reads = []
         monkeypatch.setattr("seslab.cli.read_pgm", lambda path: reads.append(path))
@@ -298,17 +298,23 @@ class TestWarpCommand:
             tracemalloc.stop()
         assert code == 2
         err = capsys.readouterr().err
-        assert f"invalid configuration: image {geo_files['image']} of 96x128 and its warp (two grids)" in err
+        frames = 3 if mode == "scale" else 2
+        assert (
+            f"invalid configuration: out_shape 96x128 of the {mode} warp of image {geo_files['image']} of 96x128 "
+            f"(the input, {frames} output frames and the sampler's blocks)"
+        ) in err
         assert "physical memory (65536 bytes)" in err
         assert peak < 1024 * 1024
         assert reads == []
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mode", ["projective", "logpolar", "invlogpolar"])
-    def test_point_kernel_warp_holds_its_frames_only(self, tmp_path, geo_files, mode):
-        # A 375x1242 warp holds its input, its output and the encoder's float
-        # buffer. The denominator grids and the encoder's quantization
-        # temporaries took the peak to 4.01 frames.
+    @pytest.mark.parametrize("mode", ["projective", "scale", "logpolar", "invlogpolar"])
+    def test_warp_holds_its_frames_only_and_plans_them(self, tmp_path, monkeypatch, geo_files, mode):
+        # A 375x1242 point-kernel warp holds its input, its output and the
+        # encoder's float buffer. The denominator grids and the encoder's
+        # quantization temporaries took the peak to 4.01 frames. The scale
+        # mode's separable sampler holds about a frame more, 4.16 in all,
+        # which the plan of two frames used to miss.
         height, width = 375, 1242
         frame = tmp_path / "frame.pgm"
         write_pgm(frame, synth_image("gaussian-blobs", height, width, seed=2))
@@ -320,13 +326,22 @@ class TestWarpCommand:
         argv = ["warp", "--image", image, "--mode", mode, "--out", str(tmp_path / "w.pgm"), "--out-dir", str(tmp_path)]
         argv += ["--plane", geo_files["tilted"], "--motion", geo_files["motion"], "--intrinsics", intrinsics]
         argv += ["--out-shape", f"{height},{width}"]
+        planned = []
+
+        def recording(values, plan):
+            planned.append(8.0 * values)
+            return grid.check_fits_memory(values, plan)
+
+        monkeypatch.setattr("seslab.cli.check_fits_memory", recording)
         tracemalloc.start()
         try:
             assert main(argv) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * height * width * 8
+        assert len(planned) == 1
+        assert peak <= planned[0]
+        assert peak <= (4.25 if mode == "scale" else 3.25) * height * width * 8
 
     def test_missing_geometry_files_is_usage_error(self, tmp_path, geo_files):
         code = main([
@@ -549,6 +564,23 @@ class TestSsimSweepCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_kind_rejected_before_any_corpus(self, tmp_path, capsys, monkeypatch, source):
+        # synth_corpus refused it, after --out-dir was made.
+        calls = []
+        monkeypatch.setattr("seslab.cli.synth_corpus", lambda *args: calls.append(args) or [])
+        argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]
+        if source == "flag":
+            argv += ["--kind", "stripes"]
+        else:
+            argv += ["--config", write_json(tmp_path / "config.json", {"kind": "stripes"})]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: kind must be one of ('gaussian-blobs', 'checkerboard', 'bandlimited-noise'), " \
+            "got 'stripes'" in err
+        assert not calls
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
     def test_zero_width_rejected(self, tmp_path, capsys, source):
         # A width of 0 used to run square images.
         argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]
@@ -753,6 +785,22 @@ class TestEquivCommand:
         config = write_json(tmp_path / "negative.json", payload)
         assert main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
         assert f"invalid configuration: {spec} seed must be >= 0, got -1" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_corpus_kind_is_config_error_before_any_stack(self, tmp_path, capsys, monkeypatch, tiny_config):
+        # It was refused only inside the first share, after the plan and both
+        # stack builds, naming no field.
+        calls = []
+        for name in ("corpus_seeds", "build_stack"):
+            monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
+        payload = json.loads(Path(tiny_config).read_text())
+        payload["corpus"]["kind"] = "stripes"
+        config = write_json(tmp_path / "stripes.json", payload)
+        assert main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: corpus kind must be one of ('gaussian-blobs', 'checkerboard', " \
+            "'bandlimited-noise'), got 'stripes'" in err
         assert calls == []
         assert not (tmp_path / "out").exists()
 
@@ -1004,10 +1052,18 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "all" in out and "passed" in out
 
-    def test_corrupted_basis_norm_detected(self, capsys):
-        assert main(["selftest", "--corrupt", "basis-norm"]) == 1
+    def test_corrupted_basis_norm_detected(self, capsys, monkeypatch):
+        # filters scaled by 1.01 fail the norm check (and only it)
+        real = selftest.build_basis
+
+        def scaled(*args, **kwargs):
+            basis = real(*args, **kwargs)
+            return replace(basis, filters=basis.filters * 1.01)
+
+        monkeypatch.setattr(selftest, "build_basis", scaled)
+        assert main(["selftest"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL basis-filter-l2-norm" in out
+        assert "FAIL basis-filter-l2-norm" in out and "1 of 9 checks failed" in out
 
     def test_ssim_symmetry_checked(self, capsys, monkeypatch):
         assert main(["selftest"]) == 0

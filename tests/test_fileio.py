@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seslab import FormatError, SeslabError, read_pgm, read_tensor, write_pgm, write_tensor
-from seslab.fileio import read_pgm_header, sidecar_path
+from seslab.cli import main
+from seslab.fileio import _header, read_pgm_header, sidecar_path
 
 
 class TestTensorFormat:
@@ -186,6 +187,37 @@ class TestPgm:
             payload = np.rint(np.clip(image, 0, 1) * maxval).astype(">u2" if maxval > 255 else "u1").tobytes()
             assert path.read_bytes() == header + payload
 
+    @pytest.mark.parametrize(
+        ("raw", "message"),
+        [
+            (b"P5 2 2 100\n\x00\x64\xc8\x65", "sample 200 at (row 1, col 0) exceeds maxval 100"),
+            (b"P5 1 2 300\n\x01\x2c\xff\xff", "sample 65535 at (row 1, col 0) exceeds maxval 300"),
+            (b"P5 3 1 1\n\x01\x00\x02", "sample 2 at (row 0, col 2) exceeds maxval 1"),
+        ],
+    )
+    def test_sample_above_maxval_is_refused(self, tmp_path, capsys, raw, message):
+        # Such a sample used to decode to a pixel above 1: 2.0 and 218.45 here.
+        path = tmp_path / "over.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as info:
+            read_pgm(path)
+        assert str(info.value) == f"{path}: {message}"
+        argv = ["warp", "--image", str(path), "--mode", "logpolar", "--out", str(tmp_path / "w.pgm")]
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+        assert f"i/o error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "w.pgm").exists()
+
+    def test_nan_pixel_is_refused_and_infinities_clip(self, tmp_path):
+        # A NaN pixel used to be written as 0, with only the cast's RuntimeWarning.
+        path = tmp_path / "nan.pgm"
+        image = np.zeros((3, 4))
+        image[2, 1] = image[1, 3] = np.nan
+        with pytest.raises(ValueError, match=r"^image pixel \(row 1, col 3\) is NaN"):
+            write_pgm(path, image)
+        assert not path.exists()
+        write_pgm(path, np.array([[-np.inf, np.inf]]), 65535)
+        assert path.read_bytes() == b"P5\n2 1\n65535\n\x00\x00\xff\xff"
+
 
 # Fuzz: any header, payload or sidecar either parses or raises a SeslabError.
 # Inputs are built from header-shaped pieces, so most get past the magic.
@@ -244,11 +276,21 @@ def _outcome(read, path):
 @given(raw=pgm_files() | st.binary(max_size=64))
 @example(raw=b"P5 2 1 255\n\x00\xff")
 @example(raw=b"P5\n1 1\n65535\n\x01\x00")
+@example(raw=b"P5 2 1 7\n\x07\x08")
 def test_read_pgm_parses_or_raises_seslab_error(fuzz_dir, raw):
     path = fuzz_dir / "fuzz.pgm"
     path.write_bytes(raw)
-    # The header parse alone takes the same files and refuses them with the same message.
-    assert _outcome(lambda p: read_pgm(p).shape, path) == _outcome(read_pgm_header, path)
+    # The header parse alone takes the same files and refuses them with the
+    # same message; read_pgm also refuses the first sample above maxval.
+    expected = _outcome(read_pgm_header, path)
+    if isinstance(expected, tuple):
+        height, width, maxval, offset = _header(raw, path)
+        samples = np.frombuffer(raw, ">u2" if maxval > 255 else "u1", height * width, offset)
+        over = np.flatnonzero(samples > maxval)
+        if over.size:
+            row, col = divmod(int(over[0]), width)
+            expected = f"{path}: sample {samples[over[0]]} at (row {row}, col {col}) exceeds maxval {maxval}"
+    assert _outcome(lambda p: read_pgm(p).shape, path) == expected
 
 
 @settings(max_examples=300, deadline=None)

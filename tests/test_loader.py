@@ -15,6 +15,7 @@ from seslab.cli import BasisConfig, SweepConfig
 from seslab.errors import dump, load
 from seslab.geometry import _MotionKeys
 from seslab.sesconv import KINDS, NONLINEARITIES
+from seslab.synth import KINDS as IMAGE_KINDS
 
 BIG = 10**400  # parses from JSON as an int too large for a float
 
@@ -174,8 +175,10 @@ stacks = st.builds(
     positive,
     st.integers(0, 3),
 )
-# A synthetic corpus needs extents >= 8; an image_dir corpus does not read them.
-corpora = st.builds(CorpusSpec, texts, st.integers(1, 99), st.integers(8), st.integers(8), st.integers(0)) | st.builds(
+# A synthetic corpus needs a known kind and extents >= 8; an image_dir corpus
+# does not read them.
+image_kinds = st.sampled_from(IMAGE_KINDS)
+corpora = st.builds(CorpusSpec, image_kinds, st.integers(1, 99), st.integers(8), st.integers(8), st.integers(0)) | st.builds(
     CorpusSpec, texts, st.integers(1, 99), st.integers(), st.integers(), st.integers(0), texts
 )
 
@@ -216,7 +219,7 @@ INSTANCES = {
         st.lists(st.integers(11, 256), max_size=4, unique=True),
         st.lists(st.floats(1.0, 8.0), max_size=4, unique=True),
         st.integers(min_value=1),
-        texts,
+        image_kinds,
         st.integers(0),
         st.none() | st.integers(11, 256),
     )

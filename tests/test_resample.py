@@ -11,7 +11,6 @@ from seslab import (
     CameraIntrinsics,
     EgoMotion,
     PatchPlane,
-    PixelMapping,
     ShapeError,
     projective_mapping,
     render_gaussian_blobs,
@@ -58,32 +57,40 @@ class TestBilinearSample:
         assert image.min() - 1e-12 <= value <= image.max() + 1e-12
 
 
+def identity(xs, ys):
+    return xs, ys
+
+
+def shift(dx, dy):
+    """Move content by (+dx, +dy): output(x, y) samples image(x - dx, y - dy)."""
+    return lambda xs, ys: (xs - dx, ys - dy)
+
+
 class TestWarp:
     def test_identity_mapping_bit_exact(self, blob_image):
-        assert np.array_equal(warp(blob_image, PixelMapping.identity()), blob_image)
+        assert np.array_equal(warp(blob_image, identity), blob_image)
 
     def test_integer_shift_circular_matches_roll(self, rng):
         image = rng.uniform(size=(8, 10))
-        out = warp(image, PixelMapping.shift(3, 2), BorderPolicy.CIRCULAR)
+        out = warp(image, shift(3, 2), BorderPolicy.CIRCULAR)
         assert np.array_equal(out, np.roll(image, (2, 3), axis=(0, 1)))
 
     def test_composed_shift_unshift_map_recovers_interior(self, blob_image):
         dx, dy = 2.3, -1.7
-        fwd = PixelMapping.shift(dx, dy)
-        bwd = PixelMapping.shift(-dx, -dy)
-        composed = PixelMapping(lambda xs, ys: fwd(*bwd(xs, ys)))
-        back = warp(blob_image, composed, BorderPolicy.CLAMP)
+        fwd = shift(dx, dy)
+        bwd = shift(-dx, -dy)
+        back = warp(blob_image, lambda xs, ys: fwd(*bwd(xs, ys)), BorderPolicy.CLAMP)
         interior = (slice(6, -6), slice(6, -6))
         assert np.abs(back[interior] - blob_image[interior]).max() <= 1e-12
 
     def test_integer_shift_then_unshift_recovers_interior(self, blob_image):
-        once = warp(blob_image, PixelMapping.shift(3, -2), BorderPolicy.CLAMP)
-        back = warp(once, PixelMapping.shift(-3, 2), BorderPolicy.CLAMP)
+        once = warp(blob_image, shift(3, -2), BorderPolicy.CLAMP)
+        back = warp(once, shift(-3, 2), BorderPolicy.CLAMP)
         interior = (slice(6, -6), slice(6, -6))
         assert np.abs(back[interior] - blob_image[interior]).max() <= 1e-12
 
     def test_out_shape_override(self, blob_image):
-        out = warp(blob_image, PixelMapping.identity(), out_shape=(10, 12))
+        out = warp(blob_image, identity, out_shape=(10, 12))
         assert out.shape == (10, 12)
         assert np.array_equal(out, blob_image[:10, :12])
 
@@ -97,8 +104,8 @@ class TestWarp:
         xs = np.arange(31, dtype=np.float64)[np.newaxis, :]
         ys = np.arange(24, dtype=np.float64)[:, np.newaxis]
         for mapping in (
-            PixelMapping.scale_about(0.8, 14.2, 11.7),
-            PixelMapping.scale_about(1.7, 15.0, 11.5),
+            resample.scale_about(0.8, 14.2, 11.7),
+            resample.scale_about(1.7, 15.0, 11.5),
             projective_mapping(intr, tilted, EgoMotion.z_translation(-3.0)),
         ):
             sx, sy = (np.broadcast_to(c, (24, 31)) for c in mapping(xs, ys))
@@ -107,14 +114,14 @@ class TestWarp:
 
     def test_constant_mapping_fills_output(self, rng):
         image = rng.normal(size=(6, 7))
-        out = warp(image, PixelMapping(lambda xs, ys: (2.5, 1.25)), out_shape=(4, 5))
+        out = warp(image, lambda xs, ys: (2.5, 1.25), out_shape=(4, 5))
         assert out.shape == (4, 5)
         assert np.all(out == sample_at(image, 2.5, 1.25))
 
     @pytest.mark.parametrize("out_shape", [(-1, 5), (0, 5), (5, 0), (2.5, 3)])
     def test_bad_out_shape_rejected(self, blob_image, out_shape):
         with pytest.raises(ShapeError, match="integers >= 1"):
-            warp(blob_image, PixelMapping.identity(), out_shape=out_shape)
+            warp(blob_image, identity, out_shape=out_shape)
 
 
 def projective_onto(out_shape, src_shape):
@@ -129,7 +136,7 @@ def projective_onto(out_shape, src_shape):
         px, py = proj(xs, ys)
         return px * ((ws + 6) / w) - 3.0, py * ((hs + 6) / h) - 3.0
 
-    return PixelMapping(fn)
+    return fn
 
 
 class TestBandedWarp:
@@ -174,7 +181,7 @@ class TestBandedWarp:
             return real_pad(*args, **kwargs)
 
         monkeypatch.setattr(np, "pad", counting_pad)
-        out = warp(grid, PixelMapping(recording), BorderPolicy.ZERO, out_shape)
+        out = warp(grid, recording, BorderPolicy.ZERO, out_shape)
         assert rows == [band, band, 300 - 2 * band]
         assert len(pads) == 1
         monkeypatch.undo()
@@ -183,7 +190,9 @@ class TestBandedWarp:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coordinates_in_a_later_band_rejected(self, bad):
         # 3 bands of 2 rows for a [4, 5, 2048] grid; row 5 lies in the last one
-        mapping = PixelMapping(lambda xs, ys: (xs + 0.5 * ys, np.where(ys == 5.0, bad, ys)))
+        def mapping(xs, ys):
+            return xs + 0.5 * ys, np.where(ys == 5.0, bad, ys)
+
         with pytest.raises(ValueError, match="finite"):
             warp(np.ones((4, 5, 2048)), mapping, BorderPolicy.CLAMP, (6, 2048))
 
