@@ -21,6 +21,7 @@ from .geometry import (
     CameraIntrinsics,
     EgoMotion,
     PatchPlane,
+    _polar_frame,
     check_up_factor,
     corollary_deviation,
     inverse_log_polar,
@@ -33,7 +34,7 @@ from .geometry import (
 )
 from .grid import check_fits_memory
 from .harness import EquivConfig, run_experiment
-from .resample import BLOCK_POINTS, warp
+from .resample import BLOCK_POINTS, _check_extents, warp
 from .ssim import WINDOW_SIZE
 from .synth import KINDS, MIN_EXTENT, synth_corpus
 
@@ -107,6 +108,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_warp(args) -> int:
+    """Every argument that needs no pixel is checked before ``read_pgm``
+    decodes the image."""
     height, width = read_pgm_header(args.image)
     h, w = height, width
     if args.mode == "invlogpolar":
@@ -116,6 +119,7 @@ def cmd_warp(args) -> int:
             h, w = _ints(args.out_shape)
         except ValueError:  # not two integers
             raise ConfigError(f"--out-shape must be two integers H,W, got {args.out_shape!r}") from None
+        _check_extents("--out-shape", h, w)
     # The output and the encoder's float buffer; the scale mode's separable
     # sampler also holds a copy of the source rows and its x pass, each at
     # most a frame, while the output is filled.
@@ -125,8 +129,6 @@ def cmd_warp(args) -> int:
         f"out_shape {reprlib.repr(h)}x{reprlib.repr(w)} of the {args.mode} warp of image {args.image} of "
         f"{height}x{width} (the input, {frames} output frames and the sampler's blocks)",
     )
-    image = read_pgm(args.image)
-    out_dir = Path(args.out_dir)
     metrics: dict = {"mode": args.mode}
     intr = None
     if args.intrinsics:
@@ -137,6 +139,11 @@ def cmd_warp(args) -> int:
             raise ConfigError(f"mode {args.mode} needs --plane, --motion, and --intrinsics")
         plane = load(PatchPlane, _load_json(args.plane), "plane")
         motion = EgoMotion.from_dict(_load_json(args.motion))
+        if height > intr.height or width > intr.width:
+            raise ConfigError(
+                f"image {args.image} of {height}x{width} reaches past the intrinsics' "
+                f"{intr.height}x{intr.width} grid, on which the {args.mode} map is checked"
+            )
         t_z = float(motion.translation[2])
         s = scale_factor(plane, t_z)
         bound, ratio = parallel_bound(plane, intr)
@@ -152,14 +159,16 @@ def cmd_warp(args) -> int:
             mapping = projective_mapping(intr, plane, motion)
         else:
             mapping = scale_mapping(intr, s)
-        result = warp(image, mapping)
-    elif args.mode == "logpolar":
+    else:
+        _polar_frame((h, w), center, args.r_min)
+    image = read_pgm(args.image)
+    if args.mode == "logpolar":
         result = log_polar(image, center=center, r_min=args.r_min)
     elif args.mode == "invlogpolar":
         result = inverse_log_polar(image, (h, w), center=center, r_min=args.r_min)
     else:
-        raise ConfigError(f"unknown warp mode {args.mode!r}")
-    out = Path(args.out)
+        result = warp(image, mapping)
+    out, out_dir = Path(args.out), Path(args.out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, result)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -257,10 +257,7 @@ def _least_denominator(mat, intrinsics):
 
 def scale_mapping(intrinsics: CameraIntrinsics, s: float) -> Callable:
     """The pure scale map about the principal point (the Corollary reduction)."""
-    real = as_real(s)
-    if not 0 < real < math.inf:
-        raise DegenerateGeometryError(f"scale factor must be positive and finite, got {s}")
-    return scale_about(real, intrinsics.u0, intrinsics.v0)
+    return scale_about(s, intrinsics.u0, intrinsics.v0)
 
 
 def scale_factor(plane: PatchPlane, t_z: float) -> float:
@@ -370,7 +367,7 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     # Read as a grid one row taller whose row n_theta reads row 0: theta rows
     # reach n_theta, and pass it where theta rounds to 2 pi.
     n_theta, n_r = lp_image.shape
-    return _warp(lp_image, (n_theta + 1, n_r), mapping, BorderPolicy.CLAMP, out_shape)
+    return _warp(lp_image, (n_theta + 1, n_r), mapping, BorderPolicy.CLAMP, (slice(0, h), slice(0, w)))
 
 
 def _inverse_mapping(lp_shape, out_shape, center, r_min) -> Callable:

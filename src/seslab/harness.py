@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, SeslabError, as_real, check_fields, dump, is_integer, load
 from .fileio import read_pgm, read_pgm_header, write_json
 from .grid import BorderPolicy, as_grid, check_fits_memory, crop_window, within
-from .resample import sample_at, scale_transform_mapping
+from .resample import _warp, scale_transform_mapping
 from .sesconv import KINDS, Stack, StackSpec, build_stack
 from .synth import KINDS as IMAGE_KINDS, MIN_EXTENT, corpus_seeds, synth_image
 
@@ -173,16 +173,6 @@ def _fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def _sample_scaled(grid, s: float, window) -> np.ndarray:
-    """T_s of an [..., H, W] grid, zero-filled, on the (rows, cols) slices
-    ``window`` of its frame only: the window of the whole-frame T_s, bit for bit."""
-    rows, cols = window
-    h, w = grid.shape[-2:]
-    xs = np.arange(w, dtype=np.float64)[np.newaxis, cols]
-    ys = np.arange(h, dtype=np.float64)[rows, np.newaxis]
-    return sample_at(grid, *scale_transform_mapping(grid.shape, s)(xs, ys), BorderPolicy.ZERO)
-
-
 def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
     """One cell's ratio ||T_s F - F(T_s h)||^2 / ||T_s F||^2 over the crop
     window and, ``with_map``, the peak-normalized per-pixel error (else None).
@@ -218,10 +208,10 @@ def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=N
     {block: grid} at the scale factor ``map_scale`` (none if it is None).
 
     Every cell reads a window: the crop window, or the frame at ``map_scale``.
-    T_s h is sampled on the frame, F(T_s h) runs on the window (Stack.forward
-    reads only the window's receptive field), and T_s F(h) is sampled on the
-    window. F(h) runs on the frame. Only layers up to max(blocks) run; none
-    depends on a later one.
+    ``_warp`` samples T_s h on the frame and T_s F(h) on the window, with zero
+    fill; F(T_s h) runs on the window (Stack.forward reads only the window's
+    receptive field) and F(h) on the frame. Only layers up to max(blocks) run;
+    none depends on a later one.
     """
     image = as_grid(image, rank=2, name="image")
     if not np.isfinite(image).all():
@@ -234,10 +224,12 @@ def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=N
     cells, maps = {}, {}
     for s in scale_factors:
         read = frame if s == map_scale else crop
-        scaled = stack.forward(_sample_scaled(image, s, frame), read)
+        t_s = scale_transform_mapping(image.shape, s)
+        scaled = stack.forward(_warp(image, image.shape, t_s, BorderPolicy.ZERO, frame), read)
         for b in blocks:
             cells[(b, s)], grid = _delta_ratio(
-                _sample_scaled(base[b - 1], s, read), scaled[b - 1], within(crop, read), s == map_scale
+                _warp(base[b - 1], image.shape, t_s, BorderPolicy.ZERO, read), scaled[b - 1],
+                within(crop, read), s == map_scale,
             )
             if grid is not None:
                 maps[b] = grid

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError, as_real, is_integer
+from .errors import DegenerateGeometryError, ShapeError, as_real, is_integer
 from .grid import BorderPolicy, as_grid
 
 
@@ -275,32 +275,35 @@ def warp(
     border = BorderPolicy.coerce(border)
     h, w = out_shape if out_shape is not None else image.shape[-2:]
     _check_extents("warp output", h, w)
-    return _warp(image, image.shape[-2:], mapping, border, (h, w))
+    return _warp(image, image.shape[-2:], mapping, border, (slice(0, h), slice(0, w)))
 
 
-def _warp(image, shape, mapping, border, out_shape):
-    """``warp`` of ``image`` read as a grid of trailing extents ``shape``.
+def _warp(image, shape, mapping, border, window):
+    """``warp`` of ``image`` read as a grid of trailing extents ``shape``, on the
+    (rows, cols) slices ``window`` of the output frame, with explicit bounds and
+    unit step: window pixel (y, x) is frame pixel (rows.start + y, cols.start + x).
 
     ``shape`` is the image's own, or one row taller: then the point
     kernel's extra last row reads row 0 (the theta wrap of the inverse
     log-polar), and every map goes through the point kernel.
     """
-    h, w = out_shape
+    rows, cols = window
+    xs = np.arange(cols.start, cols.stop, dtype=np.float64)[np.newaxis, :]
+    ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, np.newaxis]
+    h, w = ys.size, xs.size
     lead = image.shape[:-2]
     band = max(1, BLOCK_POINTS // (math.prod(lead) * w))
-    xs = np.arange(w, dtype=np.float64)[np.newaxis, :]
-    ys = np.arange(h, dtype=np.float64)[:, np.newaxis]
     sx, sy = mapping(xs, ys[:band])
     if shape == image.shape[-2:] and np.shape(sx) == (1, w) and np.shape(sy) == (min(band, h), 1):
         return sample_at(image, *mapping(xs, ys), border)
     flat = _point_source(image, border)
     out = np.empty((*lead, h * w))
     for first in range(0, h, band):
-        rows = ys[first : first + band]
+        band_ys = ys[first : first + band]
         if first:
-            sx, sy = mapping(xs, rows)
-        sx, sy = (np.broadcast_to(c, (rows.size, w)).ravel() for c in _finite_coordinates(sx, sy))
-        points = out[..., first * w : (first + rows.size) * w]
+            sx, sy = mapping(xs, band_ys)
+        sx, sy = (np.broadcast_to(c, (band_ys.size, w)).ravel() for c in _finite_coordinates(sx, sy))
+        points = out[..., first * w : (first + band_ys.size) * w]
         _sample_points(flat, shape, sx, sy, border, points)
     return out.reshape(*lead, h, w)
 
@@ -324,17 +327,18 @@ def scale_transform_stack(stack, s: float, border: BorderPolicy = BorderPolicy.C
 
 
 def scale_about(s: float, cx: float, cy: float) -> Callable:
-    """The pixel mapping of the scale transform T_s about (cx, cy); s > 1 magnifies."""
-    return lambda xs, ys: (cx + (xs - cx) / s, cy + (ys - cy) / s)
+    """The pixel mapping of the scale transform T_s about (cx, cy); s > 1 magnifies.
+    Raises DegenerateGeometryError unless ``s`` is a positive finite real."""
+    real = as_real(s)
+    if not 0 < real < math.inf:
+        raise DegenerateGeometryError(f"scale factor must be positive and finite, got {s}")
+    return lambda xs, ys: (cx + (xs - cx) / real, cy + (ys - cy) / real)
 
 
 def scale_transform_mapping(shape: tuple, s: float) -> Callable:
     """The mapping of ``scale_transform`` on a grid whose trailing extents are
     ``shape[-2:]``: T_s about the exact grid center."""
-    real = as_real(s)
-    if not 0 < real < math.inf:
-        raise ValueError(f"scale factor must be positive and finite, got {s}")
-    return scale_about(real, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
+    return scale_about(s, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
 
 
 def resize(image, out_h: int, out_w: int) -> np.ndarray:

@@ -343,6 +343,62 @@ class TestWarpCommand:
         assert peak <= planned[0]
         assert peak <= (4.25 if mode == "scale" else 3.25) * height * width * 8
 
+    @pytest.mark.parametrize("mode", ["projective", "scale"])
+    @pytest.mark.parametrize(("height", "width"), [(600, 2000), (375, 1242)], ids=["past", "equal"])
+    def test_image_past_the_intrinsics_grid_is_refused_from_its_header(
+        self, tmp_path, capsys, monkeypatch, mode, height, width
+    ):
+        # The denominator of this map changes sign near u = 1485, past the
+        # intrinsics' 1242 columns where it is checked: row 100 of a 2000-wide
+        # image used to map u = 1480 to x = 1.3e5 and u = 1490 to x = -1.4e5,
+        # and the warp exited 0 with clamped edge pixels past that column.
+        frame = tmp_path / "frame.pgm"
+        write_pgm(frame, synth_image("gaussian-blobs", height, width, seed=3))
+        intrinsics = write_json(tmp_path / "kitti.json", {"f": 707.0, "u0": 621.0, "v0": 187.5, "width": 1242, "height": 375})
+        plane = write_json(tmp_path / "steep.json", {"m": -9.0, "n": 0.0, "o": 1.0, "p": -30.0})
+        motion = write_json(tmp_path / "motion.json", {"t": [0.0, 0.0, -3.0]})
+        reads = []
+        monkeypatch.setattr("seslab.cli.read_pgm", lambda path: reads.append(path) or read_pgm(path))
+        code = main([
+            "warp", "--image", str(frame), "--mode", mode, "--plane", plane, "--motion", motion,
+            "--intrinsics", intrinsics, "--out", str(tmp_path / "out" / "w.pgm"), "--out-dir", str(tmp_path / "out"),
+        ])
+        if width == 1242:
+            assert code == 0 and reads == [str(frame)]
+            return
+        assert code == 2
+        assert (
+            f"invalid configuration: image {frame} of 600x2000 reaches past the intrinsics' 375x1242 grid"
+        ) in capsys.readouterr().err
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("mode", "flags", "message"),
+        [
+            ("projective", ["--motion", "motion", "--intrinsics", "intrinsics"], "mode projective needs --plane"),
+            ("projective", ["--plane", "broken", "--motion", "motion", "--intrinsics", "intrinsics"], "malformed JSON"),
+            ("logpolar", ["--r-min", "0"], "r_min must lie in (0, "),
+            ("invlogpolar", ["--out-shape", "0,5"], "--out-shape extents must be integers >= 1, got 0x5"),
+        ],
+        ids=["no-plane", "malformed-plane", "r-min-0", "out-shape-0"],
+    )
+    def test_pixel_free_arguments_are_refused_before_the_decode(
+        self, tmp_path, capsys, monkeypatch, geo_files, mode, flags, message
+    ):
+        # Each of these used to decode the whole image and then exit 2.
+        files = {**geo_files, "broken": str(tmp_path / "broken.json")}
+        (tmp_path / "broken.json").write_text('{"m": 0.0,')
+        reads = []
+        monkeypatch.setattr("seslab.cli.read_pgm", lambda path: reads.append(path) or read_pgm(path))
+        argv = ["warp", "--image", geo_files["image"], "--mode", mode, "--out", str(tmp_path / "out" / "w.pgm")]
+        argv += [files.get(flag, flag) for flag in flags] + ["--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: " in err and message in err
+        assert reads == []
+        assert not (tmp_path / "out").exists()
+
     def test_missing_geometry_files_is_usage_error(self, tmp_path, geo_files):
         code = main([
             "warp", "--image", geo_files["image"], "--mode", "projective",

@@ -202,7 +202,9 @@ class TestPgm:
         with pytest.raises(FormatError) as info:
             read_pgm(path)
         assert str(info.value) == f"{path}: {message}"
-        argv = ["warp", "--image", str(path), "--mode", "logpolar", "--out", str(tmp_path / "w.pgm")]
+        # warp checks --r-min against the header's extents before it decodes,
+        # so the radius floor must lie inside these tiny frames
+        argv = ["warp", "--image", str(path), "--mode", "logpolar", "--r-min", "0.1", "--out", str(tmp_path / "w.pgm")]
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
         assert f"i/o error: {path}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "w.pgm").exists()

@@ -32,7 +32,7 @@ from seslab import (
 )
 from dataclasses import replace
 
-from seslab import grid, harness, sesconv
+from seslab import grid, harness, resample, sesconv
 from seslab.errors import dump
 from seslab.grid import crop, crop_window
 from seslab.sesconv import Stack
@@ -553,7 +553,8 @@ def delta_ratio(feats, feats_of_scaled, s, margin, with_map):
     every other cell the crop window."""
     window = crop_window(feats.shape, margin)
     read = crop_window(feats.shape, 0.0) if with_map else window
-    scaled_feats = harness._sample_scaled(feats, s, read)
+    t_s = resample.scale_transform_mapping(feats.shape, s)
+    scaled_feats = resample._warp(feats, feats.shape[-2:], t_s, BorderPolicy.ZERO, read)
     within = grid.within(window, read)
     return harness._delta_ratio(scaled_feats, feats_of_scaled[(..., *read)], within, with_map)
 

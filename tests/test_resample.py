@@ -196,6 +196,25 @@ class TestBandedWarp:
         with pytest.raises(ValueError, match="finite"):
             warp(np.ones((4, 5, 2048)), mapping, BorderPolicy.CLAMP, (6, 2048))
 
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    def test_window_equals_window_of_the_frame(self, rng, border):
+        # The sampler the harness calls: a 253x45 window off the origin of a
+        # 300x60 frame streams in bands of 16384 // (3 * 45) = 121 rows,
+        # each band evaluated at its own frame rows and columns.
+        grid = rng.normal(size=(3, 105, 27))
+        projective = projective_onto((300, 60), grid.shape[-2:])
+        rows, cols = slice(37, 290), slice(5, 50)
+        seen = []
+
+        def recording(xs, ys):
+            seen.append((ys[0, 0], ys.shape[0], xs[0, 0], xs.shape[1]))
+            return projective(xs, ys)
+
+        window = resample._warp(grid, grid.shape[-2:], recording, border, (rows, cols))
+        assert seen == [(37.0, 121, 5.0, 45), (158.0, 121, 5.0, 45), (279.0, 11, 5.0, 45)]
+        full = warp(grid, projective, border, (300, 60))
+        assert window.tobytes() == np.ascontiguousarray(full[..., rows, cols]).tobytes()
+
 
 class TestScaleTransform:
     def test_unit_scale_is_bit_exact_identity(self, blob_image):
@@ -406,9 +425,7 @@ class TestSampleKernel:
         full = scale_transform_stack(stack, s, border=border)
         mapping = resample.scale_transform_mapping(stack.shape, s)
         for rows, cols in [(slice(2, 18), slice(3, 27)), (slice(0, 20), slice(9, 10)), (slice(15, 20), slice(0, 5))]:
-            xs = np.arange(30.0)[np.newaxis, cols]
-            ys = np.arange(20.0)[rows, np.newaxis]
-            window = sample_at(stack, *mapping(xs, ys), border)
+            window = resample._warp(stack, stack.shape[-2:], mapping, border, (rows, cols))
             assert window.tobytes() == full[..., rows, cols].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
