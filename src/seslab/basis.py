@@ -20,9 +20,9 @@ def _hermite_upto(n: int, x) -> list:
     starting from H_0 = 1 and H_1 = x.
     """
     if n < 0:
-        raise ValueError(f"Hermite order must be >= 0, got {n}")
+        raise ShapeError(f"Hermite order must be >= 0, got {n}")
     if n > MAX_HERMITE_ORDER:
-        raise ValueError(f"Hermite order is capped at {MAX_HERMITE_ORDER}, got {n}")
+        raise ShapeError(f"Hermite order is capped at {MAX_HERMITE_ORDER}, got {n}")
     arr = np.asarray(x, dtype=np.float64)
     hs = [np.ones_like(arr), arr.copy()]
     for order in range(1, n):
@@ -40,7 +40,7 @@ def _profiles(sigma: float, orders, u, v) -> list:
     """The profile of hermite_gaussian for each (n, m) of ``orders`` at one
     sigma, from one envelope and one Hermite recurrence per axis."""
     if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+        raise ConfigError(f"sigma must be positive, got {sigma}")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     envelope = np.exp(-(u * u + v * v) / (sigma * sigma))
@@ -87,11 +87,11 @@ class ScaleSet:
     def __post_init__(self):
         sig = tuple(float(s) for s in self.sigmas)
         if not sig:
-            raise ValueError("scale set must not be empty")
+            raise ConfigError("scale set must not be empty")
         if not all(0 < s < math.inf for s in sig):  # NaN fails every comparison
-            raise ValueError(f"scales must be positive and finite, got {sig}")
+            raise ConfigError(f"scales must be positive and finite, got {sig}")
         if any(b <= a for a, b in zip(sig, sig[1:])):
-            raise ValueError(f"scales must be strictly ascending, got {sig}")
+            raise ConfigError(f"scales must be strictly ascending, got {sig}")
         object.__setattr__(self, "sigmas", sig)
 
     def __len__(self) -> int:
@@ -100,7 +100,7 @@ class ScaleSet:
     def scaled(self, factor: float) -> "ScaleSet":
         """Same scale ratios with every sigma multiplied by ``factor``."""
         if not 0 < factor < math.inf:
-            raise ValueError(f"scale-set factor must be positive and finite, got {factor}")
+            raise ConfigError(f"scale-set factor must be positive and finite, got {factor}")
         return ScaleSet(tuple(s * factor for s in self.sigmas), self.alpha)
 
 
@@ -152,7 +152,7 @@ def build_basis(scales: ScaleSet, max_order: int = 6, k: int = 7) -> SteerableBa
     filters on this grid.
     """
     if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
+        raise ShapeError(f"max_order must be >= 0, got {max_order}")
     count = (max_order + 1) ** 2
     if count > k * k:
         raise ShapeError(

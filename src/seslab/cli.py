@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .basis import build_basis, check_scale_count, save_basis, scale_set_from_alpha
 from .errors import ConfigError, FormatError, SeslabError, as_real, check_fields, dump, load
 from .fileio import read_pgm, read_pgm_header, write_json, write_pgm
@@ -21,7 +23,8 @@ from .geometry import (
     CameraIntrinsics,
     EgoMotion,
     PatchPlane,
-    _polar_frame,
+    _inverse_mapping,
+    _log_polar_mapping,
     check_up_factor,
     corollary_deviation,
     inverse_log_polar,
@@ -33,10 +36,9 @@ from .geometry import (
     scale_mapping,
 )
 from .grid import check_fits_memory
-from .harness import EquivConfig, run_experiment
+from .harness import CorpusSpec, EquivConfig, run_experiment
 from .resample import BLOCK_POINTS, _check_extents, warp
 from .ssim import WINDOW_SIZE
-from .synth import KINDS, MIN_EXTENT, synth_corpus
 
 
 def _echo_config(out_dir: Path, name: str, payload: dict) -> None:
@@ -159,8 +161,9 @@ def cmd_warp(args) -> int:
             mapping = projective_mapping(intr, plane, motion)
         else:
             mapping = scale_mapping(intr, s)
-    else:
-        _polar_frame((h, w), center, args.r_min)
+    else:  # the warp's own mapping refuses the frame, r_min and a one-column grid
+        polar = _log_polar_mapping if args.mode == "logpolar" else _inverse_mapping
+        polar((height, width), (h, w), center, args.r_min)
     image = read_pgm(args.image)
     if args.mode == "logpolar":
         result = log_polar(image, center=center, r_min=args.r_min)
@@ -195,7 +198,8 @@ def cmd_warp(args) -> int:
 class SweepConfig:
     """Settings of ``seslab ssim-sweep``; a width of None makes square images.
 
-    Each (height, up-factor) cell plans the corpus of that height and the
+    Each height's corpus is a ``CorpusSpec``. Every (height, up-factor) cell
+    plans one image, the seed and SSIM values of every image, and the
     roundtrip, and all of them must fit in memory before any cell runs."""
 
     heights: tuple[int, ...] = (96, 384)
@@ -207,33 +211,27 @@ class SweepConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.count < 1:
-            raise ConfigError(f"corpus count must be >= 1, got {self.count}")
-        if self.kind not in KINDS:
-            raise ConfigError(f"kind must be one of {KINDS}, got {reprlib.repr(self.kind)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
-        if self.width is not None and self.width < 1:
-            raise ConfigError(f"width must be >= 1, got {self.width}")
         for name in ("heights", "up_factors"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} must be distinct, got {reprlib.repr(values)}")
-        floor = max(WINDOW_SIZE, MIN_EXTENT)
         extents = self.heights + (() if self.width is None else (self.width,))
-        if min(extents, default=floor) < floor:
+        if min(extents, default=WINDOW_SIZE) < WINDOW_SIZE:
             raise ConfigError(
-                f"heights and width must be >= {floor} (the SSIM window), got {reprlib.repr(extents)}"
+                f"heights and width must be >= {WINDOW_SIZE} (the SSIM window), got {reprlib.repr(extents)}"
             )
-        for height in self.heights:
-            width = height if self.width is None else self.width
-            corpus = as_real(self.count) * as_real(height) * as_real(width)
+        per_image = 0.5 + len(self.up_factors)  # a 4-byte seed, half a double, and the SSIM values
+        for corpus in map(self._corpus, self.heights):
+            h, w = corpus.height, corpus.width
             for up in self.up_factors:
                 check_fits_memory(
-                    corpus + check_up_factor((height, width), up),
-                    f"count x height x width ({reprlib.repr(self.count)} images of "
-                    f"{reprlib.repr(height)}x{reprlib.repr(width)}) with the up_factor {up:.6g} roundtrip",
+                    as_real(h) * as_real(w) + as_real(self.count) * per_image + check_up_factor((h, w), up),
+                    f"one image of {reprlib.repr(h)}x{reprlib.repr(w)} at a time, a seed and an SSIM value per "
+                    f"up_factor for each of {reprlib.repr(self.count)} images, and the up_factor {up:.6g} roundtrip",
                 )
+
+    def _corpus(self, height) -> CorpusSpec:
+        return CorpusSpec(self.kind, self.count, height, height if self.width is None else self.width, self.seed)
 
 
 def cmd_ssim_sweep(args) -> int:
@@ -249,19 +247,19 @@ def cmd_ssim_sweep(args) -> int:
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["height,up_factor,mean_ssim,n"]
-    rows = []
+    lines, rows = ["height,up_factor,mean_ssim,n"], []
     for height in cfg.heights:
-        width = height if cfg.width is None else cfg.width
-        corpus = synth_corpus(cfg.kind, cfg.count, height, width, cfg.seed)
-        for up in cfg.up_factors:
-            values = [log_polar_roundtrip_ssim(img, up) for img in corpus]
-            mean = math.fsum(values) / len(values)
-            rows.append({"height": height, "up_factor": up, "mean_ssim": mean, "n": len(values)})
-            lines.append(f"{height},{format(up, '.12g')},{format(mean, '.17g')},{len(values)}")
-        del corpus  # freed before the next height's corpus: a cell's plan counts one
-    csv_text = "\n".join(lines) + "\n"
-    (out_dir / "ssim_sweep.csv").write_text(csv_text)
+        _, load = cfg._corpus(height).describe()
+        values = np.empty((cfg.count, len(cfg.up_factors)))
+        for i in range(cfg.count):
+            image = load(i)
+            values[i] = [log_polar_roundtrip_ssim(image, up) for up in cfg.up_factors]
+            del image  # freed before the next load: the sweep holds one image
+        for up, cell in zip(cfg.up_factors, values.T):
+            mean = math.fsum(cell) / cfg.count
+            rows.append({"height": height, "up_factor": up, "mean_ssim": mean, "n": cfg.count})
+            lines.append(f"{height},{format(up, '.12g')},{format(mean, '.17g')},{cfg.count}")
+    (out_dir / "ssim_sweep.csv").write_text("\n".join(lines) + "\n")
     if args.format == "json":
         write_json(out_dir / "ssim_sweep.json", rows)
     _echo_config(out_dir, "ssim_sweep", dump(cfg))

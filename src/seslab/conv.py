@@ -67,12 +67,9 @@ def conv2d(
     elif not (isinstance(out, np.ndarray) and out.shape == shape
               and out.dtype == np.float64 and out.flags.c_contiguous):
         raise ShapeError(f"out must be a C-contiguous float64 array of shape {shape}")
-    if any(margins):
-        padded = np.pad(image, [(0, 0), (top, bottom), (left, right)], mode=pad_mode(BorderPolicy.coerce(border)))
-    else:
-        padded = image
-    if np.may_share_memory(padded, out):  # nothing padded; the last block rereads rows
-        padded = padded.copy()
+    # A copy of its own, which out may overwrite: the last block rereads rows.
+    pads = [(0, 0), (top, bottom), (left, right)]
+    padded = np.pad(image, pads, mode=pad_mode(border)) if any(margins) else image.copy()
     # Flatten each channel of the padded map, of width wp. Output (u, v) of a block of
     # rows starting at r0 is then column t = (u - r0) * wp + v, and tap (c, i, j) reads
     # flat[c, (r0 + i) * wp + j + t]. So one [C*k, rows*wp] patch, whose row (c, i) is

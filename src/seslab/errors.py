@@ -14,7 +14,8 @@ class SeslabError(Exception):
 
 
 class ShapeError(SeslabError, ValueError):
-    """An array argument has the wrong rank, extent, or pairing."""
+    """An array argument has the wrong rank, extent, or pairing, or a value it
+    may not hold (a NaN pixel, a non-finite coordinate, a basis order)."""
 
 
 class FormatError(SeslabError, ValueError):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError, ShapeError
 from .grid import as_grid
 
 _WHITESPACE = tuple(bytes([c]) for c in b" \t\r\n\x0b\x0c")  # one-byte slices, as a header is read
@@ -20,13 +20,13 @@ HEADER_KEYS = ("shape", "dtype", "order")
 
 def write_pgm(path, image, maxval: int = 255) -> None:
     """Write a [0, 1] rank-2 grid as binary PGM (P5), quantized to ``maxval``;
-    values outside [0, 1] clip to it, and a NaN pixel raises ValueError."""
+    values outside [0, 1] clip to it, and a NaN pixel raises ShapeError."""
     image = as_grid(image, rank=2, name="image")
     if not 1 <= maxval <= 65535:
-        raise ValueError(f"PGM maxval must lie in 1..65535, got {maxval}")
+        raise ConfigError(f"PGM maxval must lie in 1..65535, got {maxval}")
     if np.isnan(image.max()):  # max propagates NaN, without a full-frame mask
         row, col = np.unravel_index(np.argmax(np.isnan(image)), image.shape)
-        raise ValueError(f"image pixel (row {row}, col {col}) is NaN, which PGM cannot represent")
+        raise ShapeError(f"image pixel (row {row}, col {col}) is NaN, which PGM cannot represent")
     q = np.clip(image, 0.0, 1.0, out=np.empty(image.shape))
     q *= maxval
     np.rint(q, out=q)

@@ -42,9 +42,9 @@ class CameraIntrinsics:
     def __post_init__(self):
         check_fields(self)
         if self.f <= 0:
-            raise ValueError(f"focal length must be positive, got {self.f}")
+            raise ConfigError(f"focal length must be positive, got {self.f}")
         if self.width < 1 or self.height < 1:
-            raise ValueError(f"image extents must be >= 1, got {self.width}x{self.height}")
+            raise ConfigError(f"image extents must be >= 1, got {self.width}x{self.height}")
         # corollary_deviation holds up to ten arrays on its sample grid of one
         # point per 16 pixels, and projective_mapping's denominator search
         # about twelve of the height.
@@ -55,9 +55,9 @@ class CameraIntrinsics:
             "(the corollary sample grid and the denominator search)",
         )
         if not 0 <= self.u0 <= self.width:
-            raise ValueError(f"u0 = {self.u0} outside [0, {self.width}]")
+            raise ConfigError(f"u0 = {self.u0} outside [0, {self.width}]")
         if not 0 <= self.v0 <= self.height:
-            raise ValueError(f"v0 = {self.v0} outside [0, {self.height}]")
+            raise ConfigError(f"v0 = {self.v0} outside [0, {self.height}]")
 
     @staticmethod
     def centered(f: float, width: int, height: int) -> "CameraIntrinsics":
@@ -79,11 +79,11 @@ class PatchPlane:
     def __post_init__(self):
         check_fields(self)
         if self.m == 0 and self.n == 0 and self.o == 0:
-            raise ValueError("plane normal (m, n, o) must be nonzero")
+            raise DegenerateGeometryError("plane normal (m, n, o) must be nonzero")
         if self.o <= 0:
-            raise ValueError(f"plane coefficient o must be positive, got {self.o}")
+            raise DegenerateGeometryError(f"plane coefficient o must be positive, got {self.o}")
         if self.p >= 0:
-            raise ValueError(f"plane coefficient p must be negative, got {self.p}")
+            raise DegenerateGeometryError(f"plane coefficient p must be negative, got {self.p}")
 
     @property
     def normal(self) -> np.ndarray:
@@ -113,9 +113,9 @@ class EgoMotion:
         # An entry above 1 already breaks orthonormality, and bounding the
         # entries keeps R^T R from overflowing.
         if np.abs(rot).max() > 1.0 + 1e-9 or np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
-            raise ValueError("rotation is not orthonormal to 1e-9")
+            raise ConfigError("rotation is not orthonormal to 1e-9")
         if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError(f"rotation determinant is {np.linalg.det(rot):.12g}, not 1")
+            raise ConfigError(f"rotation determinant is {np.linalg.det(rot):.12g}, not 1")
         rot.setflags(write=False)
         trans.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
@@ -154,7 +154,7 @@ class DatasetFocalProfile:
     def __post_init__(self):
         check_fields(self)
         if self.f_y <= 0 or self.height <= 0:
-            raise ValueError(
+            raise ConfigError(
                 f"focal profile needs positive f_y and height, got {self.f_y}, {self.height}"
             )
 
@@ -300,16 +300,16 @@ def corollary_deviation(intrinsics: CameraIntrinsics, plane: PatchPlane, t_z: fl
 def _polar_frame(shape, center, r_min) -> tuple:
     """(cy, cx, r_min, r_max) as floats: the log-polar center in an image of
     extents ``shape``, the image center if ``center`` is None, the radius floor,
-    and the center's distance to the farthest corner. Raises ValueError unless
+    and the center's distance to the farthest corner. Raises ConfigError unless
     the center is a pair of reals in the image and r_min a real in (0, r_max)."""
     h, w = shape
     cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else (as_real(center[0]), as_real(center[1]))
     if not (0 <= cy <= h - 1 and 0 <= cx <= w - 1):  # nan, a bool's or a non-real's, fails
-        raise ValueError(f"center {reprlib.repr(tuple(center))} lies outside a {h}x{w} image")
+        raise ConfigError(f"center {reprlib.repr(tuple(center))} lies outside a {h}x{w} image")
     r_max = max(math.hypot(y - cy, x - cx) for y in (0.0, h - 1.0) for x in (0.0, w - 1.0))
     real = as_real(r_min)
     if not 0 < real < r_max:
-        raise ValueError(f"r_min must lie in (0, {r_max:.6g}), got {reprlib.repr(r_min)}")
+        raise ConfigError(f"r_min must lie in (0, {r_max:.6g}), got {reprlib.repr(r_min)}")
     return cy, cx, real, r_max
 
 

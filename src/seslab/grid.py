@@ -25,7 +25,7 @@ class BorderPolicy(enum.Enum):
         for member in cls:
             if member.value == label or member.name.lower() == label:
                 return member
-        raise ValueError(f"unknown border policy: {value!r}")
+        raise ConfigError(f"unknown border policy: {value!r}")
 
 
 _PAD_MODES = {

@@ -36,7 +36,9 @@ def thread_count() -> int:
         value = int(raw)
     except ValueError:
         raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, value)
+    if value < 1:
+        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {raw!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def sample_at(grid, xs, ys, border: BorderPolicy = BorderPolicy.CLAMP) -> np.nda
 def _finite_coordinates(xs, ys):
     xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("sample coordinates must be finite")
+        raise ShapeError("sample coordinates must be finite")
     return xs, ys
 
 

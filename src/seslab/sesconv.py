@@ -132,10 +132,8 @@ def _conv_per_scale(x, bank: SesFilterBank, border, out, margins=None) -> np.nda
 
 
 def scale_projection(x) -> np.ndarray:
-    """Elementwise max over the scale axis: [S, C, H, W] -> [C, H, W]; a copy of
-    the one slice when S = 1, which equals the max bit for bit and is faster."""
-    x = as_grid(x, rank=4, name="features")
-    return x[0].copy() if x.shape[0] == 1 else x.max(axis=0)
+    """Elementwise max over the scale axis: [S, C, H, W] -> [C, H, W], a new array."""
+    return as_grid(x, rank=4, name="features").max(axis=0)
 
 
 _SUM_BLOCK = 1 << 15  # values per pass of _exact_sum: the block's temporaries stay in L2

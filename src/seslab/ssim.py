@@ -7,7 +7,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError, as_real
+from .errors import ConfigError, ShapeError, as_real
 from .grid import as_grid
 from .resample import BLOCK_POINTS
 
@@ -47,7 +47,7 @@ def ssim(a, b, data_range: float | None = None) -> float:
         span = float(max(a.max(), b.max()) - min(a.min(), b.min()))
         data_range = span if span > 0 else 1.0
     elif not 0 < as_real(data_range) < math.inf:
-        raise ValueError(f"data_range must be a positive finite real, got {data_range}")
+        raise ConfigError(f"data_range must be a positive finite real, got {data_range}")
     else:
         data_range = as_real(data_range)
     c1 = (K1 * data_range) ** 2

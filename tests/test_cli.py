@@ -15,9 +15,11 @@ from seslab import (
     EquivConfig,
     error_map,
     harness,
+    log_polar_roundtrip_ssim,
     read_pgm,
     read_tensor,
     sesconv,
+    synth_corpus,
     synth_image,
     write_pgm,
 )
@@ -75,6 +77,16 @@ class TestBasisCommand:
         with pytest.raises(SystemExit) as exc:
             main(["basis", "--alpha", "0.1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        ("order", "k", "message"),
+        [("-1", "7", "max_order must be >= 0, got -1"), ("11", "23", "Hermite order is capped at 10, got 11")],
+    )
+    def test_bad_order_is_not_reported_as_a_sigma_error(self, tmp_path, capsys, order, k, message):
+        # cmd_basis reports any ConfigError of build_basis as one of sigma_base.
+        argv = ["basis", "--order", order, "--k", k, "--out", str(tmp_path / "b.f64"), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"seslab: invalid configuration: {message}\n"
 
     def test_invalid_alpha_exit_code(self, tmp_path):
         code = main(["basis", "--alpha", "2.0", "--out", str(tmp_path / "b.f64"),
@@ -380,15 +392,21 @@ class TestWarpCommand:
             ("projective", ["--plane", "broken", "--motion", "motion", "--intrinsics", "intrinsics"], "malformed JSON"),
             ("logpolar", ["--r-min", "0"], "r_min must lie in (0, "),
             ("invlogpolar", ["--out-shape", "0,5"], "--out-shape extents must be integers >= 1, got 0x5"),
+            ("logpolar", ["--image", "column"], "log-polar output needs >= 2 columns, got (40, 1)"),
+            ("invlogpolar", ["--image", "column", "--out-shape", "40,40"],
+             "log-polar image needs >= 2 radius columns, got (40, 1)"),
         ],
-        ids=["no-plane", "malformed-plane", "r-min-0", "out-shape-0"],
+        ids=["no-plane", "malformed-plane", "r-min-0", "out-shape-0", "column-logpolar", "column-invlogpolar"],
     )
     def test_pixel_free_arguments_are_refused_before_the_decode(
         self, tmp_path, capsys, monkeypatch, geo_files, mode, flags, message
     ):
-        # Each of these used to decode the whole image and then exit 2.
-        files = {**geo_files, "broken": str(tmp_path / "broken.json")}
+        # Each of these used to decode the whole image and then exit 2. A 40x1
+        # image passed the radius check, which was all of the log-polar
+        # mapping's rules that ran before the decode. The last --image wins.
+        files = {**geo_files, "broken": str(tmp_path / "broken.json"), "column": str(tmp_path / "column.pgm")}
         (tmp_path / "broken.json").write_text('{"m": 0.0,')
+        write_pgm(tmp_path / "column.pgm", np.linspace(0.0, 1.0, 40)[:, None])
         reads = []
         monkeypatch.setattr("seslab.cli.read_pgm", lambda path: reads.append(path) or read_pgm(path))
         argv = ["warp", "--image", geo_files["image"], "--mode", mode, "--out", str(tmp_path / "out" / "w.pgm")]
@@ -606,24 +624,25 @@ class TestSsimSweepCommand:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_rejected_before_any_corpus(self, tmp_path, capsys, monkeypatch, source):
         # numpy refused it inside the first corpus, naming no field, and the
-        # empty --out-dir was left behind.
+        # empty --out-dir was left behind. Each height's CorpusSpec refuses it.
         calls = []
-        monkeypatch.setattr("seslab.cli.synth_corpus", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr("seslab.harness.synth_image", lambda *args: calls.append(args))
         argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]
         if source == "flag":
             argv += ["--seed", "-1"]
         else:
             argv += ["--config", write_json(tmp_path / "config.json", {"seed": -1})]
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
-        assert "invalid configuration: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "invalid configuration: corpus seed must be >= 0, got -1" in capsys.readouterr().err
         assert not calls
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_unknown_kind_rejected_before_any_corpus(self, tmp_path, capsys, monkeypatch, source):
-        # synth_corpus refused it, after --out-dir was made.
+        # synth_corpus refused it, after --out-dir was made. Each height's
+        # CorpusSpec refuses it.
         calls = []
-        monkeypatch.setattr("seslab.cli.synth_corpus", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr("seslab.harness.synth_image", lambda *args: calls.append(args))
         argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]
         if source == "flag":
             argv += ["--kind", "stripes"]
@@ -631,14 +650,14 @@ class TestSsimSweepCommand:
             argv += ["--config", write_json(tmp_path / "config.json", {"kind": "stripes"})]
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "invalid configuration: kind must be one of ('gaussian-blobs', 'checkerboard', 'bandlimited-noise'), " \
-            "got 'stripes'" in err
+        assert "invalid configuration: corpus kind must be one of ('gaussian-blobs', 'checkerboard', " \
+            "'bandlimited-noise'), got 'stripes'" in err
         assert not calls
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_zero_width_rejected(self, tmp_path, capsys, source):
-        # A width of 0 used to run square images.
+        # A width of 0 used to run square images. It has no SSIM window.
         argv = ["ssim-sweep", "--heights", "32", "--up-factors", "1", "--count", "1"]
         if source == "flag":
             argv += ["--width", "0"]
@@ -646,7 +665,7 @@ class TestSsimSweepCommand:
             argv += ["--config", write_json(tmp_path / "config.json", {"width": 0})]
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "invalid configuration" in err and "width must be >= 1, got 0" in err
+        assert "invalid configuration: heights and width must be >= 11 (the SSIM window), got (32, 0)" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -655,7 +674,7 @@ class TestSsimSweepCommand:
             (["--heights", "16,9"], "heights and width must be >= 11 (the SSIM window), got (16, 9)"),
             (["--heights", "4"], "heights and width must be >= 11 (the SSIM window), got (4,)"),
             (["--heights", "16", "--width", "10"], "heights and width must be >= 11 (the SSIM window), got (16, 10)"),
-            (["--heights", "1000", "--count", str(10**9)], "count x height x width (1000000000 images of 1000x1000)"),
+            (["--heights", "16", "--count", str(10**12)], "SSIM value per up_factor for each of 1000000000000 images"),
         ],
         ids=["second-height", "only-height", "width", "corpus"],
     )
@@ -664,8 +683,9 @@ class TestSsimSweepCommand:
     ):
         # The first three used to run the cells before the small one, then exit
         # 2 and leave an empty --out-dir; the corpus was not planned at all.
+        # The last plans a seed per image, which do not fit.
         calls = []
-        monkeypatch.setattr("seslab.cli.synth_corpus", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr("seslab.harness.synth_image", lambda *args: calls.append(args))
         monkeypatch.setattr("seslab.cli.log_polar_roundtrip_ssim", lambda *args: calls.append(args) or 0.5)
         argv = ["ssim-sweep", "--up-factors", "1", "--count", "1", *flags, "--out-dir", str(tmp_path / "out")]
         assert main(argv) == 2
@@ -674,33 +694,52 @@ class TestSsimSweepCommand:
         assert not calls
         assert not (tmp_path / "out").exists()
 
-    def test_one_corpus_is_held_at_a_time(self, tmp_path, monkeypatch):
-        # A cell's plan counts one corpus. The previous height's corpus used to
-        # stay alive while the next was synthesized: 12.1 MB against 8.9 MB.
+    def test_one_image_is_held_at_a_time(self, tmp_path, monkeypatch):
+        # A cell's plan counts one image and the seeds. The whole corpus of a
+        # height used to be held, 10 images of 300x300 (7.2 MB) here.
         monkeypatch.setattr("seslab.cli.log_polar_roundtrip_ssim", lambda *args: 0.5)
         peaks = []
-        for heights in ("300", "200,300"):
+        for count in ("2", "10"):
             tracemalloc.start()
             try:
-                argv = ["ssim-sweep", "--heights", heights, "--up-factors", "1", "--count", "10"]
-                assert main(argv + ["--out-dir", str(tmp_path / heights)]) == 0
+                argv = ["ssim-sweep", "--heights", "300", "--up-factors", "1,2", "--count", count]
+                assert main(argv + ["--out-dir", str(tmp_path / count)]) == 0
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 1.05 * peaks[0]
+        assert abs(peaks[1] - peaks[0]) < 300 * 300 * 8
 
-    def test_corpus_and_roundtrip_are_planned_together(self, tmp_path, capsys, monkeypatch):
-        # Each fits on its own; the cell holds both. Nothing is allocated.
+    def test_seeds_and_roundtrip_are_planned_together(self, tmp_path, capsys, monkeypatch):
+        # One image with the seeds and values of every image fits on its own,
+        # and so does the roundtrip; the cell holds both. Nothing is allocated.
         values = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 8
-        count = values // (1000 * 1000)  # the corpus alone fits
+        count = 2 * (values - 1000 * 1000) // 3  # 1.5 doubles per image: a 4-byte seed and a value
         calls = []
-        monkeypatch.setattr("seslab.cli.synth_corpus", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr("seslab.harness.synth_image", lambda *args: calls.append(args))
         monkeypatch.setattr("seslab.cli.log_polar_roundtrip_ssim", lambda *args: calls.append(args) or 0.5)
         argv = ["ssim-sweep", "--heights", "1000", "--up-factors", "1", "--count", str(count)]
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
-        assert f"({count} images of 1000x1000) with the up_factor 1 roundtrip" in capsys.readouterr().err
+        assert (
+            f"one image of 1000x1000 at a time, a seed and an SSIM value per up_factor for each of {count} images, "
+            "and the up_factor 1 roundtrip"
+        ) in capsys.readouterr().err
         assert not calls
         assert not (tmp_path / "out").exists()
+
+    def test_mean_is_the_fsum_over_the_corpus_in_image_order(self, tmp_path):
+        # Each image runs at every up-factor in turn; each cell still sums its
+        # values over the corpus in image order.
+        argv = ["ssim-sweep", "--heights", "24,32", "--width", "40", "--up-factors", "1,1.5", "--count", "3"]
+        argv += ["--kind", "gaussian-blobs", "--seed", "7", "--format", "json", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        rows = json.loads((tmp_path / "ssim_sweep.json").read_text())
+        assert [(row["height"], row["up_factor"], row["n"]) for row in rows] == [
+            (24, 1.0, 3), (24, 1.5, 3), (32, 1.0, 3), (32, 1.5, 3)
+        ]
+        for row in rows:
+            corpus = synth_corpus("gaussian-blobs", 3, row["height"], 40, 7)
+            expected = math.fsum(log_polar_roundtrip_ssim(image, row["up_factor"]) for image in corpus) / 3
+            assert row["mean_ssim"] == expected
 
 
 class TestEquivCommand:

@@ -191,7 +191,7 @@ class TestPgm:
         ("raw", "message"),
         [
             (b"P5 2 2 100\n\x00\x64\xc8\x65", "sample 200 at (row 1, col 0) exceeds maxval 100"),
-            (b"P5 1 2 300\n\x01\x2c\xff\xff", "sample 65535 at (row 1, col 0) exceeds maxval 300"),
+            (b"P5 2 2 300\n\x01\x2c\x00\x00\xff\xff\x00\x00", "sample 65535 at (row 1, col 0) exceeds maxval 300"),
             (b"P5 3 1 1\n\x01\x00\x02", "sample 2 at (row 0, col 2) exceeds maxval 1"),
         ],
     )
@@ -202,8 +202,8 @@ class TestPgm:
         with pytest.raises(FormatError) as info:
             read_pgm(path)
         assert str(info.value) == f"{path}: {message}"
-        # warp checks --r-min against the header's extents before it decodes,
-        # so the radius floor must lie inside these tiny frames
+        # warp builds the log-polar mapping from the header before it decodes,
+        # so each frame has two columns or more and the radius floor lies inside it
         argv = ["warp", "--image", str(path), "--mode", "logpolar", "--r-min", "0.1", "--out", str(tmp_path / "w.pgm")]
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
         assert f"i/o error: {path}: {message}" in capsys.readouterr().err

@@ -295,9 +295,14 @@ class TestRunExperiment:
         b = run_experiment(TINY_CONFIG).to_csv_text()
         assert a == b
 
-    def test_invalid_threads_rejected(self, monkeypatch):
-        monkeypatch.setenv("SESLAB_THREADS", "many")
-        with pytest.raises(ConfigError, match="SESLAB_THREADS"):
+    @pytest.mark.parametrize(
+        ("threads", "message"),
+        [("many", "must be an integer, got 'many'"), ("0", "must be >= 1, got '0'"), ("-3", "must be >= 1, got '-3'")],
+    )
+    def test_invalid_threads_rejected(self, monkeypatch, threads, message):
+        # 0 and -3 used to run one worker silently.
+        monkeypatch.setenv("SESLAB_THREADS", threads)
+        with pytest.raises(ConfigError, match=f"^SESLAB_THREADS {message}$"):
             run_experiment(TINY_CONFIG)
 
     def test_workers_capped_by_image_count(self, monkeypatch):

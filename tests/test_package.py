@@ -1,4 +1,4 @@
-"""Package-wide checks: the root exports exactly what it imports, and one module holds the number rule."""
+"""Package-wide checks: the root exports exactly what it imports, one module holds the number rule, and no refusal raises a bare ValueError."""
 
 import ast
 import re
@@ -21,3 +21,17 @@ def test_the_number_rule_is_spelled_out_in_errors_only():
     src = Path(seslab.__file__).parent
     spelled = sorted(p.name for p in src.glob("*.py") if re.search(r"numbers\.(Real|Integral)", p.read_text()))
     assert spelled == ["errors.py"]
+
+
+def test_every_refusal_raises_a_typed_seslab_error():
+    # ShapeError, ConfigError and DegenerateGeometryError are ValueErrors that
+    # say what was wrong; a bare ValueError says nothing of it.
+    src = Path(seslab.__file__).parent
+    raised = [
+        (path.name, node.lineno, getattr(node.exc, "func", node.exc))  # the class of `raise C(...)` or `raise C`
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    ]
+    assert raised
+    assert [f"{name}:{line}" for name, line, exc in raised if isinstance(exc, ast.Name) and exc.id == "ValueError"] == []
