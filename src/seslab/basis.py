@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio
-from .errors import ConfigError, FormatError, ShapeError, dump, load
+from .errors import ConfigError, FormatError, ShapeError, as_real, dump, load
+from .grid import check_fits_memory
 
 MAX_HERMITE_ORDER = 10
 
@@ -148,8 +150,9 @@ def build_basis(scales: ScaleSet, max_order: int = 6, k: int = 7) -> SteerableBa
     Orders run row-major over 0 <= n, m <= max_order, giving
     (max_order + 1)^2 members per scale; the member count must not exceed
     the k*k pixel count or the basis cannot be linearly independent. Raises
-    ConfigError when the sigmas are too small or too large for float64
-    filters on this grid.
+    ConfigError as ``check_basis_fits`` does, before any filter is computed,
+    and when the sigmas are too small or too large for float64 filters on
+    this grid.
     """
     if max_order < 0:
         raise ShapeError(f"max_order must be >= 0, got {max_order}")
@@ -158,6 +161,7 @@ def build_basis(scales: ScaleSet, max_order: int = 6, k: int = 7) -> SteerableBa
         raise ShapeError(
             f"basis of {count} members exceeds the {k * k} pixels of a {k}x{k} filter"
         )
+    check_basis_fits(len(scales), max_order, k)
     orders = tuple((n, m) for n in range(max_order + 1) for m in range(max_order + 1))
     with np.errstate(all="ignore"):  # reported below instead
         filters = np.array([_basis_filters(sigma, orders, k) for sigma in scales.sigmas])
@@ -165,6 +169,19 @@ def build_basis(scales: ScaleSet, max_order: int = 6, k: int = 7) -> SteerableBa
         raise ConfigError(f"sigmas {scales.sigmas} make the {k}x{k} basis filters non-finite")
     filters.setflags(write=False)
     return SteerableBasis(filters=filters, sigmas=scales, orders=orders, k=k)
+
+
+def check_basis_fits(num_scales: int, max_order: int, k: int) -> float:
+    """The doubles that ``build_basis`` holds at its peak, counted as if all
+    were alive at once: the S x (max_order + 1)^2 x k^2 basis, as many again
+    in the per-scale filters it is stacked from, one scale's profiles, and
+    three k x k temporaries (the envelope and a profile's products). Raises
+    ConfigError naming k unless they fit in the machine's physical memory."""
+    members = max(max_order + 1, 0) ** 2
+    values = ((2 * num_scales + 1) * as_real(members) + 3) * as_real(k) * as_real(k)
+    n, k = reprlib.repr(members), reprlib.repr(k)
+    check_fits_memory(values, f"a basis of k {k} ({num_scales} scales of {n} {k}x{k} filters)")
+    return values
 
 
 BASIS_KIND = "steerable-basis"

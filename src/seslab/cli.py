@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import build_basis, check_scale_count, save_basis, scale_set_from_alpha
+from .basis import build_basis, check_basis_fits, check_scale_count, save_basis, scale_set_from_alpha
 from .errors import ConfigError, FormatError, SeslabError, as_real, check_fields, dump, load
 from .fileio import read_pgm, read_pgm_header, write_json, write_pgm
 from .geometry import (
@@ -97,6 +97,7 @@ def cmd_basis(args) -> int:
         sigma_base=args.sigma_base,
     )
     scale_set = scale_set_from_alpha(cfg.alpha, cfg.scales).scaled(cfg.sigma_base)
+    check_basis_fits(cfg.scales, cfg.order, cfg.k)  # here, not under the sigma_base re-wrap below
     try:
         basis = build_basis(scale_set, max_order=cfg.order, k=cfg.k)
     except ConfigError as exc:

@@ -17,7 +17,6 @@ from .resample import (
     _bands,
     _blend,
     _check_extents,
-    _corner_indices,
     _resize_plan,
     _sample_points,
     _warp,
@@ -301,12 +300,15 @@ def _polar_frame(shape, center, r_min) -> tuple:
     """(cy, cx, r_min, r_max) as floats: the log-polar center in an image of
     extents ``shape``, the image center if ``center`` is None, the radius floor,
     and the center's distance to the farthest corner. Raises ConfigError unless
-    the center is a pair of reals in the image and r_min a real in (0, r_max)."""
+    the center is a pair of reals in the image, r_max is positive and r_min a
+    real in (0, r_max)."""
     h, w = shape
     cy, cx = ((h - 1) / 2.0, (w - 1) / 2.0) if center is None else (as_real(center[0]), as_real(center[1]))
     if not (0 <= cy <= h - 1 and 0 <= cx <= w - 1):  # nan, a bool's or a non-real's, fails
         raise ConfigError(f"center {reprlib.repr(tuple(center))} lies outside a {h}x{w} image")
     r_max = max(math.hypot(y - cy, x - cx) for y in (0.0, h - 1.0) for x in (0.0, w - 1.0))
+    if r_max == 0:
+        raise ConfigError(f"a {h}x{w} log-polar frame has no radius: its farthest corner is its center")
     real = as_real(r_min)
     if not 0 < real < r_max:
         raise ConfigError(f"r_min must lie in (0, {r_max:.6g}), got {reprlib.repr(r_min)}")
@@ -397,10 +399,10 @@ def log_polar_roundtrip_ssim(image, up_factor: float = 1.0) -> float:
     Each step is evaluated only where the next one reads it. The inverse
     runs on the source rows x columns that the endpoint-aligned downscale
     reads (``_resize_plan``), the forward only on the log-polar cells that
-    the inverse's corners read (``_read_cells``), and the downscale blends
-    the compact grid with ``resize``'s blend, bit for bit as ``resize`` of
-    the full-size composition. Raises ConfigError as ``check_up_factor``
-    does.
+    the inverse's corners read, marked as the inverse's coordinates are
+    made, and the downscale blends the compact grid with ``resize``'s blend,
+    bit for bit as ``resize`` of the full-size composition. Raises
+    ConfigError as ``check_up_factor`` does.
     """
     image = as_grid(image, rank=2, name="image")
     h, w = image.shape
@@ -421,9 +423,25 @@ def _compact_roundtrip(image, h2, w2) -> np.ndarray:
     rows, cols = plan.rows.astype(np.float64), cols.astype(np.float64)
     inverse = _inverse_mapping((h2, w2), (h2, w2), None, 1.0)
     xs, ys = np.empty((rows.size, cols.size)), np.empty((rows.size, cols.size))
+    # Mark the log-polar cells that the point kernel reads, on the grid one
+    # row taller: each point's top-left corner, clamped as the kernel clamps
+    # it, and after the loop the other three corners by dilating the marks
+    # one row and one column. The coordinates are non-negative, so clamping
+    # merges corners only on the last row and column, where the dilation
+    # falls off the grid.
+    read = np.zeros((h2 + 1) * w2, dtype=bool)
     for lo, hi in _bands(rows.size, cols.size, BLOCK_POINTS):
         xs[lo:hi], ys[lo:hi] = inverse(cols[np.newaxis, :], rows[lo:hi, np.newaxis])
-    cells = _read_cells(xs, ys, (h2, w2))
+        r0 = np.clip(np.floor(ys[lo:hi]).astype(np.intp), 0, h2)
+        r0 *= w2
+        r0 += np.clip(np.floor(xs[lo:hi]).astype(np.intp), 0, w2 - 1)
+        read[r0] = True
+    read = read.reshape(h2 + 1, w2)
+    read[1:] |= read[:-1]
+    read[:, 1:] |= read[:, :-1]
+    read[0] |= read[h2]  # row n_theta reads row 0
+    cells = np.flatnonzero(read[:h2])
+    del read
     forward = _log_polar_mapping((h2, w2), (h2, w2), None, 1.0)
     flat = resize(image, h2, w2).reshape(-1)
     values = np.empty(cells.size)
@@ -441,34 +459,6 @@ def _compact_roundtrip(image, h2, w2) -> np.ndarray:
     small = np.empty((h, w))
     _blend(compact.reshape(xs.shape), plan, small)
     return small
-
-
-def _read_cells(xs, ys, lp_shape) -> np.ndarray:
-    """Flat indices, ascending, of the cells of an ``lp_shape`` log-polar grid
-    that the clamped point kernel reads at the non-negative (column, row)
-    points (xs, ys), with row n_theta read as row 0.
-
-    Each point's top-left corner is clamped as ``_corner_indices`` clamps
-    it, on the grid one row taller, and marked; dilating the marks by one
-    row and one column adds the other three corners. The coordinates are
-    non-negative, so clamping merges corners only on the last row and
-    column, where the dilation falls off the grid.
-    """
-    n_theta, n_r = lp_shape
-    read = np.zeros((n_theta + 1) * n_r, dtype=bool)
-    xs, ys = xs.reshape(-1), ys.reshape(-1)
-    for lo in range(0, xs.size, BLOCK_POINTS):
-        x, y = xs[lo : lo + BLOCK_POINTS], ys[lo : lo + BLOCK_POINTS]
-        c0, _ = _corner_indices(np.floor(x).astype(np.intp), n_r, BorderPolicy.CLAMP)
-        r0, _ = _corner_indices(np.floor(y).astype(np.intp), n_theta + 1, BorderPolicy.CLAMP)
-        r0 *= n_r
-        r0 += c0
-        read[r0] = True
-    read = read.reshape(n_theta + 1, n_r)
-    read[1:] |= read[:-1]
-    read[:, 1:] |= read[:, :-1]
-    read[0] |= read[n_theta]
-    return np.flatnonzero(read[:n_theta])
 
 
 def check_up_factor(shape, up_factor) -> float:

@@ -23,7 +23,7 @@ from .errors import ConfigError, SeslabError, as_real, check_fields, dump, is_in
 from .fileio import read_pgm, read_pgm_header, write_json
 from .grid import BorderPolicy, as_grid, check_fits_memory, crop_window, within
 from .resample import _warp, scale_transform_mapping
-from .sesconv import KINDS, Stack, StackSpec, build_stack
+from .sesconv import KINDS, Stack, StackSpec, build_stack, check_stack_fits
 from .synth import KINDS as IMAGE_KINDS, MIN_EXTENT, corpus_seeds, synth_image
 
 THREADS_ENV = "SESLAB_THREADS"
@@ -260,24 +260,31 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
 
 def _plan(config: EquivConfig, extents, workers: int) -> None:
     """Raise ConfigError unless every crop window keeps a pixel and the run fits
-    in physical memory: ``workers`` images of the largest extent, each with one
-    forward's largest [S, C, h, w] map, and the cells of every image, plus its
-    4-byte seed if the corpus is synthetic."""
-    stack, count = config.stack, extents.total()
-    channels = max(layer.out_channels for layer in stack.layers[: max(config.blocks)])
+    in physical memory: both stacks (``check_stack_fits``), ``workers`` images
+    of the largest extent, each with one forward's largest [S, C, h, w] map,
+    and the cells of every image, plus its 4-byte seed if the corpus is
+    synthetic. Raise DegenerateGeometryError, as ``scale_transform_mapping``
+    does, unless every scale factor maps every extent's pixels to finite
+    points."""
+    layers = config.stack.layers[: max(config.blocks)]
+    stack, count = replace(config.stack, layers=layers), extents.total()
+    weights = 2 * check_stack_fits(stack)
+    channels = max(layer.out_channels for layer in layers)
     height, width = max(extents, key=lambda extent: as_real(extent[0]) * as_real(extent[1]))
     cells = len(KINDS) * len(config.blocks) * len(config.scale_factors)
     synthetic = config.corpus.image_dir is None  # then each image has a 4-byte seed, half a double
     n, h, w = map(reprlib.repr, (count, height, width))
     check_fits_memory(
         workers * as_real(height) * as_real(width) * (1 + stack.num_scales * channels)
-        + as_real(count) * (cells + 0.5 * synthetic),
+        + as_real(count) * (cells + 0.5 * synthetic) + weights,
         f"corpus of {n} images (the largest {h}x{w}) on {workers} worker(s), each holding an image "
         f"and a [{stack.num_scales}, {channels}, {h}, {w}] forward map, and {cells} cells"
-        f"{' and a seed' * synthetic} per image",
+        f"{' and a seed' * synthetic} per image, and both stacks' bases and kernels",
     )
     for extent in extents:
         crop_window(extent, config.crop_margin)
+        for s in config.scale_factors:
+            scale_transform_mapping(extent, s)
 
 
 def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
@@ -287,11 +294,12 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     at the first scale factor; without, ``report.maps`` is empty. The rows do
     not depend on it.
 
-    The corpus is planned before any stack is built or pixel read. The run
-    holds one [count, kinds, blocks, scales] array of cells, as planned, and
-    up to SESLAB_THREADS workers (no more than images or CPUs): worker w loads
-    images w, w + workers, ... in turn and runs each through both stacks. Cell
-    means sum in image order, so reports are byte-identical across thread counts.
+    The corpus and both stacks are planned before any stack is built or
+    pixel read. The run holds one [count, kinds, blocks, scales] array of
+    cells, as planned, and up to SESLAB_THREADS workers (no more than images
+    or CPUs): worker w loads images w, w + workers, ... in turn and runs
+    each through both stacks. Cell means sum in image order, so reports are
+    byte-identical across thread counts.
     """
     extents, load = config.corpus.describe()
     count = extents.total()

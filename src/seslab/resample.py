@@ -337,8 +337,16 @@ def scale_about(s: float, cx: float, cy: float) -> Callable:
 
 def scale_transform_mapping(shape: tuple, s: float) -> Callable:
     """The mapping of ``scale_transform`` on a grid whose trailing extents are
-    ``shape[-2:]``: T_s about the exact grid center."""
-    return scale_about(s, (shape[-1] - 1) / 2.0, (shape[-2] - 1) / 2.0)
+    ``shape[-2:]``: T_s about the exact grid center. Raises
+    DegenerateGeometryError as ``scale_about`` does, and unless T_s maps the
+    grid's last pixel, the farthest from the center, to a finite point."""
+    h, w = shape[-2:]
+    mapping = scale_about(s, (w - 1) / 2.0, (h - 1) / 2.0)
+    with np.errstate(over="ignore"):  # refused below instead
+        corner = mapping(np.float64(w - 1), np.float64(h - 1))
+    if not np.isfinite(corner).all():
+        raise DegenerateGeometryError(f"scale factor {s} maps the corner of a {h}x{w} grid past the float range")
+    return mapping
 
 
 def resize(image, out_h: int, out_w: int) -> np.ndarray:

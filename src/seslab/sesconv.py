@@ -8,10 +8,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import ScaleSet, SteerableBasis, build_basis, check_scale_count, scale_set_from_alpha
+from .basis import ScaleSet, SteerableBasis, build_basis, check_basis_fits, check_scale_count, scale_set_from_alpha
 from .conv import conv2d
-from .errors import ConfigError, SeslabError, ShapeError, check_fields, is_integer
-from .grid import BorderPolicy, as_grid, check_window, crop, dilate, within
+from .errors import ConfigError, SeslabError, ShapeError, as_real, check_fields, is_integer
+from .grid import BorderPolicy, as_grid, check_fits_memory, check_window, crop, dilate, within
 from .resample import scale_transform, scale_transform_stack
 from .synth import synth_image
 
@@ -411,8 +411,33 @@ def _calibrate(spec: StackSpec, banks) -> tuple:
     return tuple(stats)
 
 
+def check_stack_fits(spec: StackSpec) -> float:
+    """The doubles that ``build_stack(spec)`` holds, counted as if all were
+    alive at once: the ``build_basis`` peak of each distinct k, whose basis
+    every bank of that k keeps, and each layer's [S, O, C, k, k] kernels and
+    [O, C, B] coefficients. Raises ConfigError naming the k of the first
+    basis, or of the first layer, that takes them past physical memory."""
+    values, channels, bases = 0.0, 1.0, set()
+    members = as_real((spec.max_order + 1) ** 2)
+    for i, layer in enumerate(spec.layers, start=1):
+        if layer.k not in bases:
+            bases.add(layer.k)
+            values += check_basis_fits(spec.num_scales, spec.max_order, layer.k)
+        out, k = as_real(layer.out_channels), as_real(layer.k)
+        values += out * channels * (spec.num_scales * k * k + members)
+        check_fits_memory(
+            values,
+            f"layer {i} of k {reprlib.repr(layer.k)} (the bases, [S, O, C, k, k] kernels and coefficients "
+            f"of layers 1..{i})",
+        )
+        channels = out
+    return values
+
+
 def build_stack(spec: StackSpec) -> Stack:
-    """Build a stack with fan-in uniform weights, w ~ U[-a, a], a = 1/sqrt(C k^2)."""
+    """Build a stack with fan-in uniform weights, w ~ U[-a, a], a = 1/sqrt(C k^2).
+    Raises ConfigError as ``check_stack_fits`` does before any basis is built."""
+    check_stack_fits(spec)  # here, not under the base_sigma re-wrap below
     sigmas = spec.scale_set()
     rng = np.random.default_rng(spec.seed)
     basis_cache: dict = {}

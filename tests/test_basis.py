@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 
 from seslab import (
+    ConfigError,
     FormatError,
     ScaleSet,
     ShapeError,
@@ -19,6 +21,7 @@ from seslab import (
     save_basis,
     scale_set_from_alpha,
 )
+from seslab.basis import check_basis_fits
 from seslab.fileio import sidecar_path
 
 # Explicit probabilist's polynomials H_0..H_6, written out by hand and kept
@@ -209,6 +212,27 @@ class TestBuildBasis:
                 mat = basis.filters[si].reshape(basis.num_basis, -1)
                 smallest = np.linalg.svd(mat, compute_uv=False).min()
                 assert smallest > 1e-8
+
+    def test_basis_too_large_for_memory_is_refused_before_any_filter(self):
+        # The k x k envelope of k = 100001 (74.5 GiB) used to raise MemoryError.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^a basis of k 100001 \(3 scales of 4 100001x100001 filters\)"):
+                build_basis(scale_set_from_alpha(0.1, 3), max_order=1, k=100001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize(("scales", "max_order", "k"), [(1, 0, 201), (3, 3, 101), (2, 6, 63), (3, 10, 41)])
+    def test_peak_stays_within_the_plan(self, scales, max_order, k):
+        tracemalloc.start()
+        try:
+            build_basis(scale_set_from_alpha(0.1, scales), max_order=max_order, k=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * check_basis_fits(scales, max_order, k)
 
 
 @pytest.mark.parametrize(

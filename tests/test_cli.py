@@ -88,6 +88,24 @@ class TestBasisCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"seslab: invalid configuration: {message}\n"
 
+    def test_basis_too_large_for_memory_is_refused_before_any_filter(self, tmp_path, capsys):
+        # --k 100001 --order 1 used to end in a MemoryError traceback (74.5 GiB).
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["basis", "--k", "100001", "--order", "1", "--out", str(out / "b.f64"), "--out-dir", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "seslab: invalid configuration: a basis of k 100001 (3 scales of 4 100001x100001 filters) plans "
+        )
+        assert "physical memory" in err and "sigma_base" not in err and "Traceback" not in err
+        assert peak < 1024 * 1024
+        assert not out.exists()
+
     def test_invalid_alpha_exit_code(self, tmp_path):
         code = main(["basis", "--alpha", "2.0", "--out", str(tmp_path / "b.f64"),
                      "--out-dir", str(tmp_path)])
@@ -395,15 +413,21 @@ class TestWarpCommand:
             ("logpolar", ["--image", "column"], "log-polar output needs >= 2 columns, got (40, 1)"),
             ("invlogpolar", ["--image", "column", "--out-shape", "40,40"],
              "log-polar image needs >= 2 radius columns, got (40, 1)"),
+            ("invlogpolar", ["--out-shape", "1,1"], "a 1x1 log-polar frame has no radius"),
         ],
-        ids=["no-plane", "malformed-plane", "r-min-0", "out-shape-0", "column-logpolar", "column-invlogpolar"],
+        ids=[
+            "no-plane", "malformed-plane", "r-min-0", "out-shape-0", "column-logpolar", "column-invlogpolar",
+            "out-shape-1x1",
+        ],
     )
     def test_pixel_free_arguments_are_refused_before_the_decode(
         self, tmp_path, capsys, monkeypatch, geo_files, mode, flags, message
     ):
         # Each of these used to decode the whole image and then exit 2. A 40x1
         # image passed the radius check, which was all of the log-polar
-        # mapping's rules that ran before the decode. The last --image wins.
+        # mapping's rules that ran before the decode. A 1x1 frame, whose
+        # farthest corner is its center, was refused as an r_min outside
+        # (0, 0). The last --image wins.
         files = {**geo_files, "broken": str(tmp_path / "broken.json"), "column": str(tmp_path / "column.pgm")}
         (tmp_path / "broken.json").write_text('{"m": 0.0,')
         write_pgm(tmp_path / "column.pgm", np.linspace(0.0, 1.0, 40)[:, None])
@@ -938,6 +962,63 @@ class TestEquivCommand:
         err = capsys.readouterr().err
         assert "invalid configuration: " + message in err and "physical memory" in err
         assert peak < 1024 * 1024
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        ("layers", "message"),
+        [
+            ([{"out_channels": 1, "k": 1000001}], "a basis of k 1000001 (3 scales of 16 1000001x1000001 filters)"),
+            (
+                [{"out_channels": 64, "k": 501}] * 2,
+                "layer 2 of k 501 (the bases, [S, O, C, k, k] kernels and coefficients of layers 1..2)",
+            ),
+        ],
+        ids=["k-1000001", "two-64-channel-k-501"],
+    )
+    def test_stack_weights_too_large_for_memory_are_refused_before_any_stack(
+        self, tmp_path, capsys, monkeypatch, layers, message
+    ):
+        # Both used to end in a MemoryError traceback: the first in the basis
+        # profiles (7.28 TiB), the second in the [3, 64, 64, 501, 501]
+        # kernels (23.0 GiB), after a plan that counted feature maps only.
+        # The machine is taken to have 16 GiB.
+        monkeypatch.setattr(grid.os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 1 << 22)
+        calls = []
+        for name in ("corpus_seeds", "build_stack"):
+            monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
+        blocks = list(range(1, len(layers) + 1))
+        corpus = {"count": 1, "height": 16, "width": 16}
+        config = write_json(tmp_path / "config.json", {"corpus": corpus, "blocks": blocks, "stack": {"layers": layers}})
+        tracemalloc.start()
+        try:
+            code = main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"seslab: invalid configuration: {message} plans ")
+        assert "physical memory" in err and "base_sigma" not in err and "Traceback" not in err
+        assert peak < 1024 * 1024
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("s", [1e-310, 5e-324])
+    def test_scale_factor_that_overflows_the_grid_is_refused_by_name(self, tmp_path, capsys, monkeypatch, s):
+        # It printed a RuntimeWarning from the scale map, then exited 2 with
+        # "sample coordinates must be finite", naming no factor.
+        calls = []
+        monkeypatch.setattr(harness, "build_stack", lambda *args: calls.append("build_stack"))
+        corpus = {"count": 1, "height": 16, "width": 16}
+        config = write_json(tmp_path / "config.json", {"corpus": corpus, "scale_factors": [s]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"seslab: invalid configuration: scale factor {s} maps the corner of a 16x16 grid past the float range\n"
+        )
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert calls == []
         assert not (tmp_path / "out").exists()
 

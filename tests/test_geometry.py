@@ -15,6 +15,8 @@ from seslab import (
     PatchPlane,
     corollary_deviation,
     focal_correction,
+    inverse_log_polar,
+    log_polar,
     parallel_bound,
     projective_mapping,
     scale_factor,
@@ -318,3 +320,12 @@ class TestFocalCorrection:
         a = DatasetFocalProfile.from_normalized(3.82)
         b = DatasetFocalProfile.from_normalized(2.82)
         assert abs(focal_correction(a, b) * focal_correction(b, a) - 1.0) <= 1e-12
+
+
+def test_a_log_polar_frame_without_a_radius_is_refused_by_its_extents():
+    # A 1x1 frame's farthest corner is its center; the refusal used to blame
+    # the default r_min, "r_min must lie in (0, 0), got 1.0".
+    with pytest.raises(ConfigError, match=r"^a 1x1 log-polar frame has no radius: its farthest corner is its center$"):
+        inverse_log_polar(np.zeros((8, 8)), (1, 1))
+    with pytest.raises(ConfigError, match=r"^a 1x1 log-polar frame has no radius"):
+        log_polar(np.zeros((1, 1)), out_shape=(8, 8))

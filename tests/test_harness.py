@@ -12,6 +12,7 @@ from seslab import (
     BorderPolicy,
     ConfigError,
     CorpusSpec,
+    DegenerateGeometryError,
     EquivConfig,
     LayerSpec,
     SeslabError,
@@ -723,6 +724,16 @@ def test_image_cells_peak_memory_is_base_plus_one_forward(margin, map_scale):
     finally:
         tracemalloc.stop()
     assert peak < base + forward + base // 2  # slack: one block output
+
+
+@pytest.mark.parametrize("s", [1e-310, 5e-324])
+def test_scale_factor_that_overflows_the_grid_is_refused_before_any_stack(monkeypatch, s):
+    # T_s's divide overflowed with a RuntimeWarning in the first image's
+    # warp, after both stacks were built.
+    monkeypatch.setattr(harness, "build_stack", lambda spec: pytest.fail("a stack was built"))
+    config = replace(TINY_CONFIG, corpus=CorpusSpec(count=1, height=16, width=16), scale_factors=(0.5, s))
+    with pytest.raises(DegenerateGeometryError, match=f"^scale factor {s} maps the corner of a 16x16 grid"):
+        run_experiment(config)
 
 
 def test_plan_counts_each_image_cells_and_synthetic_seed(monkeypatch):

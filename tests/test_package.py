@@ -1,4 +1,4 @@
-"""Package-wide checks: the root exports exactly what it imports, one module holds the number rule, and no refusal raises a bare ValueError."""
+"""Package-wide checks: the root exports exactly what it imports, one module holds the number rule, no refusal raises a bare ValueError, and no module imports a name it never uses."""
 
 import ast
 import re
@@ -35,3 +35,36 @@ def test_every_refusal_raises_a_typed_seslab_error():
     ]
     assert raised
     assert [f"{name}:{line}" for name, line, exc in raised if isinstance(exc, ast.Name) and exc.id == "ValueError"] == []
+
+
+def _names(tree) -> set:
+    """The names that ``tree`` reads, writes or deletes, those of string
+    annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= _names(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def test_every_import_is_used():
+    # __init__.py imports its names to re-export them; every other module
+    # must reference each name it imports, if only in an annotation.
+    src = Path(seslab.__file__).parent
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _names(tree)
+        unused += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (alias.asname or alias.name.partition(".")[0]) not in used
+        ]
+    assert unused == []

@@ -9,6 +9,7 @@ from oracles import bilinear_loops
 from seslab import (
     BorderPolicy,
     CameraIntrinsics,
+    DegenerateGeometryError,
     EgoMotion,
     PatchPlane,
     ShapeError,
@@ -259,6 +260,15 @@ class TestScaleTransform:
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError, match="positive"):
                 scale_transform(blob_image, bad)
+
+    @pytest.mark.parametrize("s", [1e-310, 5e-324])
+    def test_scale_that_overflows_the_grid_is_refused_by_name(self, s):
+        # The map's divide overflowed with a RuntimeWarning, and the sampler
+        # then refused the coordinates without naming the factor.
+        for grid in (np.zeros((16, 16)), np.zeros((2, 16, 16))):
+            with pytest.raises(DegenerateGeometryError, match=f"^scale factor {s} maps the corner of a 16x16 grid"):
+                scale_transform_stack(grid, s)
+        assert np.array_equal(scale_transform(np.ones((1, 1)), s), np.ones((1, 1)))  # a 1x1 grid is its center
 
 
 class TestResize:

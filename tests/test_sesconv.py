@@ -29,7 +29,7 @@ from seslab import (
     single_scale_residue,
     synth_image,
 )
-from seslab import conv, sesconv
+from seslab import conv, grid, sesconv
 from seslab.errors import dump, load
 from seslab.sesconv import KINDS, paper_scale_gains
 
@@ -367,6 +367,23 @@ class TestTranslationEquivariance:
 
 
 class TestStack:
+    @pytest.mark.parametrize(
+        ("layers", "message"),
+        [
+            ((LayerSpec(1, 1000001),), r"^a basis of k 1000001 \(3 scales of 16 1000001x1000001 filters\)"),
+            ((LayerSpec(64, 501),) * 2, r"^layer 2 of k 501 \(the bases, \[S, O, C, k, k\] kernels and coefficients"),
+        ],
+        ids=["k-1000001", "two-64-channel-k-501"],
+    )
+    def test_weights_too_large_for_memory_are_refused_before_any_basis(self, monkeypatch, layers, message):
+        # They used to raise MemoryError; a refusal of build_basis must not
+        # reach build_stack's base_sigma re-wrap. The 501 kernels plan 25.3 GB,
+        # so the machine is taken to have 16 GiB.
+        monkeypatch.setattr(grid.os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 1 << 22)
+        monkeypatch.setattr(sesconv, "build_basis", lambda *args, **kwargs: pytest.fail("a basis was built"))
+        with pytest.raises(ConfigError, match=message):
+            build_stack(StackSpec(layers=layers))
+
     def test_weight_count_independent_of_scales(self):
         counts = []
         for num_scales in (1, 2, 3):
