@@ -123,6 +123,8 @@ def cmd_warp(args) -> int:
         except ValueError:  # not two integers
             raise ConfigError(f"--out-shape must be two integers H,W, got {args.out_shape!r}") from None
         _check_extents("--out-shape", h, w)
+    elif args.out_shape is not None:
+        raise ConfigError(f"--out-shape is for mode invlogpolar only, got mode {args.mode}")
     # The output and the encoder's float buffer; the scale mode's separable
     # sampler also holds a copy of the source rows and its x pass, each at
     # most a frame, while the output is filled.

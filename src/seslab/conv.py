@@ -96,3 +96,15 @@ def conv2d(
             acc += tmp
         out[:, r0 : r0 + rows] = acc[:, :span].reshape(out_ch, rows, wp)[:, :, :wo]
     return out
+
+
+def conv2d_scratch(in_ch: float, out_ch: float, k: float, h: float, w: float) -> float:
+    """At most the doubles that conv2d holds besides its input and output, for
+    a [in_ch, h, w] input, [out_ch, in_ch, k, k] kernels and the default
+    margins: the padded input, the taps, and a row block's patch and two
+    accumulators. Each of those three has at most m = max(in_ch * k, out_ch)
+    rows of a block's columns and k + 8 more, and a block's m x columns
+    doubles fit in BLOCK_BYTES unless the block is one padded row."""
+    wp, rows = w + k - 1, max(in_ch * k, out_ch)
+    blocks = 3 * (max(BLOCK_BYTES / 8, rows * wp) + rows * (k + 8))
+    return in_ch * (h + k - 1) * wp + out_ch * in_ch * k * k + blocks

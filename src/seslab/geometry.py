@@ -16,7 +16,7 @@ from .resample import (
     BLOCK_POINTS,
     _bands,
     _blend,
-    _check_extents,
+    _check_output,
     _resize_plan,
     _sample_points,
     _warp,
@@ -322,7 +322,9 @@ def log_polar(image, center=None, out_shape=None, r_min: float = 1.0) -> np.ndar
     uniformly from ln r_min to ln r_max, where r_max is the distance from
     the center to the farthest image corner. The transform is singular at
     r = 0, hence the r_min floor. A scaling of the source image about the
-    center becomes a column shift by ln(s) / dlnr.
+    center becomes a column shift by ln(s) / dlnr. Raises ConfigError when
+    the output would not fit in the machine's physical memory, before
+    anything is computed.
     """
     image = as_grid(image, rank=2, name="image")
     lp_shape = out_shape if out_shape is not None else image.shape
@@ -338,7 +340,7 @@ def _log_polar_mapping(shape, lp_shape, center, r_min) -> Callable:
     tables, each value computed once as the whole-grid expression computes it.
     """
     n_theta, n_r = lp_shape
-    _check_extents("log-polar output", n_theta, n_r)
+    _check_output("log-polar output", n_theta, n_r)
     if n_r < 2:
         raise ShapeError(f"log-polar output needs >= 2 columns, got {lp_shape}")
     cy, cx, r_min, r_max = _polar_frame(shape, center, r_min)
@@ -363,8 +365,7 @@ def inverse_log_polar(lp_image, out_shape, center=None, r_min: float = 1.0) -> n
     """
     lp_image = as_grid(lp_image, rank=2, name="log-polar image")
     h, w = out_shape
-    _check_extents("inverse log-polar output", h, w)
-    check_fits_memory(as_real(h) * as_real(w), f"out_shape {reprlib.repr(h)}x{reprlib.repr(w)} (one grid)")
+    _check_output("inverse log-polar output", h, w)
     mapping = _inverse_mapping(lp_image.shape, out_shape, center, r_min)
     # Read as a grid one row taller whose row n_theta reads row 0: theta rows
     # reach n_theta, and pass it where theta rounds to 2 pi.

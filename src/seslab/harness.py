@@ -258,33 +258,36 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
     return math.fsum(ratios) / len(ratios)
 
 
-def _plan(config: EquivConfig, extents, workers: int) -> None:
-    """Raise ConfigError unless every crop window keeps a pixel and the run fits
-    in physical memory: both stacks (``check_stack_fits``), ``workers`` images
-    of the largest extent, each with one forward's largest [S, C, h, w] map,
-    and the cells of every image, plus its 4-byte seed if the corpus is
-    synthetic. Raise DegenerateGeometryError, as ``scale_transform_mapping``
-    does, unless every scale factor maps every extent's pixels to finite
-    points."""
+def _plan(config: EquivConfig, extents, workers: int) -> tuple:
+    """The spec of each kind, cut to max(blocks) layers, as no layer depends on
+    a later one. Raise ConfigError unless every crop window keeps a pixel and
+    the run fits in physical memory: each stack (``check_stack_fits``),
+    ``workers`` images of the largest extent, each with one forward's largest
+    [S, C, h, w] map, and the cells of every image, plus its 4-byte seed if
+    the corpus is synthetic. Raise DegenerateGeometryError, as
+    ``scale_transform_mapping`` does, unless every scale factor maps every
+    extent's pixels to finite points."""
     layers = config.stack.layers[: max(config.blocks)]
-    stack, count = replace(config.stack, layers=layers), extents.total()
-    weights = 2 * check_stack_fits(stack)
+    specs = tuple(replace(config.stack, kind=kind, layers=layers) for kind in KINDS)
+    scales, count = config.stack.num_scales, extents.total()
+    weights = sum(map(check_stack_fits, specs))
     channels = max(layer.out_channels for layer in layers)
     height, width = max(extents, key=lambda extent: as_real(extent[0]) * as_real(extent[1]))
     cells = len(KINDS) * len(config.blocks) * len(config.scale_factors)
     synthetic = config.corpus.image_dir is None  # then each image has a 4-byte seed, half a double
     n, h, w = map(reprlib.repr, (count, height, width))
     check_fits_memory(
-        workers * as_real(height) * as_real(width) * (1 + stack.num_scales * channels)
+        workers * as_real(height) * as_real(width) * (1 + scales * channels)
         + as_real(count) * (cells + 0.5 * synthetic) + weights,
         f"corpus of {n} images (the largest {h}x{w}) on {workers} worker(s), each holding an image "
-        f"and a [{stack.num_scales}, {channels}, {h}, {w}] forward map, and {cells} cells"
-        f"{' and a seed' * synthetic} per image, and both stacks' bases and kernels",
+        f"and a [{scales}, {channels}, {h}, {w}] forward map, and {cells} cells"
+        f"{' and a seed' * synthetic} per image, and each stack's bases, kernels and calibration",
     )
     for extent in extents:
         crop_window(extent, config.crop_margin)
         for s in config.scale_factors:
             scale_transform_mapping(extent, s)
+    return specs
 
 
 def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
@@ -304,10 +307,7 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     extents, load = config.corpus.describe()
     count = extents.total()
     workers = min(thread_count(), count, os.cpu_count() or 1)
-    _plan(config, extents, workers)
-    # No layer's weights or frozen statistics depend on a later layer.
-    layers = config.stack.layers[: max(config.blocks)]
-    stacks = [build_stack(replace(config.stack, kind=kind, layers=layers)) for kind in KINDS]
+    stacks = [build_stack(spec) for spec in _plan(config, extents, workers)]
     factors, blocks = config.scale_factors, config.blocks
     deltas = np.empty((count, len(KINDS), len(blocks), len(factors)))
     grids, rows, failed = {}, [], []

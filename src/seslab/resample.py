@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, ShapeError, as_real, is_integer
-from .grid import BorderPolicy, as_grid
+from .grid import BorderPolicy, as_grid, check_fits_memory
 
 
 # Output values per block of the point kernel. A block's temporaries are about
@@ -269,12 +270,12 @@ def warp(
     all rows and sampled by the separable kernel. Any other map is evaluated
     and sampled one band of ``max(1, BLOCK_POINTS // (prod(lead) * W))`` rows
     at a time, straight into that band of the output, so no full-size
-    coordinate array is built.
+    coordinate array is built. Raises ConfigError as ``_check_output`` does.
     """
     image = as_grid(image, name="image")
     border = BorderPolicy.coerce(border)
     h, w = out_shape if out_shape is not None else image.shape[-2:]
-    _check_extents("warp output", h, w)
+    _check_output("warp output", h, w, image.shape[:-2])
     return _warp(image, image.shape[-2:], mapping, border, (slice(0, h), slice(0, w)))
 
 
@@ -351,9 +352,10 @@ def scale_transform_mapping(shape: tuple, s: float) -> Callable:
 
 def resize(image, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with endpoint-aligned sampling; the sample points never
-    leave the grid, and clamp at its edges."""
+    leave the grid, and clamp at its edges. Raises ConfigError as
+    ``_check_output`` does."""
     image = as_grid(image, rank=2, name="image")
-    _check_extents("resize target", out_h, out_w)
+    _check_output("resize target", out_h, out_w)
     h, w = image.shape
     xs, ys = _endpoint_aligned(w, out_w), _endpoint_aligned(h, out_h)
     return sample_at(image, xs[np.newaxis, :], ys[:, np.newaxis])
@@ -376,3 +378,12 @@ def _endpoint_aligned(n: int, out_n: int) -> np.ndarray:
 def _check_extents(what, h, w):
     if not all(is_integer(n) and n >= 1 for n in (h, w)):
         raise ShapeError(f"{what} extents must be integers >= 1, got {h}x{w}")
+
+
+def _check_output(what, h, w, lead: tuple = ()):
+    """Raise ShapeError as ``_check_extents`` does, and ConfigError unless a
+    [*lead, h, w] output fits in the machine's physical memory; call it before
+    the output is allocated."""
+    _check_extents(what, h, w)
+    shape = (*lead, h, w)
+    check_fits_memory(math.prod(map(as_real, shape)), f"{what} {'x'.join(map(reprlib.repr, shape))}")

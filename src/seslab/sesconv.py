@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import ScaleSet, SteerableBasis, build_basis, check_basis_fits, check_scale_count, scale_set_from_alpha
-from .conv import conv2d
+from .conv import conv2d, conv2d_scratch
 from .errors import ConfigError, SeslabError, ShapeError, as_real, check_fields, is_integer
 from .grid import BorderPolicy, as_grid, check_fits_memory, check_window, crop, dilate, within
 from .resample import scale_transform, scale_transform_stack
@@ -262,7 +262,9 @@ class StackSpec:
         scale_set_from_alpha(self.alpha, self.num_scales)  # validates alpha
 
     def scale_set(self) -> ScaleSet:
-        return scale_set_from_alpha(self.alpha, self.num_scales).scaled(self.base_sigma)
+        """The sigmas of every bank: num_scales of them, or vanilla's largest alone."""
+        count = self.num_scales if self.kind == "ses" else 1
+        return scale_set_from_alpha(self.alpha, count).scaled(self.base_sigma)
 
 
 CALIBRATION_SIZE = 96
@@ -368,12 +370,9 @@ def _layers(spec: StackSpec, banks, image, norm_stats, window=None):
     A yielded map is valid until the generator resumes: then the frozen norm
     norm_stats[i - 1], read only now, and the layer's nonlinearity overwrite it
     in place, and layer i writes each scale slice's output into the start of
-    that slice's row of the buffer, or of a new buffer if it does not fit. A
-    vanilla stack runs each bank's largest-scale kernels only.
+    that slice's row of the buffer, or of a new buffer if it does not fit.
     """
     window = check_window(image.shape, window)
-    scales = slice(None) if spec.kind == "ses" else slice(-1, None)
-    banks = [replace(bank, kernels=bank.kernels[scales]) for bank in banks]
     reaches = [(layer.k - 1) // 2 for layer in spec.layers[: len(banks)]]
     regions = [dilate(image.shape, window, sum(reaches[i:])) for i in range(len(reaches) + 1)]
     x = ses_conv_input(image[(np.newaxis, *regions[0])], banks[0], margins=_margins(regions[1], regions[0], reaches[0]))
@@ -415,23 +414,47 @@ def check_stack_fits(spec: StackSpec) -> float:
     """The doubles that ``build_stack(spec)`` holds, counted as if all were
     alive at once: the ``build_basis`` peak of each distinct k, whose basis
     every bank of that k keeps, and each layer's [S, O, C, k, k] kernels and
-    [O, C, B] coefficients. Raises ConfigError naming the k of the first
-    basis, or of the first layer, that takes them past physical memory."""
+    [O, C, B] coefficients, S = len(spec.scale_set()), and the calibration
+    forward (``_calibration_values``). Raises ConfigError naming the k of the
+    first basis, or of the first layer, that takes them past physical memory,
+    or else the calibration forward if it does."""
     values, channels, bases = 0.0, 1.0, set()
-    members = as_real((spec.max_order + 1) ** 2)
+    members, scales = as_real((spec.max_order + 1) ** 2), len(spec.scale_set())
     for i, layer in enumerate(spec.layers, start=1):
         if layer.k not in bases:
             bases.add(layer.k)
-            values += check_basis_fits(spec.num_scales, spec.max_order, layer.k)
+            values += check_basis_fits(scales, spec.max_order, layer.k)
         out, k = as_real(layer.out_channels), as_real(layer.k)
-        values += out * channels * (spec.num_scales * k * k + members)
+        values += out * channels * (scales * k * k + members)
         check_fits_memory(
             values,
             f"layer {i} of k {reprlib.repr(layer.k)} (the bases, [S, O, C, k, k] kernels and coefficients "
             f"of layers 1..{i})",
         )
         channels = out
+    if len(spec.layers) > 1:
+        values += _calibration_values(spec.layers[:-1], scales)
+        n, size = len(spec.layers) - 1, CALIBRATION_SIZE
+        check_fits_memory(
+            values, f"the calibration forward of layers 1..{n} on a {size}x{size} probe, and the stack's weights"
+        )
     return values
+
+
+def _calibration_values(layers, scales: int) -> float:
+    """The doubles that ``_calibrate`` holds running ``layers`` on the probe,
+    counted as if all were alive at once: the probe, two [S, C, 96, 96] maps
+    of the widest layer (a layer may write a new one while it reads the
+    last), ``_channel_stats``' two copies of a channel and its block
+    temporaries, and the largest ``conv2d_scratch``; layer 1 convolves every
+    scale at once."""
+    size, channels, convs = as_real(CALIBRATION_SIZE), 1.0, []
+    for i, layer in enumerate(layers):
+        out = as_real(layer.out_channels)
+        convs.append(conv2d_scratch(channels, out * (scales if i == 0 else 1), as_real(layer.k), size, size))
+        channels = out
+    widest = max(as_real(layer.out_channels) for layer in layers)
+    return size * size * (1 + 2 * scales * (widest + 1)) + 4 * _SUM_BLOCK + max(convs)
 
 
 def build_stack(spec: StackSpec) -> Stack:

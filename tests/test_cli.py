@@ -319,7 +319,7 @@ class TestWarpCommand:
         monkeypatch.setattr("seslab.cli.read_pgm", lambda path: reads.append(path))
         argv = ["warp", "--image", geo_files["image"], "--mode", mode, "--out", str(tmp_path / "out" / "w.pgm")]
         argv += ["--plane", geo_files["plane"], "--motion", geo_files["motion"], "--intrinsics", geo_files["intrinsics"]]
-        argv += ["--out-shape", "96,128", "--out-dir", str(tmp_path / "out")]
+        argv += ["--out-dir", str(tmp_path / "out")] + (["--out-shape", "96,128"] if mode == "invlogpolar" else [])
         tracemalloc.start()
         try:
             code = main(argv)
@@ -355,7 +355,8 @@ class TestWarpCommand:
             assert main(["warp", "--image", str(frame), "--mode", "logpolar", "--out", image, "--out-dir", str(tmp_path)]) == 0
         argv = ["warp", "--image", image, "--mode", mode, "--out", str(tmp_path / "w.pgm"), "--out-dir", str(tmp_path)]
         argv += ["--plane", geo_files["tilted"], "--motion", geo_files["motion"], "--intrinsics", intrinsics]
-        argv += ["--out-shape", f"{height},{width}"]
+        if mode == "invlogpolar":
+            argv += ["--out-shape", f"{height},{width}"]
         planned = []
 
         def recording(values, plan):
@@ -414,10 +415,16 @@ class TestWarpCommand:
             ("invlogpolar", ["--image", "column", "--out-shape", "40,40"],
              "log-polar image needs >= 2 radius columns, got (40, 1)"),
             ("invlogpolar", ["--out-shape", "1,1"], "a 1x1 log-polar frame has no radius"),
+            ("logpolar", ["--out-shape", "5,5"], "--out-shape is for mode invlogpolar only, got mode logpolar"),
+            *[
+                (mode, ["--plane", "plane", "--motion", "motion", "--intrinsics", "intrinsics", "--out-shape", "5,5"],
+                 f"--out-shape is for mode invlogpolar only, got mode {mode}")
+                for mode in ("projective", "scale")
+            ],
         ],
         ids=[
             "no-plane", "malformed-plane", "r-min-0", "out-shape-0", "column-logpolar", "column-invlogpolar",
-            "out-shape-1x1",
+            "out-shape-1x1", "out-shape-logpolar", "out-shape-projective", "out-shape-scale",
         ],
     )
     def test_pixel_free_arguments_are_refused_before_the_decode(
@@ -427,7 +434,8 @@ class TestWarpCommand:
         # image passed the radius check, which was all of the log-polar
         # mapping's rules that ran before the decode. A 1x1 frame, whose
         # farthest corner is its center, was refused as an r_min outside
-        # (0, 0). The last --image wins.
+        # (0, 0). The last --image wins. --out-shape outside invlogpolar was
+        # ignored: the full frame was written, and the echoed config named it.
         files = {**geo_files, "broken": str(tmp_path / "broken.json"), "column": str(tmp_path / "column.pgm")}
         (tmp_path / "broken.json").write_text('{"m": 0.0,')
         write_pgm(tmp_path / "column.pgm", np.linspace(0.0, 1.0, 40)[:, None])
@@ -966,30 +974,38 @@ class TestEquivCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        ("layers", "message"),
+        ("stack", "message"),
         [
-            ([{"out_channels": 1, "k": 1000001}], "a basis of k 1000001 (3 scales of 16 1000001x1000001 filters)"),
             (
-                [{"out_channels": 64, "k": 501}] * 2,
+                {"layers": [{"out_channels": 1, "k": 1000001}]},
+                "a basis of k 1000001 (3 scales of 16 1000001x1000001 filters)",
+            ),
+            (
+                {"layers": [{"out_channels": 64, "k": 501}] * 2},
                 "layer 2 of k 501 (the bases, [S, O, C, k, k] kernels and coefficients of layers 1..2)",
             ),
+            (
+                {"layers": [{"out_channels": 1000000, "k": 1}, {"out_channels": 1, "k": 1}], "max_order": 0},
+                "the calibration forward of layers 1..1 on a 96x96 probe, and the stack's weights",
+            ),
         ],
-        ids=["k-1000001", "two-64-channel-k-501"],
+        ids=["k-1000001", "two-64-channel-k-501", "calibration-of-1000000-channels"],
     )
     def test_stack_weights_too_large_for_memory_are_refused_before_any_stack(
-        self, tmp_path, capsys, monkeypatch, layers, message
+        self, tmp_path, capsys, monkeypatch, stack, message
     ):
-        # Both used to end in a MemoryError traceback: the first in the basis
+        # All used to end in a MemoryError traceback: the first in the basis
         # profiles (7.28 TiB), the second in the [3, 64, 64, 501, 501]
-        # kernels (23.0 GiB), after a plan that counted feature maps only.
-        # The machine is taken to have 16 GiB.
+        # kernels (23.0 GiB), after a plan that counted feature maps only,
+        # and the third in the calibration forward's [3000000, 96, 96] map
+        # (206 GiB), which no plan counted. The machine is taken to have 16 GiB.
         monkeypatch.setattr(grid.os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 1 << 22)
         calls = []
         for name in ("corpus_seeds", "build_stack"):
             monkeypatch.setattr(harness, name, lambda *args, name=name: calls.append(name))
-        blocks = list(range(1, len(layers) + 1))
+        blocks = list(range(1, len(stack["layers"]) + 1))
         corpus = {"count": 1, "height": 16, "width": 16}
-        config = write_json(tmp_path / "config.json", {"corpus": corpus, "blocks": blocks, "stack": {"layers": layers}})
+        config = write_json(tmp_path / "config.json", {"corpus": corpus, "blocks": blocks, "stack": stack})
         tracemalloc.start()
         try:
             code = main(["equiv", "--config", config, "--out-dir", str(tmp_path / "out")])

@@ -224,6 +224,29 @@ def test_working_memory_is_bounded_by_the_block_budget(rng):
     assert peak <= out.nbytes + padded_bytes + 3 * conv.BLOCK_BYTES
 
 
+@pytest.mark.parametrize(
+    "out_ch, in_ch, k, h, w, budget",
+    [
+        pytest.param(12, 1, 11, 96, 96, conv.BLOCK_BYTES, id="reference-first-layer"),
+        pytest.param(16, 16, 5, 96, 96, conv.BLOCK_BYTES, id="wide"),
+        pytest.param(3, 3, 1, 30, 40, conv.BLOCK_BYTES, id="k1-unpadded-copy"),
+        pytest.param(64, 8, 3, 40, 56, 8 * 64 * 58, id="one-row-blocks-past-the-budget"),
+    ],
+)
+def test_scratch_bounds_the_peak_besides_input_and_output(rng, monkeypatch, out_ch, in_ch, k, h, w, budget):
+    monkeypatch.setattr(conv, "BLOCK_BYTES", budget)
+    image = rng.standard_normal((in_ch, h, w))
+    kernels = rng.standard_normal((out_ch, in_ch, k, k))
+    out = np.empty((out_ch, h, w))
+    tracemalloc.start()
+    try:
+        conv2d(image, kernels, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * conv.conv2d_scratch(in_ch, out_ch, k, h, w)
+
+
 def test_out_slice_of_a_scale_stack_is_filled_and_returned(rng):
     image = rng.standard_normal((2, 9, 13))
     kernels = rng.standard_normal((3, 2, 5, 5))

@@ -36,7 +36,7 @@ from dataclasses import replace
 from seslab import grid, harness, resample, sesconv
 from seslab.errors import dump
 from seslab.grid import crop, crop_window
-from seslab.sesconv import Stack
+from seslab.sesconv import KINDS, Stack
 from oracles import delta_formula
 
 TINY_STACK = StackSpec(layers=(LayerSpec(2, 7), LayerSpec(2, 7)), max_order=2)
@@ -734,6 +734,18 @@ def test_scale_factor_that_overflows_the_grid_is_refused_before_any_stack(monkey
     config = replace(TINY_CONFIG, corpus=CorpusSpec(count=1, height=16, width=16), scale_factors=(0.5, s))
     with pytest.raises(DegenerateGeometryError, match=f"^scale factor {s} maps the corner of a 16x16 grid"):
         run_experiment(config)
+
+
+def test_run_builds_the_specs_it_plans(monkeypatch):
+    # Each kind is planned by its own banks: the vanilla stack at one scale.
+    planned, built = [], []
+    plan, build = harness._plan, harness.build_stack
+    monkeypatch.setattr(harness, "_plan", lambda *args: planned.extend(plan(*args)) or tuple(planned))
+    monkeypatch.setattr(harness, "build_stack", lambda spec: built.append(spec) or build(spec))
+    config = replace(TINY_CONFIG, stack=replace(TINY_STACK, layers=MIXED_STACK.layers), blocks=(2,))
+    run_experiment(config, maps=False)
+    assert built == planned == [replace(config.stack, kind=kind, layers=MIXED_STACK.layers[:2]) for kind in KINDS]
+    assert [len(spec.scale_set()) for spec in built] == [config.stack.num_scales, 1]
 
 
 def test_plan_counts_each_image_cells_and_synthetic_seed(monkeypatch):

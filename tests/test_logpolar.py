@@ -136,6 +136,27 @@ class TestInverse:
             inverse_log_polar(np.ones((16, 1)), (16, 16))
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: log_polar(np.ones((8, 8)), out_shape=(10**6, 10**6)), "log-polar output 1000000x1000000 plans "),
+        (lambda: inverse_log_polar(np.ones((8, 8)), (10**6, 10**6)), "inverse log-polar output 1000000x1000000 plans "),
+    ],
+    ids=["log_polar", "inverse_log_polar"],
+)
+def test_output_too_large_for_memory_is_refused_before_it_is_allocated(call, message):
+    # log_polar raised a bare numpy MemoryError ("Unable to allocate 7.28
+    # TiB"); both now refuse before their tables or output are allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{message}.*physical memory"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
 class TestRoundtripSsim:
     def test_upscaling_sweep_below_one(self):
         image = synth_image("gaussian-blobs", 96, 96, seed=0)

@@ -9,6 +9,7 @@ from oracles import bilinear_loops
 from seslab import (
     BorderPolicy,
     CameraIntrinsics,
+    ConfigError,
     DegenerateGeometryError,
     EgoMotion,
     PatchPlane,
@@ -123,6 +124,27 @@ class TestWarp:
     def test_bad_out_shape_rejected(self, blob_image, out_shape):
         with pytest.raises(ShapeError, match="integers >= 1"):
             warp(blob_image, identity, out_shape=out_shape)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: warp(np.ones((8, 8)), identity, out_shape=(10**6, 10**6)), "warp output 1000000x1000000 plans "),
+        (lambda: warp(np.ones((3, 8, 8)), identity, out_shape=(10**6, 10**6)), "warp output 3x1000000x1000000 plans "),
+        (lambda: resize(np.ones((8, 8)), 10**6, 10**6), "resize target 1000000x1000000 plans "),
+    ],
+    ids=["warp", "warp-stack", "resize"],
+)
+def test_output_too_large_for_memory_is_refused_before_it_is_allocated(call, message):
+    # Each raised a bare numpy MemoryError ("Unable to allocate 7.28 TiB").
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=f"^{message}.*physical memory"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 def projective_onto(out_shape, src_shape):

@@ -31,7 +31,7 @@ from seslab import (
 )
 from seslab import conv, grid, sesconv
 from seslab.errors import dump, load
-from seslab.sesconv import KINDS, paper_scale_gains
+from seslab.sesconv import KINDS, check_stack_fits, paper_scale_gains
 
 from oracles import combine_loops, norm_twopass_loops
 
@@ -372,13 +372,15 @@ class TestStack:
         [
             ((LayerSpec(1, 1000001),), r"^a basis of k 1000001 \(3 scales of 16 1000001x1000001 filters\)"),
             ((LayerSpec(64, 501),) * 2, r"^layer 2 of k 501 \(the bases, \[S, O, C, k, k\] kernels and coefficients"),
+            ((LayerSpec(1000000, 5), LayerSpec(1, 5)), r"^the calibration forward of layers 1\.\.1 on a 96x96 probe"),
         ],
-        ids=["k-1000001", "two-64-channel-k-501"],
+        ids=["k-1000001", "two-64-channel-k-501", "calibration-of-1000000-channels"],
     )
     def test_weights_too_large_for_memory_are_refused_before_any_basis(self, monkeypatch, layers, message):
         # They used to raise MemoryError; a refusal of build_basis must not
         # reach build_stack's base_sigma re-wrap. The 501 kernels plan 25.3 GB,
-        # so the machine is taken to have 16 GiB.
+        # so the machine is taken to have 16 GiB. The 1000000-channel weights
+        # fit in 1.5 GB, but the calibration forward's maps take 442 GB.
         monkeypatch.setattr(grid.os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 1 << 22)
         monkeypatch.setattr(sesconv, "build_basis", lambda *args, **kwargs: pytest.fail("a basis was built"))
         with pytest.raises(ConfigError, match=message):
@@ -431,6 +433,41 @@ class TestStack:
         van = build_stack(replace(spec, kind="vanilla"))
         for a, b in zip(ses.banks, van.banks):
             assert np.array_equal(a.weights, b.weights)
+
+    @pytest.mark.parametrize(
+        "layers, max_order", [(StackSpec().layers, 3), ((LayerSpec(16, 5),) * 2, 2)], ids=["reference", "wide"]
+    )
+    def test_vanilla_banks_are_the_ses_banks_at_their_largest_scale(self, layers, max_order):
+        spec = StackSpec(layers=layers, max_order=max_order, seed=7)
+        ses, van = build_stack(spec), build_stack(replace(spec, kind="vanilla"))
+        for a, b in zip(ses.banks, van.banks):
+            assert b.num_scales == b.basis.num_scales == 1
+            assert b.basis.sigmas.sigmas == a.basis.sigmas.sigmas[-1:] and b.scale_gains == (1.0,)
+            assert b.kernels.tobytes() == a.kernels[-1:].tobytes()
+            assert b.basis.filters.tobytes() == a.basis.filters[-1:].tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize(
+        "layers, max_order",
+        [
+            (StackSpec().layers, 3),
+            ((LayerSpec(16, 5),) * 2, 2),
+            ((LayerSpec(3, 3), LayerSpec(3, 5), LayerSpec(3, 7, "none")), 1),
+        ],
+        ids=["reference", "wide", "mixed-k"],
+    )
+    def test_plan_covers_the_build_peak(self, kind, layers, max_order):
+        # The plan counts each kind's own banks and the calibration forward,
+        # which it missed: both stacks' peaks were over ten times their plans.
+        spec = StackSpec(kind=kind, layers=layers, max_order=max_order)
+        build_stack(spec)
+        tracemalloc.start()
+        try:
+            build_stack(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * check_stack_fits(spec)
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -516,9 +553,8 @@ def _full_depth_statistics(stack):
     """Per-channel (mean, var) of every layer's output, the last included, as a
     full forward of the probe gives them: one conv2d per scale slice, each norm
     from the statistics of its own input, every sum by math.fsum."""
-    kernels = slice(None) if stack.kind == "ses" else slice(-1, None)
     probe = synth_image("gaussian-blobs", sesconv.CALIBRATION_SIZE, sesconv.CALIBRATION_SIZE, seed=stack.spec.seed)
-    x = np.stack([conv2d(probe[np.newaxis], k) for k in stack.banks[0].kernels[kernels]])
+    x = np.stack([conv2d(probe[np.newaxis], k) for k in stack.banks[0].kernels])
     stats = []
     for i, bank in enumerate(stack.banks[1:] + (None,), start=1):
         means, variances = [], []
@@ -534,7 +570,7 @@ def _full_depth_statistics(stack):
         x = (x - stats[-1][0].reshape(1, -1, 1, 1)) / np.sqrt(stats[-1][1] + 1e-5).reshape(1, -1, 1, 1)
         if stack.spec.layers[i].nonlinearity == "relu":
             x = np.maximum(x, 0.0)
-        x = np.stack([conv2d(x_s, k) for x_s, k in zip(x, bank.kernels[kernels])])
+        x = np.stack([conv2d(x_s, k) for x_s, k in zip(x, bank.kernels)])
 
 
 class TestCalibration:
@@ -569,7 +605,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize(
         "kind, bound",
-        # Measured peaks 4.66 and 2.38 MiB; a full calibration forward peaked at
+        # Measured peaks 4.66 and 2.28 MiB; a full calibration forward peaked at
         # 6.74 and 4.49 MiB.
         [("ses", 5 * 2**20), ("vanilla", 2.6 * 2**20)],
     )
@@ -725,11 +761,9 @@ class TestHeadlineResidue:
 def _forward_out_of_place(stack, image):
     """Stack.forward rebuilt from fresh arrays: one conv2d per scale slice and
     a new array for every norm, ReLU and conv output."""
-    kernels = slice(None) if stack.kind == "ses" else slice(-1, None)
-    banks = [replace(bank, kernels=bank.kernels[kernels]) for bank in stack.banks]
-    x = np.stack([conv2d(image[np.newaxis], k, BorderPolicy.ZERO) for k in banks[0].kernels])
+    x = np.stack([conv2d(image[np.newaxis], k, BorderPolicy.ZERO) for k in stack.banks[0].kernels])
     blocks = [x.max(axis=0)]
-    for bank, layer, (mean, var) in zip(banks[1:], stack.spec.layers[1:], stack.norm_stats):
+    for bank, layer, (mean, var) in zip(stack.banks[1:], stack.spec.layers[1:], stack.norm_stats):
         x = (x - mean.reshape(1, -1, 1, 1)) / np.sqrt(var + 1e-5).reshape(1, -1, 1, 1)
         if layer.nonlinearity == "relu":
             x = np.maximum(x, 0.0)
