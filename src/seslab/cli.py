@@ -61,12 +61,22 @@ def _load_config(cls, config_path, **flags):
     return load(cls, values)
 
 
-def _ints(text: str) -> list:
-    return [int(tok) for tok in str(text).replace(",", " ").split()]
+def _numbers(text: str, flag: str, parse, what: str) -> list:
+    """The comma- or space-separated values of ``flag``, each read by
+    ``parse``; raises ConfigError naming the flag and echoing ``text`` if one
+    does not parse."""
+    try:
+        return [parse(tok) for tok in str(text).replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be {what} separated by commas, got {text!r}") from None
 
 
-def _floats(text: str) -> list:
-    return [float(tok) for tok in str(text).replace(",", " ").split()]
+def _ints(text: str, flag: str) -> list:
+    return _numbers(text, flag, int, "integers")
+
+
+def _floats(text: str, flag: str) -> list:
+    return _numbers(text, flag, float, "reals")
 
 
 @dataclass(frozen=True)
@@ -119,7 +129,7 @@ def cmd_warp(args) -> int:
         if not args.out_shape:
             raise ConfigError("mode invlogpolar needs --out-shape H,W")
         try:
-            h, w = _ints(args.out_shape)
+            h, w = _ints(args.out_shape, "--out-shape")
         except ValueError:  # not two integers
             raise ConfigError(f"--out-shape must be two integers H,W, got {args.out_shape!r}") from None
         _check_extents("--out-shape", h, w)
@@ -241,8 +251,8 @@ def cmd_ssim_sweep(args) -> int:
     cfg = _load_config(
         SweepConfig,
         args.config,
-        heights=_ints(args.heights) if args.heights else None,
-        up_factors=_floats(args.up_factors) if args.up_factors else None,
+        heights=_ints(args.heights, "--heights") if args.heights else None,
+        up_factors=_floats(args.up_factors, "--up-factors") if args.up_factors else None,
         count=args.count,
         kind=args.kind,
         seed=args.seed,

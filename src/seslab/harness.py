@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .conv import conv2d_scratch
 from .errors import ConfigError, SeslabError, as_real, check_fields, dump, is_integer, load
 from .fileio import read_pgm, read_pgm_header, write_json
 from .grid import BorderPolicy, as_grid, check_fits_memory, crop_window, within
@@ -180,14 +181,14 @@ def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
     window and, ``with_map``, the peak-normalized per-pixel error (else None).
 
     T_s F (``scaled_feats``, squared in place) and F(T_s h) are [C, h, w]
-    readouts of one window; ``crop`` is the crop window within it. The sums
-    read contiguous copies of the crop, which are the arrays themselves when
-    the window is the crop: equal arrays, whichever window a cell reads.
-    Raises SeslabError, before the map is normalized, if either sum is not
-    finite or if T_s F is zero on the crop.
+    readouts of one window; ``crop`` is the crop window within it. The squared
+    difference overwrites F(T_s h), which the caller gives up. The sums read contiguous copies of the crop, which are
+    the arrays themselves when the window is the crop: equal arrays,
+    whichever window a cell reads. Raises SeslabError, before the map is
+    normalized, if either sum is not finite or if T_s F is zero on the crop.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        err = scaled_feats - feats_of_scaled
+        err = np.subtract(scaled_feats, feats_of_scaled, out=feats_of_scaled)
         err *= err
         grid = np.sum(err, axis=0) if with_map else None
         num = np.ascontiguousarray(err[(..., *crop)])
@@ -258,29 +259,49 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
     return math.fsum(ratios) / len(ratios)
 
 
+def _measurement_values(layers, height, width) -> float:
+    """At most the doubles that ``_image_cells`` holds measuring one image of
+    height x width through ``layers``, counted as if all were alive at once
+    and every map at the image's extents (the error maps' cells read the
+    frame): the image and T_s h; the base forward's readouts; the scaled
+    forward's block maxima and its one [C, h, w] scale slice, with the
+    largest ``conv2d_scratch``; and one cell's T_s F, with two more of its
+    size (the sampler's pass, or ``_delta_ratio``'s two crop copies) and the
+    error map."""
+    pixels, channels, convs = as_real(height) * as_real(width), 1.0, []
+    for layer in layers:
+        out = as_real(layer.out_channels)
+        convs.append(conv2d_scratch(channels, out, as_real(layer.k), as_real(height), as_real(width)))
+        channels = out
+    blocks = sum(as_real(layer.out_channels) for layer in layers)
+    widest = max(as_real(layer.out_channels) for layer in layers)
+    # image and T_s h; both forwards' blocks; the slice; T_s F, two of its size, the map
+    return pixels * (2 + 2 * blocks + widest + 3 * widest + 1) + max(convs)
+
+
 def _plan(config: EquivConfig, extents, workers: int) -> tuple:
     """The spec of each kind, cut to max(blocks) layers, as no layer depends on
     a later one. Raise ConfigError unless every crop window keeps a pixel and
     the run fits in physical memory: each stack (``check_stack_fits``),
-    ``workers`` images of the largest extent, each with one forward's largest
-    [S, C, h, w] map, and the cells of every image, plus its 4-byte seed if
-    the corpus is synthetic. Raise DegenerateGeometryError, as
-    ``scale_transform_mapping`` does, unless every scale factor maps every
-    extent's pixels to finite points."""
+    ``workers`` images of the largest extent, each with what its measurement
+    holds (``_measurement_values``), and the cells of every image, plus its
+    4-byte seed if the corpus is synthetic. Nothing of it grows with the
+    number of scales: a forward holds one scale slice at a time. Raise
+    DegenerateGeometryError, as ``scale_transform_mapping`` does, unless every
+    scale factor maps every extent's pixels to finite points."""
     layers = config.stack.layers[: max(config.blocks)]
     specs = tuple(replace(config.stack, kind=kind, layers=layers) for kind in KINDS)
-    scales, count = config.stack.num_scales, extents.total()
+    count = extents.total()
     weights = sum(map(check_stack_fits, specs))
-    channels = max(layer.out_channels for layer in layers)
     height, width = max(extents, key=lambda extent: as_real(extent[0]) * as_real(extent[1]))
     cells = len(KINDS) * len(config.blocks) * len(config.scale_factors)
     synthetic = config.corpus.image_dir is None  # then each image has a 4-byte seed, half a double
     n, h, w = map(reprlib.repr, (count, height, width))
     check_fits_memory(
-        workers * as_real(height) * as_real(width) * (1 + scales * channels)
+        workers * _measurement_values(layers, height, width)
         + as_real(count) * (cells + 0.5 * synthetic) + weights,
-        f"corpus of {n} images (the largest {h}x{w}) on {workers} worker(s), each holding an image "
-        f"and a [{scales}, {channels}, {h}, {w}] forward map, and {cells} cells"
+        f"corpus of {n} images (the largest {h}x{w}) on {workers} worker(s), each holding an image, "
+        f"its forwards' readouts, one scale slice and one cell's maps, and {cells} cells"
         f"{' and a seed' * synthetic} per image, and each stack's bases, kernels and calibration",
     )
     for extent in extents:

@@ -98,7 +98,10 @@ def ses_conv_input(image, bank: SesFilterBank, border: BorderPolicy = BorderPoli
     """Convolve a [C, H, W] grid once per scale, stacking along a new scale axis.
 
     All scales run as one conv2d of the [S*O, C, k, k] kernels, whose output
-    rows are the [S, O, h, w] result; ``margins`` is conv2d's padding.
+    rows are the [S, O, h, w] result; ``margins`` is conv2d's padding. Public
+    and traced by the benchmark, but ``Stack.forward`` does not call it (the
+    forward convolves the image with one scale's kernels at a time), so its
+    traced span reads 0.
     """
     kernels = bank.kernels.reshape((-1,) + bank.kernels.shape[2:])
     out = conv2d(image, kernels, border, margins=margins)
@@ -116,19 +119,7 @@ def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPoli
         raise ShapeError(
             f"feature map has {x.shape[0]} scales, bank has {bank.num_scales}"
         )
-    return _conv_per_scale(x, bank, border, np.empty((len(x), bank.out_channels) + x.shape[2:]))
-
-
-def _conv_per_scale(x, bank: SesFilterBank, border, out, margins=None) -> np.ndarray:
-    """Convolve x[s] with the scale-s kernels and conv2d's ``margins`` into out[s]
-    and return ``out``.
-
-    out[s] may share memory with x[s]: slice s is read only by its own conv2d,
-    which may write into its input.
-    """
-    for kernels, x_s, out_s in zip(bank.kernels, x, out):
-        conv2d(x_s, kernels, border, out=out_s, margins=margins)
-    return out
+    return np.stack([conv2d(x_s, kernels, border) for kernels, x_s in zip(bank.kernels, x)])
 
 
 def scale_projection(x) -> np.ndarray:
@@ -314,34 +305,46 @@ class Stack:
         Each layer runs only where later layers read it: on the window dilated
         by the reach (k - 1) // 2 of each later layer, clipped to the image. It
         zero-fills only past the image's edges, so every block equals the
-        window of the whole-image block bit for bit. Each block is a view of a
-        new projection of its layer's map, taken before the next layer runs.
+        window of the whole-image block bit for bit. No layer mixes scales, so
+        the scale slices run through the whole stack one after another. Each
+        block is the window of slice 0's map, into which every later slice's
+        window folds by ``np.maximum``, in slice order as ``scale_projection``
+        takes it. The blocks are views of one new array, so a forward makes
+        one allocation for them, which keeps the allocator from returning and
+        refaulting their pages forward after forward.
         """
         image = as_grid(image, rank=2, name="image")
-        return [
-            scale_projection(x)[(..., *read)]
-            for x, read in _layers(self.spec, self.banks, image, self.norm_stats, window)
-        ]
+        rows, cols = check_window(image.shape, window)
+        shapes = [(bank.out_channels, rows.stop - rows.start, cols.stop - cols.start) for bank in self.banks]
+        ends = np.cumsum([math.prod(shape) for shape in shapes])
+        blocks = [part.reshape(shape) for part, shape in zip(np.split(np.empty(ends[-1]), ends[:-1]), shapes)]
+        for n, (i, x, read) in enumerate(_layers(self.spec, self.banks, image, self.norm_stats, window)):
+            if n < len(blocks):  # slice 0
+                np.copyto(blocks[i], x[(..., *read)])
+            else:
+                np.maximum(blocks[i], x[(..., *read)], out=blocks[i])
+        return blocks
 
 
 def _normalize_in_place(x, stats):
-    """Apply the per-channel affine norm to a [S, C, H, W] map in place and return it."""
+    """Apply the per-channel affine norm to a [..., C, H, W] map in place and return it."""
     mean, var = stats
-    shape = (1, -1, 1, 1)
+    shape = (-1, 1, 1)
     x -= mean.reshape(shape)
     x /= np.sqrt(var + 1e-5).reshape(shape)
     return x
 
 
-def _channel_stats(x):
-    """Per-channel (mean[C], var[C]) of a [S, C, H, W] map across (scale, H, W).
+def _channel_stats(maps):
+    """Per-channel (mean[C], var[C]) of the [C, H, W] maps of every scale,
+    a sequence or an [S, C, H, W] array, across (scale, H, W).
 
     Raises SeslabError naming the first channel whose values or squared
     deviations do not sum to a finite number; a non-finite mean makes the
     variance non-finite too.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        mean, var = zip(*(_exact_mean_var(x[:, c]) for c in range(x.shape[1])))
+        mean, var = zip(*(_exact_mean_var(np.stack([x[c] for x in maps])) for c in range(len(maps[0]))))
     bad = np.flatnonzero(~np.isfinite(var))
     if bad.size:
         raise SeslabError(
@@ -360,36 +363,38 @@ def _margins(inner, outer, reach: int) -> tuple:
     )
 
 
-def _layers(spec: StackSpec, banks, image, norm_stats, window=None):
-    """Run ``banks`` on ``image`` and yield, per layer, its unprojected
-    [S, C, h, w] map and the (rows, cols) slices of ``window`` within it.
+def _layers(spec: StackSpec, banks, image, norm_stats, window=None, scales=None):
+    """Run each scale slice s of ``scales`` (all of the banks' if None), in
+    turn, through ``banks`` on ``image`` and yield, per slice and layer i, the
+    triple (i, the layer's [C, h, w] map of slice s, the (rows, cols) slices
+    of ``window`` within it).
 
-    regions[i] is the part of the image that layer i reads, and regions[i + 1]
-    the part it writes: the window dilated by the reach of every layer from i
-    on, or from i + 1 on. The loop holds one map, in a [S, n] buffer it owns.
-    A yielded map is valid until the generator resumes: then the frozen norm
-    norm_stats[i - 1], read only now, and the layer's nonlinearity overwrite it
-    in place, and layer i writes each scale slice's output into the start of
-    that slice's row of the buffer, or of a new buffer if it does not fit.
+    No layer mixes scales: layer 1 convolves the image with the scale-s
+    kernels and each later layer slice s of the layer before it. regions[i]
+    is the part of the image that layer i reads, and regions[i + 1] the part
+    it writes: the window dilated by the reach of every layer from i on, or
+    from i + 1 on. The loop holds one map, in one buffer sized for the
+    largest layer and shared by every slice. A yielded map is valid until the
+    generator resumes: then the frozen norm norm_stats[i - 1], read only now,
+    and the layer's nonlinearity overwrite it in place, and layer i writes
+    its output into the start of the buffer.
     """
     window = check_window(image.shape, window)
     reaches = [(layer.k - 1) // 2 for layer in spec.layers[: len(banks)]]
     regions = [dilate(image.shape, window, sum(reaches[i:])) for i in range(len(reaches) + 1)]
-    x = ses_conv_input(image[(np.newaxis, *regions[0])], banks[0], margins=_margins(regions[1], regions[0], reaches[0]))
-    buf = x.reshape(len(x), -1)
-    yield x, within(window, regions[1])
-    for i, (bank, layer) in enumerate(zip(banks[1:], spec.layers[1:]), start=1):
-        _normalize_in_place(x, norm_stats[i - 1])
-        if layer.nonlinearity == "relu":
-            relu(x)
-        rows, cols = regions[i + 1]
-        shape = (len(x), bank.out_channels, rows.stop - rows.start, cols.stop - cols.start)
-        size = math.prod(shape[1:])
-        if size > buf.shape[1]:
-            buf = np.empty((len(x), size))
-        margins = _margins(regions[i + 1], regions[i], reaches[i])
-        x = _conv_per_scale(x, bank, BorderPolicy.ZERO, buf[:, :size].reshape(shape), margins)
-        yield x, within(window, regions[i + 1])
+    shapes = [(bank.out_channels, rows.stop - rows.start, cols.stop - cols.start)
+              for bank, (rows, cols) in zip(banks, regions[1:])]
+    buf = np.empty(max(map(math.prod, shapes)))
+    for s in range(banks[0].num_scales) if scales is None else scales:
+        x = image[(np.newaxis, *regions[0])]
+        for i, (bank, layer, shape) in enumerate(zip(banks, spec.layers, shapes)):
+            if i:
+                _normalize_in_place(x, norm_stats[i - 1])
+                if layer.nonlinearity == "relu":
+                    relu(x)
+            margins = _margins(regions[i + 1], regions[i], reaches[i])
+            x = conv2d(x, bank.kernels[s], BorderPolicy.ZERO, out=buf[: math.prod(shape)].reshape(shape), margins=margins)
+            yield i, x, within(window, regions[i + 1])
 
 
 def _calibrate(spec: StackSpec, banks) -> tuple:
@@ -397,7 +402,9 @@ def _calibrate(spec: StackSpec, banks) -> tuple:
     statistics of its input when the stack runs on the whole probe image.
 
     Only layers 1..n-1 run, since no norm reads the last layer's output, and
-    nothing is projected; a one-layer stack runs no convolution.
+    nothing is projected; a one-layer stack runs no convolution. One slice
+    generator per scale advances in lockstep, so each layer's S maps are
+    alive together for its statistics.
     """
     if len(banks) < 2:
         return ()
@@ -405,8 +412,9 @@ def _calibrate(spec: StackSpec, banks) -> tuple:
     # spec see the same probe and stay comparable.
     probe = synth_image("gaussian-blobs", CALIBRATION_SIZE, CALIBRATION_SIZE, seed=spec.seed)
     stats = []
-    for x, _ in _layers(spec, banks[:-1], probe, stats):
-        stats.append(_channel_stats(x))
+    slices = [_layers(spec, banks[:-1], probe, stats, scales=(s,)) for s in range(banks[0].num_scales)]
+    for maps in zip(*slices):
+        stats.append(_channel_stats([x for _, x, _ in maps]))
     return tuple(stats)
 
 
@@ -443,18 +451,17 @@ def check_stack_fits(spec: StackSpec) -> float:
 
 def _calibration_values(layers, scales: int) -> float:
     """The doubles that ``_calibrate`` holds running ``layers`` on the probe,
-    counted as if all were alive at once: the probe, two [S, C, 96, 96] maps
-    of the widest layer (a layer may write a new one while it reads the
-    last), ``_channel_stats``' two copies of a channel and its block
-    temporaries, and the largest ``conv2d_scratch``; layer 1 convolves every
-    scale at once."""
+    counted as if all were alive at once: the probe, one [C, 96, 96] buffer of
+    the widest layer per scale slice, ``_channel_stats``' two [S, 96, 96]
+    copies of a channel and its block temporaries, and the largest
+    ``conv2d_scratch``."""
     size, channels, convs = as_real(CALIBRATION_SIZE), 1.0, []
-    for i, layer in enumerate(layers):
+    for layer in layers:
         out = as_real(layer.out_channels)
-        convs.append(conv2d_scratch(channels, out * (scales if i == 0 else 1), as_real(layer.k), size, size))
+        convs.append(conv2d_scratch(channels, out, as_real(layer.k), size, size))
         channels = out
     widest = max(as_real(layer.out_channels) for layer in layers)
-    return size * size * (1 + 2 * scales * (widest + 1)) + 4 * _SUM_BLOCK + max(convs)
+    return size * size * (1 + scales * (widest + 2)) + 4 * _SUM_BLOCK + max(convs)
 
 
 def build_stack(spec: StackSpec) -> Stack:

@@ -637,13 +637,16 @@ class TestSsimSweepCommand:
             ("16", "2,0.5", "finite real >= 1, got 0.5"),
             ("100000", "1", "up_factor 1 (a roundtrip through 100000x100000 grids)"),
             (str(10**400), "1", "up_factor 1 (a roundtrip through infxinf grids)"),
+            ("96,abc", "1", "--heights must be integers separated by commas, got '96,abc'"),
+            ("96", "1,2x", "--up-factors must be reals separated by commas, got '1,2x'"),
         ],
-        ids=["huge-up", "below-1", "huge-height", "height-past-float"],
+        ids=["huge-up", "below-1", "huge-height", "height-past-float", "height-not-an-integer", "up-not-a-real"],
     )
     def test_bad_cell_rejected_before_any_roundtrip(self, tmp_path, capsys, monkeypatch, heights, up_factors, message):
         # The first two used to run the u = 2 cell, then exit 2 and leave an
         # empty --out-dir; the third failed inside numpy; the fourth exited 2
-        # from numpy's random generator and left an empty --out-dir.
+        # from numpy's random generator and left an empty --out-dir. The last
+        # two were refused by int() and float(), naming no flag.
         calls = []
         monkeypatch.setattr("seslab.cli.log_polar_roundtrip_ssim", lambda *args: calls.append(args) or 0.5)
         argv = ["ssim-sweep", "--heights", heights, "--up-factors", up_factors, "--count", "1"]

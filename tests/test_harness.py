@@ -161,9 +161,8 @@ class TestEquivarianceError:
             equivariance_error(stack, tiny_images, 0.8, 1, crop_margin=0.49)
         assert shapes == []
 
-    # The default stack has 3 scales: its first layer is one conv2d, and each
-    # later layer one conv2d per scale.
-    @pytest.mark.parametrize("block, calls", [(1, 2), (2, 8), (4, 20)])
+    # The default stack has 3 scales: each layer runs one conv2d per scale.
+    @pytest.mark.parametrize("block, calls", [(1, 6), (2, 12), (4, 24)])
     def test_forwards_stop_at_the_deepest_block_read(self, monkeypatch, block, calls):
         stack = build_stack(StackSpec())
         image = synth_image("gaussian-blobs", 48, 80, seed=0)
@@ -272,7 +271,7 @@ class TestRunExperiment:
         real = sesconv.conv2d
         monkeypatch.setattr(sesconv, "conv2d", lambda *args, **kwargs: count.append(1) or real(*args, **kwargs))
         report = run_experiment(config, maps=False)
-        assert len(count) == 4  # per kind: F(h) and F(T_s h), one conv2d each; a one-layer stack calibrates none
+        assert len(count) == 8  # F(h) and F(T_s h): one conv2d per scale, 3 for ses and 1 for vanilla; a one-layer stack calibrates none
         monkeypatch.undo()
         full = run_experiment(replace(config, blocks=(1, 4)), maps=False)
         assert report.rows == tuple(row for row in full.rows if row.block == 1)
@@ -556,13 +555,14 @@ def full_size_cell(feats, feats_of_scaled, s, margin):
 def delta_ratio(feats, feats_of_scaled, s, margin, with_map):
     """``harness._delta_ratio`` as ``_image_cells`` calls it, given F(h) and
     F(T_s h) over the whole frame: the map's cell reads the whole frame,
-    every other cell the crop window."""
+    every other cell the crop window. F(T_s h)'s window is a copy, which
+    ``_delta_ratio`` overwrites."""
     window = crop_window(feats.shape, margin)
     read = crop_window(feats.shape, 0.0) if with_map else window
     t_s = resample.scale_transform_mapping(feats.shape, s)
     scaled_feats = resample._warp(feats, feats.shape[-2:], t_s, BorderPolicy.ZERO, read)
     within = grid.within(window, read)
-    return harness._delta_ratio(scaled_feats, feats_of_scaled[(..., *read)], within, with_map)
+    return harness._delta_ratio(scaled_feats, feats_of_scaled[(..., *read)].copy(), within, with_map)
 
 
 class TestCellReduction:
@@ -694,13 +694,15 @@ def test_box_forward_layers_shrink_to_the_crop_window(monkeypatch, kind, spec, s
 
     monkeypatch.setattr(sesconv, "conv2d", recording)
     harness._image_cells(stack, image, (0.8,), tuple(range(1, len(spec.layers) + 1)), margin)
+    # Each scale slice runs through every layer in turn.
     scales = spec.num_scales if kind == "ses" else 1
     out_ch = [layer.out_channels for layer in spec.layers]
-    expected = [(scales * out_ch[0], *regions[0])]
-    expected += [(o, *region) for o, region in zip(out_ch[1:], regions[1:]) for _ in range(scales)]
-    base = [(scales * out_ch[0], *shape)] + [(o, *shape) for o in out_ch[1:] for _ in range(scales)]
+    expected = [(o, *region) for o, region in zip(out_ch, regions)] * scales
+    base = [(o, *shape) for o in out_ch] * scales
     assert shapes == base + expected
-    assert [inputs[0], inputs[len(base)]] == [(1, *shape), (1, *box)]
+    layers = len(out_ch)
+    assert inputs[: len(base) : layers] == [(1, *shape)] * scales
+    assert inputs[len(base) :: layers] == [(1, *box)] * scales
 
 
 @pytest.mark.parametrize("map_scale", [None, 0.8])
@@ -724,6 +726,35 @@ def test_image_cells_peak_memory_is_base_plus_one_forward(margin, map_scale):
     finally:
         tracemalloc.stop()
     assert peak < base + forward + base // 2  # slack: one block output
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        EquivConfig(corpus=CorpusSpec(count=1)),
+        EquivConfig(
+            stack=StackSpec(layers=(LayerSpec(16, 5), LayerSpec(16, 5)), max_order=2),
+            corpus=CorpusSpec(kind="bandlimited-noise", count=1, height=192, width=640),
+            scale_factors=(0.8, 0.6),
+            blocks=(1, 2),
+        ),
+    ],
+    ids=["equiv-ref", "equiv-wide"],
+)
+def test_plan_covers_the_run_peak(monkeypatch, config):
+    # The plan counted an image and one [S, C, h, w] map per worker: 61.1 MB
+    # against a 115.1 MB peak on equiv-wide, 12.1 against 13.0 MB on equiv-ref.
+    planned = []
+    check = harness.check_fits_memory
+    monkeypatch.setattr(harness, "check_fits_memory", lambda values, plan: planned.append(values) or check(values, plan))
+    run_experiment(config)
+    tracemalloc.start()
+    try:
+        run_experiment(config)  # with the error maps, whose cells read the frame
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * planned[-1]
 
 
 @pytest.mark.parametrize("s", [1e-310, 5e-324])

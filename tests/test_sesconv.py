@@ -535,6 +535,25 @@ class TestStack:
         # or a norm or ReLU temporary, would add 11 MiB.
         assert peak <= scale_map + blocks + padded + conv_block
 
+    @pytest.mark.parametrize("window", [None, grid.crop_window((192, 640), 0.1)], ids=["frame", "crop"])
+    def test_wide_forward_holds_one_scale_slice(self, window):
+        # The equiv-wide stack at 192x640, on the frame and on its crop window,
+        # whose layer 1 writes a 158x516 box. Holding every scale slice's map,
+        # as the [S, C, h, w] forward did, adds two more slices (20-31 MB).
+        stack = build_stack(StackSpec(layers=(LayerSpec(16, 5), LayerSpec(16, 5)), max_order=2))
+        image = synth_image("bandlimited-noise", 192, 640, seed=0)
+        h, w = (192, 640) if window is None else (158, 516)
+        tracemalloc.start()
+        try:
+            blocks = stack.forward(image, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks[0].shape == (16, *image[(..., *(window or (slice(None),) * 2))].shape)
+        scale_slice = 8 * 16 * h * w
+        scratch = 8 * max(conv.conv2d_scratch(c, 16, 5, h, w) for c in (1, 16))
+        assert peak <= scale_slice + scratch + sum(block.nbytes for block in blocks) + 2**16
+
     def test_json_roundtrip(self):
         spec = StackSpec(kind="vanilla", layers=(LayerSpec(3, 9, "none"),), alpha=0.2, seed=4)
         back = load(StackSpec, dump(spec))
@@ -587,9 +606,9 @@ class TestCalibration:
         monkeypatch.setattr(sesconv, "conv2d", lambda *args, **kwargs: count.append(1) or real(*args, **kwargs))
         monkeypatch.setattr(sesconv, "scale_projection", lambda x: pytest.fail("calibration projected a map"))
         build_stack(spec)
-        # SES: one fused conv2d for layer 1, then one per scale for layers 2..n-1.
+        # One conv2d per scale for each of layers 1..n-1.
         scales = num_scales if kind == "ses" else 1
-        assert len(count) == (0 if depth == 1 else 1 + scales * (depth - 2))
+        assert len(count) == scales * (depth - 1)
 
     @pytest.mark.parametrize("nonlinearity", ["relu", "none"])
     @pytest.mark.parametrize("depth", [1, 2, 4])
@@ -646,14 +665,15 @@ WINDOW_STACKS = {
 
 
 def _unprojected(stack, image, window=None):
-    """Copies of the window of each layer's yielded map, and whether each map
-    shares the buffer of the map before it."""
-    maps, reused, last = [], [], None
-    for x, read in sesconv._layers(stack.spec, stack.banks, image, stack.norm_stats, window):
+    """Copies of the window of each layer's [S, C, h, w] map, stacked from
+    the slices ``_layers`` yields, and whether each yielded slice is a view of
+    the buffer of the one before it."""
+    slices, reused, last = [[] for _ in stack.banks], [], None
+    for i, x, read in sesconv._layers(stack.spec, stack.banks, image, stack.norm_stats, window):
         reused.append(last is not None and np.shares_memory(x, last))
-        maps.append(x[(..., *read)].copy())
+        slices[i].append(x[(..., *read)].copy())
         last = x
-    return maps, reused
+    return [np.stack(maps) for maps in slices], reused
 
 
 class TestWindowedForward:
@@ -702,8 +722,9 @@ class TestWindowedForward:
         ids=["inside", "top", "bottom-right"],
     )
     def test_unprojected_maps_equal_the_whole_image_maps_on_the_window(self, stack, window):
-        # Each layer's [S, C, h, w] map, read before the next layer's norm
-        # overwrites it, is the window of the whole-image map bit for bit.
+        # Each layer's [S, C, h, w] map, its slices read before the next
+        # layer's norm overwrites them, is the window of the whole-image map
+        # bit for bit.
         image = synth_image("bandlimited-noise", 29, 50, seed=5)
         whole, reused = _unprojected(stack, image)
         maps, _ = _unprojected(stack, image, window)
@@ -715,9 +736,8 @@ class TestWindowedForward:
             assert m.shape == expected.shape and m.tobytes() == expected.tobytes()
         blocks = stack.forward(image, window)
         assert all(scale_projection(m).tobytes() == b.tobytes() for m, b in zip(maps, blocks))
-        # On the whole image a layer gets a new buffer only when its channel
-        # count exceeds every earlier one's ("channels-change": 2 -> 4).
-        assert reused == [False] + [c <= max(channels[:i]) for i, c in enumerate(channels) if i]
+        # Every slice of every layer is written into the forward's one buffer.
+        assert reused == [False] + [True] * (scales * len(channels) - 1)
 
     @pytest.mark.parametrize(
         "window",
