@@ -37,7 +37,7 @@ from .geometry import (
 )
 from .grid import check_fits_memory
 from .harness import CorpusSpec, EquivConfig, run_experiment
-from .resample import BLOCK_POINTS, _check_extents, warp
+from .resample import _check_extents, warp, warp_scratch
 from .ssim import WINDOW_SIZE
 
 
@@ -135,14 +135,14 @@ def cmd_warp(args) -> int:
         _check_extents("--out-shape", h, w)
     elif args.out_shape is not None:
         raise ConfigError(f"--out-shape is for mode invlogpolar only, got mode {args.mode}")
-    # The output and the encoder's float buffer; the scale mode's separable
-    # sampler also holds a copy of the source rows and its x pass, each at
-    # most a frame, while the output is filled.
-    frames = 3 if args.mode == "scale" else 2
+    # The input and output, then the warp's scratch or, once it returns, the
+    # encoder's float buffer with a point warp's blocks for its payload.
+    separable, frame = args.mode == "scale", as_real(h) * as_real(w)
+    encoder = frame + warp_scratch((height, width), (h, w), False)
     check_fits_memory(
-        as_real(height) * as_real(width) + frames * as_real(h) * as_real(w) + 20 * BLOCK_POINTS,
+        as_real(height) * as_real(width) + frame + max(warp_scratch((height, width), (h, w), separable), encoder),
         f"out_shape {reprlib.repr(h)}x{reprlib.repr(w)} of the {args.mode} warp of image {args.image} of "
-        f"{height}x{width} (the input, {frames} output frames and the sampler's blocks)",
+        f"{height}x{width} (the input, {2 + separable} output frames and the sampler's blocks)",
     )
     metrics: dict = {"mode": args.mode}
     intr = None

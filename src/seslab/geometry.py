@@ -23,8 +23,9 @@ from .resample import (
     resize,
     scale_about,
     warp,
+    warp_scratch,
 )
-from .ssim import ssim
+from .ssim import ssim, ssim_scratch
 
 
 @dataclass(frozen=True)
@@ -464,24 +465,23 @@ def _compact_roundtrip(image, h2, w2) -> np.ndarray:
 
 def check_up_factor(shape, up_factor) -> float:
     """The doubles that the log-polar roundtrip of an h x w image of extents
-    ``shape`` may hold, counted as if all were alive at once. With H x W the
-    upscale's extents and the compact grid the source rows x columns that the
-    downscale reads (at most two per output pixel along each axis), these are
-    one H x W grid (the upscale or the log-polar image, one at a time) and the
-    upscale's h x W x pass; the inverse's coordinates ``xs`` and ``ys`` and its
-    output on the compact grid; the read mask, a byte per cell; the read
-    cells' indices and values, at most four per compact point; SSIM's maps,
-    seven h x w images; and the point kernel's and SSIM's blocks. Raises
-    ConfigError naming ``up_factor`` unless it is a finite real >= 1 and they
-    fit in the machine's physical memory."""
+    ``shape`` may hold: with H x W the upscale's extents and the compact grid
+    what the downscale reads, one H x W grid at a time, the inverse's
+    coordinates and output on the compact grid, the read mask and cells, the
+    result, and the largest scratch of its three resamplings; or, after them,
+    the result and SSIM's scratch. Raises ConfigError naming ``up_factor``
+    unless it is a finite real >= 1 and they fit in physical memory."""
     u = as_real(up_factor)
     if not 1 <= u < math.inf:
         raise ConfigError(f"up_factor must be a finite real >= 1, got {reprlib.repr(up_factor)}")
     h, w = as_real(shape[0]), as_real(shape[1])
     h2, w2 = h * u, w * u
-    full, compact = h2 * w2, min(h2, 2 * h) * min(w2, 2 * w)
-    values = full + h * w2 + 3 * compact + (h2 + 1) * w2 / 8 + 2 * min(full, 4 * compact) + 7 * h * w
-    values += 20 * BLOCK_POINTS
+    rows, cols, full = min(h2, 2 * h), min(w2, 2 * w), h2 * w2
+    scratch = max(warp_scratch((h, w), (h2, w2), True), warp_scratch((rows, cols), (h, w), True))
+    scratch = max(scratch, warp_scratch((h2 + 1, w2), (rows, cols), False))
+    # a byte of read mask per cell; read cells' indices and values, at most four per compact point
+    roundtrip = full + 3 * rows * cols + (h2 + 1) * w2 / 8 + 2 * min(full, 4 * rows * cols) + h * w + scratch
+    values = max(roundtrip, h * w + ssim_scratch(h, w))
     check_fits_memory(values, f"up_factor {u:.6g} (a roundtrip through {h2:.6g}x{w2:.6g} grids)")
     return values
 

@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .conv import conv2d_scratch
 from .errors import ConfigError, SeslabError, as_real, check_fields, dump, is_integer, load
 from .fileio import read_pgm, read_pgm_header, write_json
 from .grid import BorderPolicy, as_grid, check_fits_memory, crop_window, within
-from .resample import _warp, scale_transform_mapping
-from .sesconv import KINDS, Stack, StackSpec, build_stack, check_stack_fits
+from .resample import _warp, scale_transform_mapping, warp_scratch
+from .sesconv import KINDS, Stack, StackSpec, build_stack, check_stack_fits, slice_loop_values
 from .synth import KINDS as IMAGE_KINDS, MIN_EXTENT, corpus_seeds, synth_image
 
 THREADS_ENV = "SESLAB_THREADS"
@@ -182,10 +181,11 @@ def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
 
     T_s F (``scaled_feats``, squared in place) and F(T_s h) are [C, h, w]
     readouts of one window; ``crop`` is the crop window within it. The squared
-    difference overwrites F(T_s h), which the caller gives up. The sums read contiguous copies of the crop, which are
-    the arrays themselves when the window is the crop: equal arrays,
-    whichever window a cell reads. Raises SeslabError, before the map is
-    normalized, if either sum is not finite or if T_s F is zero on the crop.
+    difference overwrites F(T_s h), which the caller gives up. The sums read
+    contiguous copies of the crop, which are the arrays themselves when the
+    window is the crop: equal arrays, whichever window a cell reads. Raises
+    SeslabError, before the map is normalized, if either sum is not finite or
+    if T_s F is zero on the crop.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         err = np.subtract(scaled_feats, feats_of_scaled, out=feats_of_scaled)
@@ -261,45 +261,34 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
 
 def _measurement_values(layers, height, width) -> float:
     """At most the doubles that ``_image_cells`` holds measuring one image of
-    height x width through ``layers``, counted as if all were alive at once
-    and every map at the image's extents (the error maps' cells read the
-    frame): the image and T_s h; the base forward's readouts; the scaled
-    forward's block maxima and its one [C, h, w] scale slice, with the
-    largest ``conv2d_scratch``; and one cell's T_s F, with two more of its
-    size (the sampler's pass, or ``_delta_ratio``'s two crop copies) and the
-    error map."""
-    pixels, channels, convs = as_real(height) * as_real(width), 1.0, []
-    for layer in layers:
-        out = as_real(layer.out_channels)
-        convs.append(conv2d_scratch(channels, out, as_real(layer.k), as_real(height), as_real(width)))
-        channels = out
-    blocks = sum(as_real(layer.out_channels) for layer in layers)
-    widest = max(as_real(layer.out_channels) for layer in layers)
-    # image and T_s h; both forwards' blocks; the slice; T_s F, two of its size, the map
-    return pixels * (2 + 2 * blocks + widest + 3 * widest + 1) + max(convs)
+    height x width through ``layers``, every map counted at the image's
+    extents as if all were alive at once: the image and T_s h, both forwards'
+    blocks, one slice loop, and one cell's T_s F and error map, with the
+    sampler's scratch or ``_delta_ratio``'s two crop copies, the larger."""
+    pixels, outs = as_real(height) * as_real(width), [as_real(layer.out_channels) for layer in layers]
+    cell = max(warp_scratch((height, width), (height, width), True, BorderPolicy.ZERO), 2 * max(outs) * pixels)
+    return pixels * (3 + 2 * sum(outs) + max(outs)) + cell + slice_loop_values(layers, height, width)
 
 
 def _plan(config: EquivConfig, extents, workers: int) -> tuple:
     """The spec of each kind, cut to max(blocks) layers, as no layer depends on
     a later one. Raise ConfigError unless every crop window keeps a pixel and
     the run fits in physical memory: each stack (``check_stack_fits``),
-    ``workers`` images of the largest extent, each with what its measurement
-    holds (``_measurement_values``), and the cells of every image, plus its
-    4-byte seed if the corpus is synthetic. Nothing of it grows with the
-    number of scales: a forward holds one scale slice at a time. Raise
-    DegenerateGeometryError, as ``scale_transform_mapping`` does, unless every
-    scale factor maps every extent's pixels to finite points."""
+    ``workers`` measurements (``_measurement_values``) at the extent where it
+    is largest, none growing with the number of scales, and a double per cell
+    and a 4-byte seed per synthetic image. Raise DegenerateGeometryError, as
+    ``scale_transform_mapping`` does, unless every scale factor maps every
+    extent's pixels to finite points."""
     layers = config.stack.layers[: max(config.blocks)]
     specs = tuple(replace(config.stack, kind=kind, layers=layers) for kind in KINDS)
     count = extents.total()
     weights = sum(map(check_stack_fits, specs))
-    height, width = max(extents, key=lambda extent: as_real(extent[0]) * as_real(extent[1]))
+    measurement, (height, width) = max((_measurement_values(layers, *extent), extent) for extent in extents)
     cells = len(KINDS) * len(config.blocks) * len(config.scale_factors)
     synthetic = config.corpus.image_dir is None  # then each image has a 4-byte seed, half a double
     n, h, w = map(reprlib.repr, (count, height, width))
     check_fits_memory(
-        workers * _measurement_values(layers, height, width)
-        + as_real(count) * (cells + 0.5 * synthetic) + weights,
+        workers * measurement + as_real(count) * (cells + 0.5 * synthetic) + weights,
         f"corpus of {n} images (the largest {h}x{w}) on {workers} worker(s), each holding an image, "
         f"its forwards' readouts, one scale slice and one cell's maps, and {cells} cells"
         f"{' and a seed' * synthetic} per image, and each stack's bases, kernels and calibration",

@@ -309,6 +309,22 @@ def _warp(image, shape, mapping, border, window):
     return out.reshape(*lead, h, w)
 
 
+def warp_scratch(shape, out_shape, separable: bool, border: BorderPolicy = BorderPolicy.CLAMP) -> float:
+    """At most the doubles that ``_warp`` holds besides a grid of extents
+    ``shape`` and its output of trailing extents ``out_shape``. A point map:
+    the kernel's blocks, twenty arrays of BLOCK_POINTS values or an output
+    row, and for ZERO the ringed grid. An axis-aligned map (``separable``),
+    per leading slice: the source rows, two per output row at most, with
+    ZERO's ring, their x pass or ring copy, two bands, and twenty per-row and
+    per-column arrays."""
+    (*lead, h, w), (out_h, out_w) = map(as_real, shape), map(as_real, out_shape)
+    if not separable:
+        ring = math.prod(lead) * (h + 2) * (w + 2) if border is BorderPolicy.ZERO else 0.0
+        return 20 * max(BLOCK_POINTS, out_w) + ring
+    rows, band = min(h + 2, 2 * out_h), max(out_w, min(BAND_VALUES, out_h * out_w))
+    return rows * (w + 2 + max(w, out_w)) + 2 * band + 20 * (out_h + out_w)
+
+
 def scale_transform(image, s: float, border: BorderPolicy = BorderPolicy.CLAMP) -> np.ndarray:
     """Scale transform T_s about the exact image center (cy, cx) = ((H-1)/2, (W-1)/2).
 

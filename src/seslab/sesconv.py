@@ -94,26 +94,19 @@ def combine(weights, basis: SteerableBasis, scale_gains=None) -> SesFilterBank:
     )
 
 
-def ses_conv_input(image, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO, margins=None):
-    """Convolve a [C, H, W] grid once per scale, stacking along a new scale axis.
-
-    All scales run as one conv2d of the [S*O, C, k, k] kernels, whose output
-    rows are the [S, O, h, w] result; ``margins`` is conv2d's padding. Public
-    and traced by the benchmark, but ``Stack.forward`` does not call it (the
-    forward convolves the image with one scale's kernels at a time), so its
-    traced span reads 0.
-    """
+def ses_conv_input(image, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO):
+    """Convolve a [C, H, W] grid once per scale into [S, O, H, W], as one conv2d
+    of the [S*O, C, k, k] kernels. Nothing in seslab calls it (the forward
+    convolves one scale at a time), so its traced span reads 0."""
     kernels = bank.kernels.reshape((-1,) + bank.kernels.shape[2:])
-    out = conv2d(image, kernels, border, margins=margins)
+    out = conv2d(image, kernels, border)
     return out.reshape((bank.num_scales, bank.out_channels) + out.shape[1:])
 
 
 def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPolicy.ZERO):
-    """Convolve each scale slice of a [S, C, H, W] map with its own-scale kernel.
-
-    The inter-scale kernel extent is 1: no scale mixing happens inside the
-    convolution.
-    """
+    """Convolve each scale slice of a [S, C, H, W] map with its own-scale kernel;
+    no scale mixing happens inside the convolution. Nothing in seslab calls
+    it, so its traced span reads 0."""
     x = as_grid(x, rank=4, name="features")
     if x.shape[0] != bank.num_scales:
         raise ShapeError(
@@ -123,7 +116,8 @@ def ses_conv_scalewise(x, bank: SesFilterBank, border: BorderPolicy = BorderPoli
 
 
 def scale_projection(x) -> np.ndarray:
-    """Elementwise max over the scale axis: [S, C, H, W] -> [C, H, W], a new array."""
+    """Elementwise max over the scale axis: [S, C, H, W] -> [C, H, W], a new
+    array. Nothing in seslab calls it, so its traced span reads 0."""
     return as_grid(x, rank=4, name="features").max(axis=0)
 
 
@@ -420,12 +414,12 @@ def _calibrate(spec: StackSpec, banks) -> tuple:
 
 def check_stack_fits(spec: StackSpec) -> float:
     """The doubles that ``build_stack(spec)`` holds, counted as if all were
-    alive at once: the ``build_basis`` peak of each distinct k, whose basis
-    every bank of that k keeps, and each layer's [S, O, C, k, k] kernels and
-    [O, C, B] coefficients, S = len(spec.scale_set()), and the calibration
-    forward (``_calibration_values``). Raises ConfigError naming the k of the
-    first basis, or of the first layer, that takes them past physical memory,
-    or else the calibration forward if it does."""
+    alive at once: each distinct k's ``check_basis_fits``, each layer's [S, O,
+    C, k, k] kernels and [O, C, B] coefficients, S = len(spec.scale_set()), and
+    the calibration forward: the probe, S slice loops in lockstep and
+    ``_channel_stats``' two [S, 96, 96] channel copies and block temporaries.
+    Raises ConfigError naming the k of the first basis, or of the first layer,
+    that takes them past physical memory, or else the calibration forward."""
     values, channels, bases = 0.0, 1.0, set()
     members, scales = as_real((spec.max_order + 1) ** 2), len(spec.scale_set())
     for i, layer in enumerate(spec.layers, start=1):
@@ -441,27 +435,22 @@ def check_stack_fits(spec: StackSpec) -> float:
         )
         channels = out
     if len(spec.layers) > 1:
-        values += _calibration_values(spec.layers[:-1], scales)
         n, size = len(spec.layers) - 1, CALIBRATION_SIZE
+        loops = slice_loop_values(spec.layers[:-1], size, size, scales)
+        values += size * size * (1 + 2 * scales) + 4 * _SUM_BLOCK + loops
         check_fits_memory(
             values, f"the calibration forward of layers 1..{n} on a {size}x{size} probe, and the stack's weights"
         )
     return values
 
 
-def _calibration_values(layers, scales: int) -> float:
-    """The doubles that ``_calibrate`` holds running ``layers`` on the probe,
-    counted as if all were alive at once: the probe, one [C, 96, 96] buffer of
-    the widest layer per scale slice, ``_channel_stats``' two [S, 96, 96]
-    copies of a channel and its block temporaries, and the largest
-    ``conv2d_scratch``."""
-    size, channels, convs = as_real(CALIBRATION_SIZE), 1.0, []
-    for layer in layers:
-        out = as_real(layer.out_channels)
-        convs.append(conv2d_scratch(channels, out, as_real(layer.k), size, size))
-        channels = out
-    widest = max(as_real(layer.out_channels) for layer in layers)
-    return size * size * (1 + scales * (widest + 2)) + 4 * _SUM_BLOCK + max(convs)
+def slice_loop_values(layers, height, width, loops: int = 1) -> float:
+    """The doubles that ``loops`` slice loops of ``_layers`` hold on a height x
+    width image: each loop's buffer, [C, height, width] for the widest layer,
+    and one convolution's ``conv2d_scratch``, the largest of ``layers``."""
+    h, w, outs = as_real(height), as_real(width), [as_real(layer.out_channels) for layer in layers]
+    convs = [conv2d_scratch(c, o, as_real(layer.k), h, w) for c, o, layer in zip([1.0] + outs, outs, layers)]
+    return loops * max(outs) * h * w + max(convs)
 
 
 def build_stack(spec: StackSpec) -> Stack:

@@ -83,6 +83,12 @@ def ssim(a, b, data_range: float | None = None) -> float:
     return 4.0 * total / (n_x * n_y)
 
 
+def ssim_scratch(h: float, w: float) -> float:
+    """At most the doubles that ``ssim`` holds besides its h x w inputs: the row
+    pass's four (h - 10) x w maps, a^2 + b^2 and a b, and five band maps."""
+    return 4 * (h - WINDOW_SIZE + 1) * w + 2 * h * w + 5 * max(BLOCK_POINTS, h)
+
+
 def _quarter_score_sum(maps: np.ndarray, c1: float, c2: float) -> float:
     """Sum of a quarter of the SSIM scores, from the stacked local means of
     a, b, a^2 + b^2 and a b and a fifth map to compute in; overwrites all five.

@@ -738,12 +738,21 @@ def test_image_cells_peak_memory_is_base_plus_one_forward(margin, map_scale):
             scale_factors=(0.8, 0.6),
             blocks=(1, 2),
         ),
+        EquivConfig(corpus=CorpusSpec(image_dir="square-and-thin")),
     ],
-    ids=["equiv-ref", "equiv-wide"],
+    ids=["equiv-ref", "equiv-wide", "square-and-thin"],
 )
-def test_plan_covers_the_run_peak(monkeypatch, config):
+def test_plan_covers_the_run_peak(monkeypatch, tmp_path, config):
     # The plan counted an image and one [S, C, h, w] map per worker: 61.1 MB
     # against a 115.1 MB peak on equiv-wide, 12.1 against 13.0 MB on equiv-ref.
+    # It then sized the worker at the largest-area extent, 200x200 here, but
+    # conv2d's row-block patch grows with the padded width, so the thin image
+    # holds more.
+    if config.corpus.image_dir is not None:
+        rng = np.random.default_rng(7)
+        for name, shape in (("square", (200, 200)), ("thin", (1, 39999))):
+            write_pgm(tmp_path / f"{name}.pgm", rng.uniform(size=shape))
+        config = replace(config, corpus=replace(config.corpus, image_dir=str(tmp_path)))
     planned = []
     check = harness.check_fits_memory
     monkeypatch.setattr(harness, "check_fits_memory", lambda values, plan: planned.append(values) or check(values, plan))

@@ -524,3 +524,33 @@ class TestSampleKernel:
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+class TestWarpScratch:
+    """``warp_scratch`` covers what a warp holds besides its grid and output."""
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["HW", "CHW"])
+    @pytest.mark.parametrize("border", list(BorderPolicy))
+    @pytest.mark.parametrize("separable", [True, False], ids=["axis-aligned", "point"])
+    @pytest.mark.parametrize(
+        ("shape", "out_shape"),
+        [((96, 320), (76, 256)), ((375, 1242), (375, 1242)), ((40, 30), (400, 300)), ((1, 39999), (1, 39999))],
+        ids=["crop", "frame", "upscale", "thin"],
+    )
+    def test_covers_the_peak(self, rng, lead, border, separable, shape, out_shape):
+        # At s = 1 the axis-aligned map reads every source row, whose copy and
+        # x pass hold two frames besides the output (2.32 at 375x1242).
+        grid = rng.uniform(size=(*lead, *shape))
+        if separable:
+            (h, w), (out_h, out_w) = shape, out_shape
+            mapping = resample.scale_about(out_w / w, -0.5, -0.5)
+            assert np.shape(mapping(np.ones((1, out_w)), np.ones((out_h, 1)))[1]) == (out_h, 1)
+        else:
+            mapping = projective_onto(out_shape, shape)
+        tracemalloc.start()
+        try:
+            out = warp(grid, mapping, border, out_shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 8 * resample.warp_scratch(grid.shape, out_shape, separable, border)

@@ -469,6 +469,30 @@ class TestStack:
             tracemalloc.stop()
         assert peak <= 8 * check_stack_fits(spec)
 
+    @pytest.mark.parametrize("window", [None, grid.crop_window((96, 320), 0.1)], ids=["frame", "crop"])
+    @pytest.mark.parametrize(
+        "layers, max_order",
+        [
+            (StackSpec().layers, 3),
+            ((LayerSpec(16, 5),) * 2, 2),
+            ((LayerSpec(3, 3), LayerSpec(3, 5), LayerSpec(3, 7, "none")), 1),
+        ],
+        ids=["reference", "wide", "mixed-k"],
+    )
+    def test_slice_loop_count_covers_its_peak(self, layers, max_order, window):
+        # Every scale slice through every layer, as a forward runs them: one
+        # buffer for the widest layer and one conv2d's scratch at a time.
+        stack = build_stack(StackSpec(layers=layers, max_order=max_order))
+        image = synth_image("bandlimited-noise", 96, 320, seed=0)
+        tracemalloc.start()
+        try:
+            for _ in sesconv._layers(stack.spec, stack.banks, image, stack.norm_stats, window):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sesconv.slice_loop_values(layers, 96, 320)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
             StackSpec(kind="dilated")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from seslab import ShapeError, ssim, synth_image
+from seslab.ssim import ssim_scratch
 
 from oracles import ssim_windows
 
@@ -66,6 +67,20 @@ def test_peak_memory_holds_no_extra_full_size_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * a.nbytes
+
+
+@pytest.mark.parametrize("shape", [(96, 96), (384, 384), (96, 320), (11, 5000), (5000, 11)], ids=lambda s: "%dx%d" % s)
+def test_scratch_count_covers_the_peak(shape):
+    r = np.random.default_rng(6)
+    a, b = r.uniform(size=shape), r.uniform(size=shape)
+    ssim(a, b)
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ssim_scratch(*shape)
 
 
 def test_inverted_checkerboard_is_negative():
