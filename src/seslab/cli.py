@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import build_basis, check_basis_fits, check_scale_count, save_basis, scale_set_from_alpha
 from .errors import ConfigError, FormatError, SeslabError, as_real, check_fields, dump, load
-from .fileio import read_pgm, read_pgm_header, write_json, write_pgm
+from .fileio import read_pgm, read_pgm_header, write_json, write_pgm, write_pgm_scratch
 from .geometry import (
     CameraIntrinsics,
     EgoMotion,
@@ -135,12 +135,12 @@ def cmd_warp(args) -> int:
         _check_extents("--out-shape", h, w)
     elif args.out_shape is not None:
         raise ConfigError(f"--out-shape is for mode invlogpolar only, got mode {args.mode}")
-    # The input and output, then the warp's scratch or, once it returns, the
-    # encoder's float buffer with a point warp's blocks for its payload.
-    separable, frame = args.mode == "scale", as_real(h) * as_real(w)
-    encoder = frame + warp_scratch((height, width), (h, w), False)
+    # The input and output, then the warp's scratch or, once it returns and the
+    # input is freed, the encoder's.
+    separable = args.mode == "scale"
     check_fits_memory(
-        as_real(height) * as_real(width) + frame + max(warp_scratch((height, width), (h, w), separable), encoder),
+        as_real(height) * as_real(width) + as_real(h) * as_real(w)
+        + max(warp_scratch((height, width), (h, w), separable), write_pgm_scratch(h, w)),
         f"out_shape {reprlib.repr(h)}x{reprlib.repr(w)} of the {args.mode} warp of image {args.image} of "
         f"{height}x{width} (the input, {2 + separable} output frames and the sampler's blocks)",
     )
@@ -184,6 +184,7 @@ def cmd_warp(args) -> int:
         result = inverse_log_polar(image, (h, w), center=center, r_min=args.r_min)
     else:
         result = warp(image, mapping)
+    del image  # freed before the encoder allocates
     out, out_dir = Path(args.out), Path(args.out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_pgm(out, result)

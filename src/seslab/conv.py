@@ -9,6 +9,7 @@ from .errors import ShapeError, is_integer
 from .grid import BorderPolicy, as_grid, pad_mode
 
 BLOCK_BYTES = 1 << 19  # bounds a row block's patch and each of its accumulators: they stay in L2
+HEADER_VALUES = 1024  # 8 KiB, in doubles: conv2d's array objects and views besides their data
 
 
 def conv2d(
@@ -17,6 +18,7 @@ def conv2d(
     border: BorderPolicy = BorderPolicy.ZERO,
     out: np.ndarray | None = None,
     margins: tuple | None = None,
+    fold: bool = False,
 ) -> np.ndarray:
     """Correlate a [C, H, W] grid with a [O, C, k, k] kernel stack.
 
@@ -33,7 +35,12 @@ def conv2d(
     the kernels' channel dimension. With ``out`` given, a C-contiguous float64
     array of the output shape, the result is written into it and ``out`` is
     returned; ``out`` may share memory with ``image``, even when the output is
-    smaller than the input.
+    smaller than the input. With ``fold`` the result is folded into ``out``
+    instead, row block by row block, as ``np.maximum(out, result, out=out)``
+    would fold it, bit for bit. The input is copied only where it must be: a
+    nonzero margin pads it into a new array, and at zero margins an ``out``
+    that shares its memory makes conv2d copy it, since later row blocks
+    reread rows that earlier ones overwrite.
 
     Each output is a sum over the column taps j, in j order, of one dot product
     over (c, i). That order does not depend on the output's position or on the
@@ -67,9 +74,11 @@ def conv2d(
     elif not (isinstance(out, np.ndarray) and out.shape == shape
               and out.dtype == np.float64 and out.flags.c_contiguous):
         raise ShapeError(f"out must be a C-contiguous float64 array of shape {shape}")
-    # A copy of its own, which out may overwrite: the last block rereads rows.
     pads = [(0, 0), (top, bottom), (left, right)]
-    padded = np.pad(image, pads, mode=pad_mode(border)) if any(margins) else image.copy()
+    if any(margins):
+        padded = np.pad(image, pads, mode=pad_mode(border))
+    else:  # a copy of its own only if out may overwrite rows that a later block rereads
+        padded = image.copy() if np.may_share_memory(image, out) else np.ascontiguousarray(image)
     # Flatten each channel of the padded map, of width wp. Output (u, v) of a block of
     # rows starting at r0 is then column t = (u - r0) * wp + v, and tap (c, i, j) reads
     # flat[c, (r0 + i) * wp + j + t]. So one [C*k, rows*wp] patch, whose row (c, i) is
@@ -94,17 +103,22 @@ def conv2d(
         for j in range(1, kw):
             np.matmul(taps[j], rhs[:, j : j + cols], out=tmp[:, :cols])
             acc += tmp
-        out[:, r0 : r0 + rows] = acc[:, :span].reshape(out_ch, rows, wp)[:, :, :wo]
+        result, target = acc[:, :span].reshape(out_ch, rows, wp)[:, :, :wo], out[:, r0 : r0 + rows]
+        if fold:  # rows that an overlapping last block folds again keep their bits
+            np.maximum(target, result, out=target)
+        else:
+            target[...] = result
     return out
 
 
 def conv2d_scratch(in_ch: float, out_ch: float, k: float, h: float, w: float) -> float:
     """At most the doubles that conv2d holds besides its input and output, for
     a [in_ch, h, w] input, [out_ch, in_ch, k, k] kernels and the default
-    margins: the padded input, the taps, and a row block's patch and two
-    accumulators. Each of those three has at most m = max(in_ch * k, out_ch)
-    rows of a block's columns and k + 8 more, and a block's m x columns
-    doubles fit in BLOCK_BYTES unless the block is one padded row."""
-    wp, rows = w + k - 1, max(in_ch * k, out_ch)
-    blocks = 3 * (max(BLOCK_BYTES / 8, rows * wp) + rows * (k + 8))
-    return in_ch * (h + k - 1) * wp + out_ch * in_ch * k * k + blocks
+    margins: the padded input, the taps, and a row block's [in_ch * k, .]
+    patch and two [out_ch, .] accumulators. Each of those three has a block's
+    columns and at most k + 8 more, and a block has at most BLOCK_BYTES / (8 *
+    max(in_ch * k, out_ch)) columns unless it is one padded row. HEADER_VALUES
+    more cover the objects of the arrays and views that conv2d makes."""
+    wp = w + k - 1
+    cols = max(BLOCK_BYTES / (8 * max(in_ch * k, out_ch)), wp) + k + 8
+    return in_ch * (h + k - 1) * wp + out_ch * in_ch * k * k + (in_ch * k + 2 * out_ch) * cols + HEADER_VALUES

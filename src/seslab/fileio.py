@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, as_real
 from .grid import as_grid
 
 _WHITESPACE = tuple(bytes([c]) for c in b" \t\r\n\x0b\x0c")  # one-byte slices, as a header is read
@@ -33,6 +33,13 @@ def write_pgm(path, image, maxval: int = 255) -> None:
     with open(path, "wb") as f:
         f.write(f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii"))
         f.write(q.astype(">u2" if maxval > 255 else "u1"))
+
+
+def write_pgm_scratch(height, width, maxval: int = 255) -> float:
+    """The doubles that ``write_pgm`` holds besides its image: the quantized
+    float buffer, the 1- or 2-byte payload of every pixel, and 1024 (8 KiB)
+    for the open file, its header and the arrays' objects."""
+    return as_real(height) * as_real(width) * (1 + (2 if maxval > 255 else 1) / 8) + 1024
 
 
 def read_pgm_header(path) -> tuple:

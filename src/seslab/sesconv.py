@@ -303,16 +303,21 @@ class Stack:
         the scale slices run through the whole stack one after another. Each
         block is the window of slice 0's map, into which every later slice's
         window folds by ``np.maximum``, in slice order as ``scale_projection``
-        takes it. The blocks are views of one new array, so a forward makes
-        one allocation for them, which keeps the allocator from returning and
-        refaulting their pages forward after forward.
+        takes it. The last layer writes exactly the window, so ``_layers``
+        convolves each slice straight into the last block, and folds it there;
+        the forward copies and folds the earlier blocks. The blocks are views
+        of one new array, so a forward makes one allocation for them, which
+        keeps the allocator from returning and refaulting their pages forward
+        after forward.
         """
         image = as_grid(image, rank=2, name="image")
         rows, cols = check_window(image.shape, window)
         shapes = [(bank.out_channels, rows.stop - rows.start, cols.stop - cols.start) for bank in self.banks]
         ends = np.cumsum([math.prod(shape) for shape in shapes])
         blocks = [part.reshape(shape) for part, shape in zip(np.split(np.empty(ends[-1]), ends[:-1]), shapes)]
-        for n, (i, x, read) in enumerate(_layers(self.spec, self.banks, image, self.norm_stats, window)):
+        for n, (i, x, read) in enumerate(_layers(self.spec, self.banks, image, self.norm_stats, window, into=blocks[-1])):
+            if i == len(blocks) - 1:  # _layers convolved it into its block
+                continue
             if n < len(blocks):  # slice 0
                 np.copyto(blocks[i], x[(..., *read)])
             else:
@@ -357,7 +362,7 @@ def _margins(inner, outer, reach: int) -> tuple:
     )
 
 
-def _layers(spec: StackSpec, banks, image, norm_stats, window=None, scales=None):
+def _layers(spec: StackSpec, banks, image, norm_stats, window=None, scales=None, into=None):
     """Run each scale slice s of ``scales`` (all of the banks' if None), in
     turn, through ``banks`` on ``image`` and yield, per slice and layer i, the
     triple (i, the layer's [C, h, w] map of slice s, the (rows, cols) slices
@@ -372,14 +377,22 @@ def _layers(spec: StackSpec, banks, image, norm_stats, window=None, scales=None)
     generator resumes: then the frozen norm norm_stats[i - 1], read only now,
     and the layer's nonlinearity overwrite it in place, and layer i writes
     its output into the start of the buffer.
+
+    With ``into``, a [C, h, w] array of the last layer's output shape, the
+    last layer writes there instead: the first slice overwrites it and each
+    later slice folds into it by ``np.maximum``, and the map yielded for that
+    layer is ``into``. The buffer is then sized for the earlier layers only,
+    and where the last layer's margins are zero (inside the image) its conv2d
+    reads the buffer without copying it.
     """
     window = check_window(image.shape, window)
     reaches = [(layer.k - 1) // 2 for layer in spec.layers[: len(banks)]]
     regions = [dilate(image.shape, window, sum(reaches[i:])) for i in range(len(reaches) + 1)]
     shapes = [(bank.out_channels, rows.stop - rows.start, cols.stop - cols.start)
               for bank, (rows, cols) in zip(banks, regions[1:])]
-    buf = np.empty(max(map(math.prod, shapes)))
-    for s in range(banks[0].num_scales) if scales is None else scales:
+    held = shapes if into is None else shapes[:-1]  # the last layer writes into ``into``
+    buf = np.empty(max(map(math.prod, held))) if held else None
+    for n, s in enumerate(range(banks[0].num_scales) if scales is None else scales):
         x = image[(np.newaxis, *regions[0])]
         for i, (bank, layer, shape) in enumerate(zip(banks, spec.layers, shapes)):
             if i:
@@ -387,7 +400,9 @@ def _layers(spec: StackSpec, banks, image, norm_stats, window=None, scales=None)
                 if layer.nonlinearity == "relu":
                     relu(x)
             margins = _margins(regions[i + 1], regions[i], reaches[i])
-            x = conv2d(x, bank.kernels[s], BorderPolicy.ZERO, out=buf[: math.prod(shape)].reshape(shape), margins=margins)
+            direct = into is not None and i == len(banks) - 1
+            out = into if direct else buf[: math.prod(shape)].reshape(shape)
+            x = conv2d(x, bank.kernels[s], BorderPolicy.ZERO, out=out, margins=margins, fold=direct and n > 0)
             yield i, x, within(window, regions[i + 1])
 
 
@@ -447,7 +462,9 @@ def check_stack_fits(spec: StackSpec) -> float:
 def slice_loop_values(layers, height, width, loops: int = 1) -> float:
     """The doubles that ``loops`` slice loops of ``_layers`` hold on a height x
     width image: each loop's buffer, [C, height, width] for the widest layer,
-    and one convolution's ``conv2d_scratch``, the largest of ``layers``."""
+    and one convolution's ``conv2d_scratch``, the largest of ``layers``. It
+    stays an upper bound for a forward, whose last layer writes into its block
+    instead of the buffer and, at zero margins, reads the buffer uncopied."""
     h, w, outs = as_real(height), as_real(width), [as_real(layer.out_channels) for layer in layers]
     convs = [conv2d_scratch(c, o, as_real(layer.k), h, w) for c, o, layer in zip([1.0] + outs, outs, layers)]
     return loops * max(outs) * h * w + max(convs)

@@ -374,6 +374,33 @@ class TestWarpCommand:
         assert peak <= planned[0]
         assert peak <= (4.25 if mode == "scale" else 3.25) * height * width * 8
 
+    def test_large_warp_plans_the_encoder_payload(self, tmp_path, monkeypatch, geo_files):
+        # Past 2.6 Mpx the encoder's one-byte payload outgrew the point warp's
+        # blocks that stood in for it: a 2000x3000 frame planned 146.6 MB and
+        # peaked at 150.2 MB. The input is now freed before the encoder runs.
+        height, width = 2000, 3000
+        frame = tmp_path / "frame.pgm"
+        payload = np.random.default_rng(0).integers(0, 256, height * width, dtype=np.uint8)
+        frame.write_bytes(f"P5\n{width} {height}\n255\n".encode("ascii") + payload.tobytes())
+        intrinsics = write_json(tmp_path / "big.json", {"f": 707.0, "u0": 1499.5, "v0": 999.5, "width": width, "height": height})
+        argv = ["warp", "--image", str(frame), "--mode", "projective", "--out", str(tmp_path / "w.pgm"), "--out-dir", str(tmp_path)]
+        argv += ["--plane", geo_files["tilted"], "--motion", geo_files["motion"], "--intrinsics", intrinsics]
+        planned = []
+
+        def recording(values, plan):
+            planned.append(8.0 * values)
+            return grid.check_fits_memory(values, plan)
+
+        monkeypatch.setattr("seslab.cli.check_fits_memory", recording)
+        del payload
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= planned[0]
+
     @pytest.mark.parametrize("mode", ["projective", "scale"])
     @pytest.mark.parametrize(("height", "width"), [(600, 2000), (375, 1242)], ids=["past", "equal"])
     def test_image_past_the_intrinsics_grid_is_refused_from_its_header(

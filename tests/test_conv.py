@@ -108,6 +108,47 @@ def test_smaller_out_may_share_the_input_buffer(rng, monkeypatch, margins):
     assert np.array_equal(out, expected)
 
 
+@pytest.mark.parametrize("margins", [None, (0, 0, 0, 0), (1, 0, 2, 0)], ids=str)
+@pytest.mark.parametrize("border", ["zero-fill", "clamp", "circular"])
+def test_fold_is_a_maximum_into_out_bit_for_bit(rng, monkeypatch, margins, border):
+    # 3-row blocks; the last one overlaps its predecessor, so its first rows fold twice.
+    monkeypatch.setattr(conv, "BLOCK_BYTES", 8 * 15 * 16 * 3)
+    image = rng.standard_normal((3, 10, 12))
+    image[1, 4, 5] = np.nan  # NaN results around it
+    kernels = rng.standard_normal((4, 3, 5, 5))
+    kernels[0] = 0.0  # signed zero results
+    border = BorderPolicy.coerce(border)
+    result = conv2d(image, kernels, border, margins=margins)
+    out = rng.standard_normal(result.shape)
+    out.flat[::5], out.flat[1::5], out.flat[2::5] = np.nan, 0.0, -0.0
+    expected = np.maximum(out, result, out=out.copy())
+    assert conv2d(image, kernels, border, out=out, margins=margins, fold=True) is out
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def test_unpadded_input_is_not_copied_unless_out_shares_it(rng):
+    # At zero margins an out of its own leaves nothing to copy the input for:
+    # the peak is a row block's patch and accumulators, not the 4.2 MB input.
+    image = rng.standard_normal((16, 64, 512))
+    kernels = rng.standard_normal((16, 16, 5, 5))
+    margins = (0, 0, 0, 0)
+    out = np.empty((16, 60, 508))
+    tracemalloc.start()
+    try:
+        conv2d(image, kernels, out=out, margins=margins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * conv.BLOCK_BYTES < image.nbytes
+    # A strided window is made contiguous, and an out in the input's own
+    # buffer still equals a fresh output.
+    window = image[:, 2:-2, 3:-3]
+    assert np.array_equal(conv2d(window, kernels, margins=margins), conv2d(window.copy(), kernels, margins=margins))
+    shared = image.reshape(-1)[: out.size].reshape(out.shape)
+    assert conv2d(image, kernels, out=shared, margins=margins) is shared
+    assert np.array_equal(shared, out)
+
+
 @pytest.mark.parametrize(
     "margins",
     [(3, 0, 0, 0), (0, -1, 0, 0), (0, 1.0, 0, 0), (0, 0, 0), (0, 0, 0, 1), (True,) * 4],
@@ -231,6 +272,9 @@ def test_working_memory_is_bounded_by_the_block_budget(rng):
         pytest.param(16, 16, 5, 96, 96, conv.BLOCK_BYTES, id="wide"),
         pytest.param(3, 3, 1, 30, 40, conv.BLOCK_BYTES, id="k1-unpadded-copy"),
         pytest.param(64, 8, 3, 40, 56, 8 * 64 * 58, id="one-row-blocks-past-the-budget"),
+        # A 1x39999 image's layers 2 and 1 in the reference stack: one-row blocks.
+        pytest.param(4, 4, 11, 1, 39999, conv.BLOCK_BYTES, id="thin"),
+        pytest.param(4, 1, 11, 1, 39999, conv.BLOCK_BYTES, id="thin-first-layer"),
     ],
 )
 def test_scratch_bounds_the_peak_besides_input_and_output(rng, monkeypatch, out_ch, in_ch, k, h, w, budget):
@@ -245,6 +289,12 @@ def test_scratch_bounds_the_peak_besides_input_and_output(rng, monkeypatch, out_
     finally:
         tracemalloc.stop()
     assert peak <= 8 * conv.conv2d_scratch(in_ch, out_ch, k, h, w)
+
+
+def test_scratch_counts_the_patch_and_accumulators_at_their_own_rows():
+    # The "thin" case above peaks at 30.7 MB: a 44-row patch and two 4-row
+    # accumulators. Counted at 44 rows each, they made 56.4 MB.
+    assert 8 * conv.conv2d_scratch(4, 4, 11, 1, 39999) < 31e6
 
 
 def test_out_slice_of_a_scale_stack_is_filled_and_returned(rng):

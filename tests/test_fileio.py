@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,21 @@ from hypothesis import strategies as st
 
 from seslab import FormatError, SeslabError, read_pgm, read_tensor, write_pgm, write_tensor
 from seslab.cli import main
-from seslab.fileio import _header, read_pgm_header, sidecar_path
+from seslab.fileio import _header, read_pgm_header, sidecar_path, write_pgm_scratch
+
+
+@pytest.mark.parametrize("shape", [(500, 800), (3, 5), (1, 20000)], ids=str)
+@pytest.mark.parametrize("maxval", [255, 65535])
+def test_pgm_scratch_covers_the_encoder_peak(rng, tmp_path, shape, maxval):
+    image = rng.uniform(size=shape)
+    write_pgm(tmp_path / "warm.pgm", image, maxval)  # the first call may import
+    tracemalloc.start()
+    try:
+        write_pgm(tmp_path / "w.pgm", image, maxval)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * write_pgm_scratch(*shape, maxval)
 
 
 class TestTensorFormat:

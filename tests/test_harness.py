@@ -686,9 +686,9 @@ def test_box_forward_layers_shrink_to_the_crop_window(monkeypatch, kind, spec, s
     inputs, shapes = [], []
     real = sesconv.conv2d
 
-    def recording(image, kernels, border, out=None, margins=None):
+    def recording(image, kernels, border, out=None, margins=None, fold=False):
         inputs.append(image.shape)
-        result = real(image, kernels, border, out=out, margins=margins)
+        result = real(image, kernels, border, out=out, margins=margins, fold=fold)
         shapes.append(result.shape)
         return result
 

@@ -493,6 +493,24 @@ class TestStack:
             tracemalloc.stop()
         assert peak <= 8 * sesconv.slice_loop_values(layers, 96, 320)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_crop_forward_holds_no_copy_of_the_last_layer_input(self, kind):
+        # The last layer convolves each slice straight into its block, from the
+        # one slice buffer, so the forward holds the blocks, that buffer and one
+        # row block's patch and accumulators. A copy of the last layer's input
+        # (2.7 MB) took it past that.
+        stack = build_stack(StackSpec(kind=kind, layers=(LayerSpec(16, 5),) * 2, max_order=2))
+        image = synth_image("bandlimited-noise", 96, 320, seed=0)
+        window = grid.crop_window(image.shape, 0.1)
+        tracemalloc.start()
+        try:
+            blocks = stack.forward(image, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slice_map = 8 * 16 * math.prod(s.stop - s.start + 4 for s in window)  # layer 1, 2 px past the window
+        assert peak <= sum(block.nbytes for block in blocks) + slice_map + 3 * conv.BLOCK_BYTES
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
             StackSpec(kind="dilated")
