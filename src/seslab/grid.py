@@ -28,18 +28,6 @@ class BorderPolicy(enum.Enum):
         raise ConfigError(f"unknown border policy: {value!r}")
 
 
-_PAD_MODES = {
-    BorderPolicy.ZERO: "constant",
-    BorderPolicy.CLAMP: "edge",
-    BorderPolicy.CIRCULAR: "wrap",
-}
-
-
-def pad_mode(border: BorderPolicy) -> str:
-    """numpy.pad mode implementing the given border policy."""
-    return _PAD_MODES[BorderPolicy.coerce(border)]
-
-
 def check_fits_memory(values: float, plan: str) -> None:
     """Raise ConfigError naming ``plan`` unless ``values`` doubles fit in the
     machine's physical memory; call it before allocating any of them."""

@@ -182,19 +182,20 @@ def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
     T_s F (``scaled_feats``, squared in place) and F(T_s h) are [C, h, w]
     readouts of one window; ``crop`` is the crop window within it. The squared
     difference overwrites F(T_s h), which the caller gives up. The sums read
-    contiguous copies of the crop, which are the arrays themselves when the
-    window is the crop: equal arrays, whichever window a cell reads. Raises
-    SeslabError, before the map is normalized, if either sum is not finite or
-    if T_s F is zero on the crop.
+    contiguous copies of the crop, one at a time, which are the arrays
+    themselves when the window is the crop: equal arrays, whichever window a
+    cell reads. So T_s F is squared only after the difference has read it.
+    Raises SeslabError, before the map is normalized, if either sum is not
+    finite or if T_s F is zero on the crop.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         err = np.subtract(scaled_feats, feats_of_scaled, out=feats_of_scaled)
         err *= err
         grid = np.sum(err, axis=0) if with_map else None
-        num = np.ascontiguousarray(err[(..., *crop)])
+        num_sq = float(np.sum(np.ascontiguousarray(err[(..., *crop)])))
         den = np.ascontiguousarray(scaled_feats[(..., *crop)])
         den *= den
-        num_sq, den_sq = float(np.sum(num)), float(np.sum(den))
+        den_sq = float(np.sum(den))
     if not (math.isfinite(num_sq) and math.isfinite(den_sq)):
         raise SeslabError("equivariance error undefined: squared features do not sum to a finite number")
     if den_sq == 0.0:

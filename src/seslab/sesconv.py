@@ -382,8 +382,10 @@ def _layers(spec: StackSpec, banks, image, norm_stats, window=None, scales=None,
     last layer writes there instead: the first slice overwrites it and each
     later slice folds into it by ``np.maximum``, and the map yielded for that
     layer is ``into``. The buffer is then sized for the earlier layers only,
-    and where the last layer's margins are zero (inside the image) its conv2d
-    reads the buffer without copying it.
+    and the last layer's conv2d reads the buffer without copying it. Every
+    conv2d reads its input in place, at any margins, except that layers
+    2..n-1 (2..n without ``into``) write into the buffer they read, so their
+    conv2d copies its input first.
     """
     window = check_window(image.shape, window)
     reaches = [(layer.k - 1) // 2 for layer in spec.layers[: len(banks)]]
@@ -462,9 +464,10 @@ def check_stack_fits(spec: StackSpec) -> float:
 def slice_loop_values(layers, height, width, loops: int = 1) -> float:
     """The doubles that ``loops`` slice loops of ``_layers`` hold on a height x
     width image: each loop's buffer, [C, height, width] for the widest layer,
-    and one convolution's ``conv2d_scratch``, the largest of ``layers``. It
-    stays an upper bound for a forward, whose last layer writes into its block
-    instead of the buffer and, at zero margins, reads the buffer uncopied."""
+    and one convolution's ``conv2d_scratch``, the largest of ``layers``, which
+    counts the copy of the input that a layer writing into its own buffer
+    makes. It stays an upper bound for a forward, whose last layer writes into
+    its block instead of the buffer and reads the buffer uncopied."""
     h, w, outs = as_real(height), as_real(width), [as_real(layer.out_channels) for layer in layers]
     convs = [conv2d_scratch(c, o, as_real(layer.k), h, w) for c, o, layer in zip([1.0] + outs, outs, layers)]
     return loops * max(outs) * h * w + max(convs)

@@ -140,13 +140,72 @@ def test_unpadded_input_is_not_copied_unless_out_shares_it(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * conv.BLOCK_BYTES < image.nbytes
-    # A strided window is made contiguous, and an out in the input's own
+    # A strided window is read in place, and an out in the input's own
     # buffer still equals a fresh output.
     window = image[:, 2:-2, 3:-3]
     assert np.array_equal(conv2d(window, kernels, margins=margins), conv2d(window.copy(), kernels, margins=margins))
     shared = image.reshape(-1)[: out.size].reshape(out.shape)
     assert conv2d(image, kernels, out=shared, margins=margins) is shared
     assert np.array_equal(shared, out)
+
+
+def test_padded_input_is_not_copied(rng):
+    # The patch reads the input under the border policy; np.pad's copy of a
+    # [16, 96, 320] input took 4.1 MB, past the input's own 3.9 MB.
+    image = rng.standard_normal((16, 96, 320))
+    kernels = rng.standard_normal((16, 16, 5, 5))
+    out = np.empty_like(image)
+    for border in BorderPolicy:
+        tracemalloc.start()
+        try:
+            conv2d(image, kernels, border, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * conv.BLOCK_BYTES < image.nbytes, border
+
+
+def _oracle(image, kernels, border, margins):
+    k = kernels.shape[-1]
+    top, bottom, left, right = margins
+    _, h, w = image.shape
+    return conv2d_loops(image, kernels, border)[:, k // 2 - top : h - k // 2 + bottom, k // 2 - left : w - k // 2 + right]
+
+
+# (C, h, w, k, margins, block budget): each row block reads the input's rows
+# in place, or row by row where it reaches past the top or bottom.
+PAD_CASES = {
+    "one-row": (2, 1, 9, 5, (2, 2, 2, 2), 1 << 19),  # a margin past h, one block reaching both pads
+    "one-column": (2, 8, 1, 5, (2, 2, 2, 2), 1 << 19),  # margins past w
+    "one-pixel": (1, 1, 1, 5, (2, 2, 2, 2), 1 << 19),
+    "both-pads": (3, 3, 6, 7, (3, 3, 1, 3), 1 << 19),  # k past h: the one block reaches both pads
+    "margins": (2, 12, 10, 5, (1, 2, 0, 1), 8 * 10 * 11 * 2),  # 2-row blocks, interior and edge
+    "one-sided": (2, 12, 10, 5, (0, 2, 2, 0), 8 * 10 * 12 * 3),
+    "ragged": (3, 11, 13, 3, (1, 1, 1, 1), 8 * 9 * 15 * 4),  # the last block overlaps
+}
+
+
+@pytest.mark.parametrize("case", PAD_CASES.values(), ids=PAD_CASES.keys())
+@pytest.mark.parametrize("border", ["zero-fill", "clamp", "circular"])
+def test_padding_read_from_the_input_matches_oracle(rng, monkeypatch, case, border):
+    channels, h, w, k, margins, budget = case
+    monkeypatch.setattr(conv, "BLOCK_BYTES", budget)
+    kernels = rng.standard_normal((channels, channels, k, k))
+    image = rng.standard_normal((channels, h, w))
+    expected = _oracle(image, kernels, border, margins)
+    policy = BorderPolicy.coerce(border)
+    out = conv2d(image, kernels, policy, margins=margins)
+    assert np.abs(out - expected).max() <= 1e-10
+    # A strided, offset window of a larger grid reads the same pixels in place.
+    host = np.full((channels + 1, h + 4, 3 * w + 2), np.nan)
+    window = host[1:, 2 : 2 + h, 1 : 3 * w + 1 : 3]
+    window[...] = image
+    assert np.array_equal(conv2d(window, kernels, policy, margins=margins), out)
+    # An out in the input's own buffer.
+    if out.size <= image.size:
+        shared = image.reshape(-1)[: out.size].reshape(out.shape)
+        assert conv2d(image, kernels, policy, out=shared, margins=margins) is shared
+        assert np.array_equal(shared, out)
 
 
 @pytest.mark.parametrize(

@@ -728,6 +728,26 @@ def test_image_cells_peak_memory_is_base_plus_one_forward(margin, map_scale):
     assert peak < base + forward + base // 2  # slack: one block output
 
 
+def test_map_cell_holds_one_crop_copy_at_a_time():
+    # At the map scale the scaled forward reads the frame, so each cell sums
+    # contiguous copies of its crop. The peak holds the base and scaled blocks,
+    # T_s F and the map; the numerator's copy is freed before the denominator's
+    # is made. Both at once put the peak a crop copy higher (25.1 MB).
+    stack = build_stack(StackSpec(layers=(LayerSpec(16, 5), LayerSpec(16, 5)), max_order=2))
+    image = synth_image("bandlimited-noise", 96, 320, seed=0)
+    blocks = stack.forward(image)
+    base, window = sum(block.nbytes for block in blocks), crop(blocks[0], 0.1).nbytes
+    del blocks
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        harness._image_cells(stack, image, (0.8,), (1, 2), 0.1, 0.8)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * base + base // 2 + window + window // 2  # slack: half a crop copy
+
+
 @pytest.mark.parametrize(
     "config",
     [
