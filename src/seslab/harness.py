@@ -207,7 +207,7 @@ def _delta_ratio(scaled_feats, feats_of_scaled, crop, with_map: bool) -> tuple:
     return num_sq / den_sq, grid
 
 
-def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None) -> tuple:
+def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=None, out=None) -> tuple:
     """Delta cells {(block, s): ratio} of one image, and error maps
     {block: grid} at the scale factor ``map_scale`` (none if it is None).
 
@@ -215,7 +215,10 @@ def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=N
     ``_warp`` samples T_s h on the frame and T_s F(h) on the window, with zero
     fill; F(T_s h) runs on the window (Stack.forward reads only the window's
     receptive field) and F(h) on the frame. Only layers up to max(blocks) run;
-    none depends on a later one.
+    none depends on a later one. F(h)'s blocks are views of ``out``, as
+    ``Stack.forward`` takes it, so a caller that passes one array for every
+    image and kind reuses its pages; without it they are a new array. Each
+    F(T_s h) allocates its own blocks.
     """
     image = as_grid(image, rank=2, name="image")
     if not np.isfinite(image).all():
@@ -224,7 +227,7 @@ def _image_cells(stack: Stack, image, scale_factors, blocks, margin, map_scale=N
     n = max(blocks)
     spec = replace(stack.spec, layers=stack.spec.layers[:n])
     stack = replace(stack, spec=spec, banks=stack.banks[:n], norm_stats=stack.norm_stats[: n - 1])
-    base = stack.forward(image)
+    base = stack.forward(image, out=out)
     cells, maps = {}, {}
     for s in scale_factors:
         read = frame if s == map_scale else crop
@@ -262,13 +265,20 @@ def equivariance_error(stack: Stack, images, s: float, block: int, crop_margin: 
 
 def _measurement_values(layers, height, width) -> float:
     """At most the doubles that ``_image_cells`` holds measuring one image of
-    height x width through ``layers``, every map counted at the image's
-    extents as if all were alive at once: the image and T_s h, both forwards'
-    blocks, one slice loop, and one cell's T_s F and error map, with the
-    sampler's scratch or ``_delta_ratio``'s two crop copies, the larger."""
+    height x width through ``layers`` besides F(h)'s blocks, which it reads
+    from the caller's ``out``, every map counted at the image's extents as if
+    all were alive at once: the image and T_s h, F(T_s h)'s blocks, one slice
+    loop, and one cell's T_s F and error map, with the sampler's scratch or
+    ``_delta_ratio``'s two crop copies, the larger."""
     pixels, outs = as_real(height) * as_real(width), [as_real(layer.out_channels) for layer in layers]
     cell = max(warp_scratch((height, width), (height, width), True, BorderPolicy.ZERO), 2 * max(outs) * pixels)
-    return pixels * (3 + 2 * sum(outs) + max(outs)) + cell + slice_loop_values(layers, height, width)
+    return pixels * (3 + sum(outs) + max(outs)) + cell + slice_loop_values(layers, height, width)
+
+
+def _base_values(layers, extents) -> int:
+    """The values of a worker's F(h) array: every block of ``layers`` at the
+    largest height x width among ``extents``, so it holds any image's."""
+    return sum(layer.out_channels for layer in layers) * max(h * w for h, w in extents)
 
 
 def _plan(config: EquivConfig, extents, workers: int) -> tuple:
@@ -276,15 +286,17 @@ def _plan(config: EquivConfig, extents, workers: int) -> tuple:
     a later one. Raise ConfigError unless every crop window keeps a pixel and
     the run fits in physical memory: each stack (``check_stack_fits``),
     ``workers`` measurements (``_measurement_values``) at the extent where it
-    is largest, none growing with the number of scales, and a double per cell
-    and a 4-byte seed per synthetic image. Raise DegenerateGeometryError, as
-    ``scale_transform_mapping`` does, unless every scale factor maps every
-    extent's pixels to finite points."""
+    is largest, each with its F(h) array (``_base_values``) at the largest
+    area, which may be another extent; none grows with the number of scales.
+    Then a double per cell and a 4-byte seed per synthetic image. Raise
+    DegenerateGeometryError, as ``scale_transform_mapping`` does, unless every
+    scale factor maps every extent's pixels to finite points."""
     layers = config.stack.layers[: max(config.blocks)]
     specs = tuple(replace(config.stack, kind=kind, layers=layers) for kind in KINDS)
     count = extents.total()
     weights = sum(map(check_stack_fits, specs))
     measurement, (height, width) = max((_measurement_values(layers, *extent), extent) for extent in extents)
+    measurement += as_real(_base_values(layers, extents))
     cells = len(KINDS) * len(config.blocks) * len(config.scale_factors)
     synthetic = config.corpus.image_dir is None  # then each image has a 4-byte seed, half a double
     n, h, w = map(reprlib.repr, (count, height, width))
@@ -312,8 +324,11 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     pixel read. The run holds one [count, kinds, blocks, scales] array of
     cells, as planned, and up to SESLAB_THREADS workers (no more than images
     or CPUs): worker w loads images w, w + workers, ... in turn and runs
-    each through both stacks. Cell means sum in image order, so reports are
-    byte-identical across thread counts.
+    each through both stacks. Each worker allocates one F(h) array, sized by
+    ``_base_values`` for the corpus's largest image, and every F(h) of its
+    share writes its blocks there, so the pages of the largest forward
+    outputs stay mapped from one kind and image to the next. Cell means sum
+    in image order, so reports are byte-identical across thread counts.
     """
     extents, load = config.corpus.describe()
     count = extents.total()
@@ -322,15 +337,19 @@ def run_experiment(config: EquivConfig, maps: bool = True) -> EquivReport:
     factors, blocks = config.scale_factors, config.blocks
     deltas = np.empty((count, len(KINDS), len(blocks), len(factors)))
     grids, rows, failed = {}, [], []
+    base_values = _base_values(stacks[0].spec.layers, extents)
 
     def share(w):
+        base = np.empty(base_values)
         for index in range(w, count, workers):
             if failed:  # another share raised; the pool cannot stop a running share
                 return
             try:
                 image, map_scale = load(index), (factors[0] if maps and index == 0 else None)
                 for k, stack in enumerate(stacks):
-                    cells, kind_maps = _image_cells(stack, image, factors, blocks, config.crop_margin, map_scale)
+                    cells, kind_maps = _image_cells(
+                        stack, image, factors, blocks, config.crop_margin, map_scale, out=base
+                    )
                     deltas[index, k] = [[cells[(b, s)] for s in factors] for b in blocks]
                     grids.update({(stack.kind, b): grid for b, grid in kind_maps.items()})
             except BaseException:

@@ -292,7 +292,7 @@ class Stack:
     def weight_count(self) -> int:
         return sum(b.weights.size for b in self.banks)
 
-    def forward(self, image, window=None) -> list:
+    def forward(self, image, window=None, out=None) -> list:
         """Per-block [C, h, w] activations of a rank-2 image on ``window``, its
         (rows, cols) slices, or on the whole image if ``window`` is None.
 
@@ -305,16 +305,29 @@ class Stack:
         window folds by ``np.maximum``, in slice order as ``scale_projection``
         takes it. The last layer writes exactly the window, so ``_layers``
         convolves each slice straight into the last block, and folds it there;
-        the forward copies and folds the earlier blocks. The blocks are views
-        of one new array, so a forward makes one allocation for them, which
-        keeps the allocator from returning and refaulting their pages forward
-        after forward.
+        the forward copies and folds the earlier blocks.
+
+        The blocks are views of the leading values of one array: ``out``, a
+        1-D, C-contiguous float64 array of at least as many values as the
+        blocks, which does not share the image's memory, or else one new
+        array. Either way a forward makes one allocation for them at most,
+        which keeps the allocator from returning and refaulting their pages
+        forward after forward; a caller that passes the same ``out`` to every
+        forward makes none. Raises ShapeError for any other ``out``.
         """
         image = as_grid(image, rank=2, name="image")
         rows, cols = check_window(image.shape, window)
         shapes = [(bank.out_channels, rows.stop - rows.start, cols.stop - cols.start) for bank in self.banks]
         ends = np.cumsum([math.prod(shape) for shape in shapes])
-        blocks = [part.reshape(shape) for part, shape in zip(np.split(np.empty(ends[-1]), ends[:-1]), shapes)]
+        if out is None:
+            out = np.empty(ends[-1])
+        elif not (isinstance(out, np.ndarray) and out.ndim == 1 and out.size >= ends[-1] and out.dtype == np.float64
+                  and out.flags.c_contiguous and not np.may_share_memory(out, image)):
+            raise ShapeError(
+                f"out must be a 1-D C-contiguous float64 array of at least {ends[-1]} values "
+                f"that does not share the image's memory"
+            )
+        blocks = [part.reshape(shape) for part, shape in zip(np.split(out[: ends[-1]], ends[:-1]), shapes)]
         for n, (i, x, read) in enumerate(_layers(self.spec, self.banks, image, self.norm_stats, window, into=blocks[-1])):
             if i == len(blocks) - 1:  # _layers convolved it into its block
                 continue

@@ -283,7 +283,9 @@ class TestRunExperiment:
         # runs through the ses stack and then the vanilla stack.
         calls = []
         real = sesconv.Stack.forward
-        monkeypatch.setattr(sesconv.Stack, "forward", lambda self, *args: calls.append(self.kind) or real(self, *args))
+        monkeypatch.setattr(
+            sesconv.Stack, "forward", lambda self, *args, **kwargs: calls.append(self.kind) or real(self, *args, **kwargs)
+        )
         run_experiment(TINY_CONFIG, maps=False)
         per_image = 1 + len(TINY_CONFIG.scale_factors)
         assert calls == (["ses"] * per_image + ["vanilla"] * per_image) * TINY_CONFIG.corpus.count
@@ -395,7 +397,7 @@ class TestRunExperiment:
 
     def test_non_finite_cell_mean_rejected(self, monkeypatch):
         # math.log10 was skipped for a NaN mean, so the report read log10_delta -inf
-        def cells(stack, image, scale_factors, blocks, crop_margin, map_scale=None):
+        def cells(stack, image, scale_factors, blocks, crop_margin, map_scale=None, out=None):
             return {(b, s): math.nan if (b, s) == (2, 0.8) else 0.5 for b in blocks for s in scale_factors}, {}
 
         monkeypatch.setattr(harness, "_image_cells", cells)
@@ -759,18 +761,21 @@ def test_map_cell_holds_one_crop_copy_at_a_time():
             blocks=(1, 2),
         ),
         EquivConfig(corpus=CorpusSpec(image_dir="square-and-thin")),
+        EquivConfig(corpus=CorpusSpec(image_dir="large-square-and-thin")),
     ],
-    ids=["equiv-ref", "equiv-wide", "square-and-thin"],
+    ids=["equiv-ref", "equiv-wide", "square-and-thin", "large-square-and-thin"],
 )
 def test_plan_covers_the_run_peak(monkeypatch, tmp_path, config):
     # The plan counted an image and one [S, C, h, w] map per worker: 61.1 MB
     # against a 115.1 MB peak on equiv-wide, 12.1 against 13.0 MB on equiv-ref.
     # It then sized the worker at the largest-area extent, 200x200 here, but
     # conv2d's row-block patch grows with the padded width, so the thin image
-    # holds more.
+    # holds more. A worker's F(h) array is sized for the largest area, which
+    # at 300x300 is not the thin extent that the plan names.
     if config.corpus.image_dir is not None:
         rng = np.random.default_rng(7)
-        for name, shape in (("square", (200, 200)), ("thin", (1, 39999))):
+        side = {"square-and-thin": 200, "large-square-and-thin": 300}[config.corpus.image_dir]
+        for name, shape in (("square", (side, side)), ("thin", (1, 39999))):
             write_pgm(tmp_path / f"{name}.pgm", rng.uniform(size=shape))
         config = replace(config, corpus=replace(config.corpus, image_dir=str(tmp_path)))
     planned = []
@@ -829,7 +834,7 @@ def test_run_holds_the_planned_cells_per_image(monkeypatch, threads):
     # The fake returns fresh cells as _image_cells does, without its forwards:
     # tracemalloc reads numpy's as_strided as about 48 B of growth per call
     # that the process's RSS does not show, and 1000 images stay fast.
-    def cells(stack, image, scale_factors, blocks, crop_margin, map_scale=None):
+    def cells(stack, image, scale_factors, blocks, crop_margin, map_scale=None, out=None):
         return {(b, s): float(image[0, 0]) + s for s in scale_factors for b in blocks}, {}
 
     monkeypatch.setattr(harness, "_image_cells", cells)
@@ -851,6 +856,47 @@ def test_run_holds_the_planned_cells_per_image(monkeypatch, threads):
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / 1000 <= 2 * planned
+
+
+def test_plan_counts_the_base_array_at_the_largest_area(monkeypatch):
+    # The thin extent's measurement is the largest, but the worker's F(h)
+    # array is sized by the 300x300 image: the plan counts both.
+    planned = []
+    monkeypatch.setattr(harness, "check_fits_memory", lambda values, plan: planned.append((values, plan)))
+    config = EquivConfig(corpus=CorpusSpec(image_dir="unread"))
+    for extents in ({(300, 300): 1, (1, 39999): 1}, {(1, 39999): 2}):
+        harness._plan(config, collections.Counter(extents), 2)
+    channels = sum(layer.out_channels for layer in config.stack.layers)
+    assert planned[0][0] - planned[1][0] == 2 * channels * (300 * 300 - 39999)
+    assert "the largest 1x39999" in planned[0][1]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_each_worker_writes_every_base_forward_into_one_array(monkeypatch, threads):
+    # F(h) of both kinds and of every image in a share writes its blocks into
+    # one array that the worker allocates once; the crop forwards allocate
+    # their own. Each F(h) used to allocate its blocks.
+    outs = []
+    real = sesconv.Stack.forward
+
+    def forward(self, image, window=None, **kwargs):
+        blocks = real(self, image, window, **kwargs)
+        outs.append((window is None, kwargs.get("out")))
+        assert kwargs.get("out") is None or all(np.shares_memory(block, kwargs["out"]) for block in blocks)
+        return blocks
+
+    monkeypatch.setattr(sesconv.Stack, "forward", forward)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SESLAB_THREADS", threads)
+    run_experiment(TINY_CONFIG, maps=False)
+    base = [out for frame, out in outs if frame]
+    assert len(base) == len(KINDS) * TINY_CONFIG.corpus.count
+    assert all(out is None for frame, out in outs if not frame)
+    assert all(isinstance(out, np.ndarray) for out in base)
+    buffers = list({id(out): out for out in base}.values())
+    assert len(buffers) == int(threads)
+    if threads == "2":  # worker w has image w: its two kinds share its array
+        assert [id(out) for out in base].count(id(buffers[0])) == len(KINDS)
 
 
 def test_run_holds_one_image_per_worker(tmp_path, monkeypatch):

@@ -792,6 +792,63 @@ class TestWindowedForward:
             stack.forward(synth_image("gaussian-blobs", 12, 12, seed=0), window)
 
 
+class TestForwardOut:
+    """Stack.forward(image, window, out) writes the blocks, in order, into the
+    leading values of ``out`` and allocates none."""
+
+    WINDOWS = [None, (slice(4, 25), slice(6, 44))]
+
+    @pytest.fixture(scope="class", params=KINDS)
+    def stack(self, request):
+        layers, max_order = WINDOW_STACKS["channels-change"]
+        return build_stack(StackSpec(kind=request.param, layers=layers, max_order=max_order, seed=2))
+
+    @pytest.mark.parametrize("window", WINDOWS, ids=["frame", "crop"])
+    @pytest.mark.parametrize("extra", [0, 37], ids=["exact", "longer"])
+    def test_blocks_are_the_allocating_forward_in_the_leading_values(self, stack, window, extra):
+        image = synth_image("bandlimited-noise", 29, 50, seed=3)
+        expected = stack.forward(image, window)
+        size = sum(block.size for block in expected)
+        out = np.full(size + extra, np.nan)
+        blocks = stack.forward(image, window, out=out)
+        assert [block.tobytes() for block in blocks] == [block.tobytes() for block in expected]
+        assert all(np.shares_memory(block, out) for block in blocks)
+        assert out[:size].tobytes() == b"".join(block.tobytes() for block in expected)
+        assert np.isnan(out[size:]).all()  # the values past the blocks are left as they were
+
+    @pytest.mark.parametrize("window", WINDOWS, ids=["frame", "crop"])
+    def test_values_left_by_a_previous_image_are_overwritten(self, stack, window):
+        # A NaN left in out would survive a fold by np.maximum.
+        previous = synth_image("gaussian-blobs", 29, 50, seed=4)
+        previous[10:20, 12:30] = np.nan
+        image = synth_image("bandlimited-noise", 29, 50, seed=3)
+        out = np.empty(sum(block.size for block in stack.forward(previous)))
+        stack.forward(previous, out=out)
+        assert np.isnan(out).any()
+        blocks = stack.forward(image, window, out=out)
+        assert [block.tobytes() for block in blocks] == [block.tobytes() for block in stack.forward(image, window)]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n, held: np.zeros(n, dtype=np.float32),
+            lambda n, held: np.zeros(2 * n)[::2],
+            lambda n, held: np.zeros((1, n)),
+            lambda n, held: np.zeros(n - 1),
+            lambda n, held: [0.0] * n,
+            lambda n, held: held,  # long enough, but it holds the image too
+        ],
+        ids=["float32", "strided", "2-D", "too-short", "list", "image-memory"],
+    )
+    def test_wrong_out_rejected(self, stack, make):
+        pixels = synth_image("gaussian-blobs", 29, 50, seed=3)
+        n = sum(block.size for block in stack.forward(pixels))
+        held = np.concatenate([pixels.ravel(), np.zeros(n)])
+        image = held[: pixels.size].reshape(pixels.shape)
+        with pytest.raises(ShapeError, match=f"^out must be a 1-D C-contiguous float64 array of at least {n} values"):
+            stack.forward(image, out=make(n, held))
+
+
 class TestHeadlineResidue:
     def test_matched_kernels_beat_single_scale(self):
         basis = build_basis(scale_set_from_alpha(0.1, 3).scaled(2.0), max_order=6, k=11)
